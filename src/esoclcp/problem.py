@@ -141,9 +141,7 @@ def realize(spec: ProblemSpec, omega) -> Realization:
 
 def realize_batch(spec: ProblemSpec, omegas) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized realize: stacked T(w_j) of shape (N, m, m) and r(w_j) of (N, m)."""
-    omegas = np.asarray(omegas, dtype=float)
-    if omegas.ndim != 2 or omegas.shape[1] != spec.omega_dim:
-        raise ValueError(f"omegas must have shape (N, {spec.omega_dim}), got {omegas.shape}")
+    omegas = _check_omegas(spec, omegas)
     n = omegas.shape[0]
     T = np.broadcast_to(spec.T_base, (n,) + spec.T_base.shape).copy()
     r = np.broadcast_to(spec.r_base, (n,) + spec.r_base.shape).copy()
@@ -152,6 +150,16 @@ def realize_batch(spec: ProblemSpec, omegas) -> tuple[np.ndarray, np.ndarray]:
     for entry in spec.r_perturb:
         r[:, entry.row] += entry.coeff * omegas[:, entry.omega_index]
     return T, r
+
+
+def _check_omegas(spec: ProblemSpec, omegas) -> np.ndarray:
+    # a sample of draws: N >= 1 finite rows of length omega_dim
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 2 or omegas.shape[0] < 1 or omegas.shape[1] != spec.omega_dim:
+        raise ValueError(f"draws must have shape (N, {spec.omega_dim}) with N >= 1, got {omegas.shape}")
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("draws must be finite")
+    return omegas
 
 
 def _check_omega(spec: ProblemSpec, omega) -> np.ndarray:

@@ -19,9 +19,13 @@ root of that strictly increasing Theta-derivative by Newton's method with the
 closed-form second derivative p'', started from the empirical VaR and
 safeguarded by a bracket between neighbouring order statistics.
 
-SampleEvaluator holds the realized data once, sample-last, so each objective
-evaluation is one matrix-vector product over the data plus elementwise passes
-over contiguous length-N rows.
+SampleEvaluator never realizes the matrices T(w_j) for its kernels.  It keeps
+the draws, (1, w_j) as a (omega_dim + 1, N) array, and one small operator
+holding T and r's base values and perturbation coefficients, so each
+objective evaluation is two small products plus one product over the draws,
+and elementwise passes over contiguous length-N rows.  Its kernels fill
+caller-owned (rows, N) arrays when given them; the solver's stages allocate
+those once.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .problem import DistributionSpec, ProblemSpec, realize_batch
+from .problem import DistributionSpec, ProblemSpec, _check_omegas, realize_batch
 from .reformulate import MixPoint
 from .risk import (
     SmoothingKind,
@@ -46,6 +50,7 @@ from .risk import (
 )
 
 _MAX_SEED = 2**64 - 1
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(eq=False)
@@ -96,90 +101,158 @@ def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> S
     return SampleSet(dist.mean + dist.std * z, int(seed), int(N))
 
 
+# the dense blocks SampleEvaluator realizes on first access
+_DENSE = frozenset(("A", "B", "C", "D", "A2", "B2", "C2", "D2", "p", "q"))
+
+
 class SampleEvaluator:
     """Residual, Jacobian and merit evaluation over a fixed sample.
 
     The one implementation of G1 and G2 (see reformulate), the
     Fischer-Burmeister residual R and merit theta = 0.5 ||R||^2 (see merit),
-    and the Jacobian of R; a single draw is the case N = 1.  Realizes
-    T(w_j), r(w_j) once for the whole sample and evaluates batches with a
-    handful of array contractions.  The dense jacobians and merit_grads are
-    the reference the blockwise weighted_merit_grad and
-    mean_jacobian_residual are checked against.
+    and the Jacobian of R; a single draw is the case N = 1.  The dense
+    jacobians and merit_grads are the reference the blockwise
+    weighted_merit_grad and mean_jacobian_residual are checked against.
 
-    The data are stored once, sample-last, in two contiguous arrays with
-    m = k + l: TT, (m, m N), with TT[j, i N + n] = T(w_n)[i, j], and rT,
-    (m, N), with rT[i, n] = r(w_n)[i].  So z @ TT viewed as (m, N), plus rT,
-    is T(w_n) z + r(w_n) for every draw in one product, and TT @ y is
-    sum_n T(w_n)^T y_n.  Per-draw quantities are held as (rows, N) arrays,
-    so every elementwise pass runs over N contiguous values.  The blocks
-    A, B, C, D (sample-first, (N, rows, cols)) and their flat forms
-    A2, B2, C2, D2 (x @ A2 is A x as k N values) are views into TT, the
-    offsets p, q ((rows, N)) views into rT.
+    Storage.  The data are affine in the draw, T(w) = T_0 + sum_o w_o T_o and
+    r(w) = r_0 + sum_o w_o r_o, so the sample is kept as its draws,
+    W = (1, w)^T of shape (d + 1, N) with d = omega_dim, next to one small
+    operator K of shape ((m + 1)(d + 1), m + 2), m = k + l.  Row (i, o) of K
+    maps (x_m, u, t, 1) to (T_o x + r_o)_i with x = (x_m + t e, u), and rows
+    (m, o) are the sums of the first k, so (K (x_m, u, t, 1)) viewed as
+    (m + 1, d + 1) times W is G1, v and e^T G1 for every draw in one
+    product.  Repeated perturbation entries add up in K as they do in
+    realize_batch.  Sums over the draws contract against W first:
+    sum_n T(w_n)^T y_n is y W^T contracted with K, and the sample mean of T
+    is K against the row means of W.
+
+    Cost.  That product takes (m + 1)(d + 1) N multiply-adds and reads
+    (d + 1) N values, where one over the realized T(w_n) takes m^2 N of each.
+    It wins while d + 1 is below about m, as in the bundled example
+    (d + 1 = 4, m = 5) and in data with a few random entries; when every
+    entry of T and r has a draw of its own (d = m^2 + m) it loses: at k = 10,
+    l = 6, N = 5000 on a 2-vCPU Xeon VM _g1_v took 1.7 ms there, against
+    0.55 ms for a product over the realized matrices.
+
+    Buffers.  Every per-draw quantity is a (rows, N) array.  The kernels take
+    the arrays at the same point they would otherwise compute (f from _g1_v,
+    res, the FB coefficients fb) and arrays to fill (out, work), so a caller
+    that evaluates many points of one sample allocates those once; called
+    without them, they allocate their own.
+
+    The dense blocks A, B, C, D ((N, rows, cols)), their sample-last flat
+    forms A2, B2, C2, D2 (x @ A2 is A x as k N values) and the offsets p, q
+    ((rows, N)) are realized by realize_batch on first access only, for the
+    dense reference jacobians.
     """
 
     def __init__(self, spec: ProblemSpec, draws) -> None:
         self.spec = spec
         k = self.k = spec.dims.k
-        self.l = spec.dims.l
-        m = k + self.l
+        l = self.l = spec.dims.l
+        m = k + l
         self.dim = m + 1
-        T, r = realize_batch(spec, draws)
-        n = self.N = T.shape[0]
-        t3 = np.ascontiguousarray(T.transpose(2, 1, 0))  # t3[j, i, n] = T(w_n)[i, j]
-        self.rT = np.ascontiguousarray(r.T)
-        del T, r
-        self.TT = t3.reshape(m, m * n)
-        self.A2 = self.TT[:k, : k * n]
-        self.B2 = self.TT[k:, : k * n]
-        self.C2 = self.TT[:k, k * n :]
-        self.D2 = self.TT[k:, k * n :]
-        self.p = self.rT[:k]
-        self.q = self.rT[k:]
-        tn = t3.transpose(2, 1, 0)  # tn[n] = T(w_n)
-        self.A = tn[:, :k, :k]
-        self.B = tn[:, :k, k:]
-        self.C = tn[:, k:, :k]
-        self.D = tn[:, k:, k:]
+        draws = _check_omegas(spec, draws)
+        n = self.N = draws.shape[0]
+        d1 = spec.omega_dim + 1
+        self.W = np.empty((d1, n))
+        self.W[0] = 1.0
+        self.W[1:] = draws.T
+        # coef[o] = [T_o | r_o]: o = 0 the base data, o >= 1 the coefficients of w_(o-1)
+        coef = np.zeros((d1, m, m + 1))
+        coef[0, :, :m] = spec.T_base
+        coef[0, :, m] = spec.r_base
+        for entry in spec.T_perturb:
+            coef[entry.omega_index + 1, entry.row, entry.col] += entry.coeff
+        for entry in spec.r_perturb:
+            coef[entry.omega_index + 1, entry.row, m] += entry.coeff
+        K = np.empty((m + 1, d1, m + 2))
+        K[:m, :, :m] = coef[:, :, :m].transpose(1, 0, 2)
+        K[:m, :, m] = K[:m, :, :k].sum(axis=2)  # x = x_m + t e
+        K[:m, :, m + 1] = coef[:, :, m].T
+        K[m] = K[:k].sum(axis=0)
+        self.K = K.reshape(-1, m + 2)
+        self._eye = np.eye(l, l + 1)  # I beside a zero column, scaled per point in residuals
         # sample mean of T, reused by every mean-Jacobian call
-        self.T_bar = t3.mean(axis=2).T
+        self.T_bar = np.einsum("ioj,o->ij", K[:m, :, :m], self.W.mean(axis=1))
 
-    def _g1_v(self, p: MixPoint) -> tuple[np.ndarray, np.ndarray]:
-        # one product over the data: G1 = A x + B u + p, v = C x + D u + q,
-        # shapes (k, N) and (l, N), x = x_m + t e
-        k = self.k
-        f = (np.concatenate([p.x_m + p.t, p.u]) @ self.TT).reshape(-1, self.N)
-        f += self.rT
-        return f[:k], f[k:]
+    def __getattr__(self, name: str):
+        # only reached for attributes not set yet: the dense blocks
+        if name not in _DENSE:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        k, n = self.k, self.N
+        T, r = realize_batch(self.spec, self.W[1:].T)
+        t3 = np.ascontiguousarray(T.transpose(2, 1, 0))  # t3[j, i, n] = T(w_n)[i, j]
+        del T
+        tt = t3.reshape(-1, t3.shape[1] * n)
+        rt = np.ascontiguousarray(r.T)
+        tn = t3.transpose(2, 1, 0)  # tn[n] = T(w_n)
+        vars(self).update(
+            A=tn[:, :k, :k],
+            B=tn[:, :k, k:],
+            C=tn[:, k:, :k],
+            D=tn[:, k:, k:],
+            A2=tt[:k, : k * n],
+            B2=tt[k:, : k * n],
+            C2=tt[:k, k * n :],
+            D2=tt[k:, k * n :],
+            p=rt[:k],
+            q=rt[k:],
+        )
+        return vars(self)[name]
 
-    def residuals(self, p: MixPoint, g1v: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-        """Stacked residuals, shape (N, k+l+1), a transposed view of a (k+l+1, N) array."""
+    def _g1_v(self, p: MixPoint, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        # one product over the draws: G1 = A x + B u + p, v = C x + D u + q,
+        # x = x_m + t e, returned as (k, N) and (l, N) views of out,
+        # (k + l + 1, N), whose last row receives e^T G1
+        coeffs = np.dot(self.K, np.concatenate((p.x_m, p.u, (p.t, 1.0)))).reshape(self.dim, -1)
+        f = np.dot(coeffs, self.W, out)
+        return f[: self.k], f[self.k : -1]
+
+    def _g1_v_array(self, p: MixPoint, f: np.ndarray | None) -> np.ndarray:
+        # the (k + l + 1, N) array _g1_v fills, computed when not given
+        if f is None:
+            f = np.empty((self.dim, self.N))
+            self._g1_v(p, f)
+        return f
+
+    def residuals(self, p: MixPoint, f: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """Stacked residuals, shape (N, k+l+1), a transposed view of out, (k+l+1, N)."""
         k, l = self.k, self.l
-        g1, v = self._g1_v(p) if g1v is None else g1v
+        m = k + l
+        f = self._g1_v_array(p, f)
+        if out is None:
+            out = np.empty((self.dim, self.N))
+        g1 = f[:k]
         xm = p.x_m[:, None]
-        out = np.empty((self.dim, self.N))
         fb = out[:k]
         np.multiply(g1, g1, out=fb)
         fb += xm * xm
         np.sqrt(fb, out=fb)
-        fb -= xm + g1
-        # t (C x + D u + q) + u e^T (A x + B u + p) equals the quoted head block
-        np.multiply(v, p.t, out=out[k : k + l])
-        out[k : k + l] += p.u[:, None] * g1.sum(axis=0)
-        out[k + l] = p.t * p.t - float(p.u @ p.u)
+        fb -= g1
+        fb -= xm
+        # t (C x + D u + q) + u e^T (A x + B u + p) is [t I | u] times the rows (v, e^T G1)
+        head = self._eye * p.t
+        head[:, l] = p.u
+        np.dot(head, f[k:], out[k:m])
+        out[m] = p.t * p.t - float(p.u @ p.u)
         return out.T
 
-    def thetas(self, p: MixPoint, res: np.ndarray | None = None) -> np.ndarray:
+    def thetas(self, p: MixPoint, res: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Merit losses 0.5 ||R_j||^2, shape (N,)."""
         if res is None:
             res = self.residuals(p)
         r = res.T
-        return 0.5 * np.einsum("in,in->n", r, r)
+        out = np.einsum("in,in->n", r, r, out=out)
+        out *= 0.5
+        return out
 
     def jacobians(self, p: MixPoint) -> np.ndarray:
         """Residual Jacobians, shape (N, k+l+1, k+l+1)."""
         k, l, n = self.k, self.l, self.N
-        g1, v, da, db = (a.T for a in self._fb_and_data(p))
+        f = self._g1_v_array(p, None)
+        g1, v = f[:k].T, f[k:-1].T
+        da, db = (a.T for a in self._fb_coeffs(p, f))
         A, B, C, D = self.A, self.B, self.C, self.D
 
         out = np.zeros((n, self.dim, self.dim))
@@ -210,76 +283,105 @@ class SampleEvaluator:
             jac = self.jacobians(p)
         return np.einsum("nij,ni->nj", jac, res)
 
-    def _fb_and_data(self, p: MixPoint, g1v: tuple[np.ndarray, np.ndarray] | None = None):
-        # shared pieces of the Jacobian rows, each (rows, N): G1, v and the FB
-        # coefficients dpsi/da, dpsi/db at ((x_m)_i, (G1)_i), with (-1, -1)
-        # at the origin
-        g1, v = self._g1_v(p) if g1v is None else g1v
+    def _fb_coeffs(self, p: MixPoint, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # the FB coefficients dpsi/da, dpsi/db at ((x_m)_i, (G1)_i), stacked
+        # as (2, k, N), with (-1, -1) at the origin, where a norm raised to
+        # the smallest normal float makes both ratios 0
+        g1 = f[: self.k]
         xm = p.x_m[:, None]
-        norm = np.sqrt(g1 * g1 + xm * xm)
-        inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
-        return g1, v, xm * inv - 1.0, g1 * inv - 1.0
+        if out is None:
+            out = np.empty((2, self.k, self.N))
+        inv, db = out
+        np.multiply(g1, g1, out=inv)
+        inv += xm * xm
+        np.sqrt(inv, out=inv)
+        np.maximum(inv, _TINY, out=inv)
+        np.divide(1.0, inv, out=inv)
+        np.multiply(g1, inv, out=db)
+        db -= 1.0
+        inv *= xm
+        inv -= 1.0
+        return out
 
     def weighted_merit_grad(
         self,
         p: MixPoint,
         w,
         res: np.ndarray | None = None,
-        g1v: tuple[np.ndarray, np.ndarray] | None = None,
+        f: np.ndarray | None = None,
+        fb: np.ndarray | None = None,
+        work: np.ndarray | None = None,
     ) -> np.ndarray:
         """(1/N) sum_j w_j J_j^T R_j as one vector, no (N, dim, dim) arrays.
 
-        The contraction is written block by block against the stored data;
-        agrees with weighting merit_grads to rounding error.
+        res, f and fb are the residuals, the _g1_v array and the FB
+        coefficients at p, computed when not given; work, (k + l, N), is
+        overwritten.  Agrees with weighting merit_grads to rounding error.
         """
         k, l, n = self.k, self.l, self.N
+        m = k + l
+        f = self._g1_v_array(p, f)
         if res is None:
-            res = self.residuals(p, g1v)
+            res = self.residuals(p, f)
+        if fb is None:
+            fb = self._fb_coeffs(p, f)
+        if work is None:
+            work = np.empty((m, n))
         r = res.T
+        da, db = fb
         w = np.broadcast_to(np.asarray(w, dtype=float), (n,))
-        g1, v, da, db = self._fb_and_data(p, g1v)
 
-        wfb = w * r[:k]
-        wh = w * r[k : k + l]
-        wt_sum = float(w @ r[k + l])
+        wfb, wh = work[:k], work[k:]
+        np.multiply(r[:k], w, out=wfb)
+        np.multiply(r[k:m], w, out=wh)
+        wt_sum = float(w @ r[m])
+        g = np.empty(self.dim)
+        g[:k] = np.einsum("in,in->i", wfb, da)
+        g[k:m] = wh @ f[m] - 2.0 * p.u * wt_sum
+        # x = x_m + t e, so the t component is the sum of the T-dependent x_m
+        # components (K's t column, added below), plus v in the head block
+        # and 2 t in the norm row
+        g[m] = float(np.vdot(f[k:m], wh)) + 2.0 * p.t * wt_sum
         # every T-dependent part of J_j^T R_j is T_j^T y_j: D_b-weighted FB
         # rows plus the u e^T A term in the x_m and u columns, t times the
-        # head block in the C, D columns
-        y = np.empty((k + l, n))
-        np.multiply(wfb, db, out=y[:k])
-        y[:k] += p.u @ wh
-        np.multiply(wh, p.t, out=y[k:])
-        ty = self.TT @ y.reshape(-1)
-
-        gx = ty[:k] + (wfb * da).sum(axis=1)
-        gu = ty[k:] + wh @ g1.sum(axis=0) - 2.0 * p.u * wt_sum
-        # x = x_m + t e, so the t column of each Jacobian is the row sum of its
-        # x_m columns without the D_a diagonal, plus v in the head block and
-        # 2 t in the norm row
-        gt = float(ty[:k].sum()) + float(np.vdot(v, wh)) + 2.0 * p.t * wt_sum
-        return np.concatenate([gx, gu, [gt]]) / n
+        # head block in the C, D columns; sum_j T_j^T y_j = sum_o T_o^T (y W^T)_o,
+        # which K's first m + 1 columns give in (x_m, u, t) components
+        wfb *= db
+        wfb += p.u @ wh
+        wh *= p.t
+        g += (work @ self.W.T).reshape(-1) @ self.K[: m * self.W.shape[0], : m + 1]
+        return g / n
 
     def mean_jacobian_residual(
         self,
         p: MixPoint,
         res: np.ndarray | None = None,
-        g1v: tuple[np.ndarray, np.ndarray] | None = None,
+        f: np.ndarray | None = None,
+        fb: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample means of the Jacobians and residuals, assembled blockwise."""
+        """Sample means of the Jacobians and residuals, assembled blockwise.
+
+        res, f and fb as for weighted_merit_grad.
+        """
         k, l, n = self.k, self.l, self.N
         m = k + l
+        f = self._g1_v_array(p, f)
         if res is None:
-            res = self.residuals(p, g1v)
-        g1, v, da, db = self._fb_and_data(p, g1v)
+            res = self.residuals(p, f)
+        if fb is None:
+            fb = self._fb_coeffs(p, f)
+        da, db = fb
         t_bar = self.T_bar
         jbar = np.zeros((self.dim, self.dim))
-        # FB rows D_b [A | B], then the head block t [C | D] + u e^T [A | B] + s1 [0 | I]
-        jbar[:k, :m] = np.einsum("jin,in->ij", self.TT.reshape(m, m, n)[:, :k], db) / n
+        # FB rows D_b [A | B]: sum_j (D_b)_j T_j = sum_o (D_b W^T)_o T_o, then
+        # the head block t [C | D] + u e^T [A | B] + s1 [0 | I]
+        blocks = self.K.reshape(m + 1, -1, m + 2)[:k, :, :m]
+        jbar[:k, :m] = np.einsum("io,ioj->ij", db @ self.W.T, blocks) / n
         jbar[k:m, :m] = p.t * t_bar[k:] + np.outer(p.u, t_bar[:k].sum(axis=0))
-        jbar[np.arange(k, m), np.arange(k, m)] += float(g1.sum(axis=0).mean())
+        jbar[np.arange(k, m), np.arange(k, m)] += float(f[m].mean())
         # the t column: row sums of the x_m columns (see weighted_merit_grad)
         jbar[:m, m] = jbar[:m, :k].sum(axis=1)
-        jbar[k:m, m] += v.mean(axis=1)
+        jbar[k:m, m] += f[k:m].mean(axis=1)
         jbar[np.arange(k), np.arange(k)] += da.mean(axis=1)
         jbar[m, k:m] = -2.0 * p.u
         jbar[m, m] = 2.0 * p.t

@@ -179,15 +179,13 @@ def default_start(spec: ProblemSpec) -> MixPoint:
 
 
 class _PointEval:
-    # everything the inner loop needs at one spatial point, computed lazily
-    __slots__ = ("z", "p", "g1v", "res", "thetas", "theta", "value", "_gvec")
+    # one point of the inner loop: its value, and its gradient once asked for;
+    # its per-draw data are in the stage's buffers while it is held there
+    __slots__ = ("z", "p", "theta", "value", "_gvec")
 
-    def __init__(self, z, p, g1v, res, thetas, theta, value):
+    def __init__(self, z, p, theta, value):
         self.z = z
         self.p = p
-        self.g1v = g1v
-        self.res = res
-        self.thetas = thetas
         self.theta = theta
         self.value = value
         self._gvec = None
@@ -200,6 +198,12 @@ class _StageProblem:
     and gradient evaluation, so the line search runs on the reduced function
     min_Theta Nhat(z, Theta); its gradient is the spatial gradient at the
     minimizing Theta.  Modes ev and erm average the merit directly.
+
+    The per-draw arrays of one point, G1 and v, the residuals, the losses
+    and, once grad or direction asks, the FB coefficients, live in (rows, N)
+    buffers allocated once per stage and filled in place.  They hold the
+    point evaluated last; grad and direction asked about an older point (the
+    line search's fallback to its best step) evaluate it again.
     """
 
     def __init__(self, ev: SampleEvaluator, cfg: SolverConfig):
@@ -207,12 +211,37 @@ class _StageProblem:
         self.cfg = cfg
         self.k = ev.k
         self.l = ev.l
+        n = ev.N
+        self._f = np.empty((ev.dim, n))
+        self._res = np.empty((ev.dim, n))
+        self._thetas = np.empty(n)
+        self._fb = np.empty((2, ev.k, n))
+        self._work = np.empty((ev.dim - 1, n))
+        self._held: _PointEval | None = None  # whose data _f, _res and _thetas hold
+        self._fb_of: _PointEval | None = None  # whose FB coefficients _fb holds
+
+    def _fill(self, p: MixPoint) -> np.ndarray:
+        self.ev._g1_v(p, self._f)
+        res = self.ev.residuals(p, self._f, self._res)
+        return self.ev.thetas(p, res, self._thetas)
+
+    def losses(self, e: _PointEval) -> np.ndarray:
+        """The merit losses at e, in the stage's buffer."""
+        if self._held is not e:
+            self._fill(e.p)
+            self._held = e
+        return self._thetas
+
+    def _fb_at(self, e: _PointEval) -> np.ndarray:
+        self.losses(e)
+        if self._fb_of is not e:
+            self.ev._fb_coeffs(e.p, self._f, self._fb)
+            self._fb_of = e
+        return self._fb
 
     def eval_point(self, z: np.ndarray) -> _PointEval:
         p = MixPoint.from_vector(z, self.k, self.l)
-        g1v = self.ev._g1_v(p)
-        res = self.ev.residuals(p, g1v)
-        thetas = self.ev.thetas(p, res)
+        thetas = self._fill(p)
         if self.cfg.mode == "cvar":
             theta = theta_star(thetas, self.cfg.alpha, self.cfg.mu, self.cfg.smoothing)
             shifted = smooth_plus(thetas - theta, self.cfg.mu, self.cfg.smoothing)
@@ -220,20 +249,23 @@ class _StageProblem:
         else:
             theta = float("nan")
             value = float(np.mean(thetas))
-        return _PointEval(z, p, g1v, res, thetas, theta, value)
+        self._held = _PointEval(z, p, theta, value)
+        return self._held
 
     def grad(self, e: _PointEval) -> np.ndarray:
         if e._gvec is None:
+            fb = self._fb_at(e)
             if self.cfg.mode == "cvar":
-                w = smooth_plus_deriv(e.thetas - e.theta, self.cfg.mu, self.cfg.smoothing)
-                e._gvec = self.ev.weighted_merit_grad(e.p, w, e.res, e.g1v) / self.cfg.alpha
+                w = smooth_plus_deriv(self._thetas - e.theta, self.cfg.mu, self.cfg.smoothing)
+                e._gvec = self.ev.weighted_merit_grad(e.p, w, self._res.T, self._f, fb, self._work) / self.cfg.alpha
             else:
-                e._gvec = self.ev.weighted_merit_grad(e.p, 1.0, e.res, e.g1v)
+                e._gvec = self.ev.weighted_merit_grad(e.p, 1.0, self._res.T, self._f, fb, self._work)
         return e._gvec
 
     def direction(self, e: _PointEval, grad: np.ndarray) -> np.ndarray:
+        fb = self._fb_at(e)
         try:
-            a_bar, f_bar = self.ev.mean_jacobian_residual(e.p, e.res, e.g1v)
+            a_bar, f_bar = self.ev.mean_jacobian_residual(e.p, self._res.T, self._f, fb)
             d = _lm_from_means(a_bar, f_bar, self.cfg.lm_nu)
         except np.linalg.LinAlgError:
             return -grad
@@ -311,7 +343,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
         if cfg.mode == "cvar":
             theta = cur.theta
         else:
-            theta = float(theta_star(cur.thetas, cfg.alpha, cfg.mu, cfg.smoothing))
+            theta = float(theta_star(stage.losses(cur), cfg.alpha, cfg.mu, cfg.smoothing))
         point = SAAPoint(MixPoint.from_vector(z, spec.dims.k, spec.dims.l), theta)
         pt = recover_lcp_point(point.p)
         stage_aloc = aloc(spec, samples, pt.x, pt.u)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from esoclcp.problem import DistributionSpec, f_eval
+from esoclcp.cone import ConeDims
+from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec, f_eval, realize_batch
 from esoclcp.reformulate import MixPoint, init_from_lcp
 from esoclcp.risk import SmoothingKind, cvar_empirical, plus_part, smooth_plus, smooth_plus_deriv
 from esoclcp.saa import (
@@ -335,28 +336,113 @@ def test_weighted_merit_grad_matches_per_draw_weighting():
         assert np.allclose(ones, ev.merit_grads(p).mean(axis=0), rtol=1e-11, atol=1e-12)
 
 
-def test_evaluator_keeps_one_copy_of_the_data():
+def test_evaluator_holds_the_draws_and_realizes_dense_blocks_on_first_access():
     rng = np.random.default_rng(107)
-    k, l, n = 4, 3, 50
-    m = k + l
-    spec = random_spec(rng, k=k, l=l)
-    ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, n, 5).draws)
-    assert ev.TT.flags.c_contiguous and ev.TT.shape == (m, m * n)
-    assert ev.rT.flags.c_contiguous and ev.rT.shape == (m, n)
-    owners = {"A": ev.TT, "B": ev.TT, "C": ev.TT, "D": ev.TT, "A2": ev.TT, "B2": ev.TT, "C2": ev.TT, "D2": ev.TT}
-    owners.update(p=ev.rT, q=ev.rT)
-    for name, owner in owners.items():
-        block = getattr(ev, name)
-        assert np.shares_memory(block, owner), name
-        assert block.base is (owner.base if owner.base is not None else owner), name
-    sizes = {"A2": k * k, "B2": l * k, "C2": k * l, "D2": l * l, "p": k, "q": l}
-    for name, size in sizes.items():
-        assert getattr(ev, name).nbytes == 8 * n * size, name
-    # no other per-draw array outlives __init__
-    buffers = {id(ev.TT.base), id(ev.rT)}
+    k, l, n = 4, 3, 500
+    spec = random_spec(rng, k=k, l=l, omega_dim=3)
+    draws = draw_samples(spec.distribution, spec.omega_dim, n, 5).draws
+    ev = SampleEvaluator(spec, draws)
+    assert ev.W.shape == (spec.omega_dim + 1, n)
+    assert np.array_equal(ev.W[0], np.ones(n)) and np.array_equal(ev.W[1:], draws.T)
+    # no array larger than the draws themselves outlives __init__
     for name, val in vars(ev).items():
-        if isinstance(val, np.ndarray) and val.size >= n:
-            assert id(val) in buffers or id(val.base) in buffers, name
+        if isinstance(val, np.ndarray):
+            assert val.size <= (spec.omega_dim + 1) * n, name
+    dense = {"A": k * k, "B": k * l, "C": l * k, "D": l * l, "A2": k * k, "B2": l * k, "C2": k * l, "D2": l * l}
+    dense.update(p=k, q=l)
+    assert not set(dense) & set(vars(ev))
+    T, r = realize_batch(spec, draws)
+    assert np.array_equal(ev.A, T[:, :k, :k])
+    assert set(dense) <= set(vars(ev))
+    assert np.array_equal(ev.B, T[:, :k, k:])
+    assert np.array_equal(ev.C, T[:, k:, :k])
+    assert np.array_equal(ev.D, T[:, k:, k:])
+    assert np.array_equal(ev.p, r[:, :k].T) and np.array_equal(ev.q, r[:, k:].T)
+    x = rng.normal(size=k)
+    assert np.allclose((x @ ev.A2).reshape(k, n), np.einsum("nij,j->in", T[:, :k, :k], x), rtol=1e-14, atol=1e-14)
+    for name, size in dense.items():
+        assert getattr(ev, name).nbytes == 8 * n * size, name
+    with pytest.raises(AttributeError):
+        ev.TT
+
+
+def _entry(row, col, coeff, omega):
+    return PerturbEntry(row=row, col=col, coeff=coeff, omega_index=omega)
+
+
+def _awkward_spec(case):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    k, l, omega_dim = (1, 1, 7) if case == "omega_dim_above_m" else (3, 2, 4)
+    m = k + l
+    if case == "duplicates":
+        # the same (row, col, omega) twice, in T and in r, must add up
+        t_entries = (_entry(0, 1, 0.7, 2), _entry(0, 1, -1.9, 2), _entry(4, 3, 1.3, 0), _entry(4, 3, 0.4, 0))
+        r_entries = (_entry(2, None, 0.5, 1), _entry(2, None, 2.5, 1))
+    elif case == "shared_omega":
+        # one draw component in several rows of T and r; omega 3 unused
+        t_entries = tuple(_entry(i, (2 * i) % m, 0.3 + i, 1) for i in range(m))
+        r_entries = (_entry(0, None, -1.1, 1), _entry(3, None, 0.6, 1), _entry(1, None, 0.2, 0))
+    elif case == "omega_dim_above_m":
+        t_entries = (_entry(0, 0, 1.5, 6), _entry(1, 0, -0.8, 2), _entry(0, 1, 0.4, 6))
+        r_entries = (_entry(1, None, 0.9, 0), _entry(0, None, -0.3, 4))
+    else:
+        t_entries, r_entries = (), ()
+    return ProblemSpec(
+        dims=ConeDims(k, l),
+        omega_dim=omega_dim,
+        T_base=rng.normal(size=(m, m)),
+        r_base=rng.normal(size=m),
+        T_perturb=t_entries,
+        r_perturb=r_entries,
+        distribution=DIST,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize("case", ["duplicates", "shared_omega", "omega_dim_above_m", "unperturbed"])
+def test_structured_kernels_match_the_dense_reference_on_awkward_specs(case, n):
+    spec = _awkward_spec(case)
+    k, l = spec.dims.k, spec.dims.l
+    rng = np.random.default_rng(113 + n)
+    draws = draw_samples(spec.distribution, spec.omega_dim, n, 19).draws
+    ev = SampleEvaluator(spec, draws)
+    p = _random_point(rng, spec)
+    T, r = realize_batch(spec, draws)
+    assert np.allclose(ev.T_bar, T.mean(axis=0), rtol=1e-13, atol=1e-13)
+
+    want = np.einsum("nij,j->in", T, np.concatenate([p.x_m + p.t, p.u])) + r.T
+    g1, v = ev._g1_v(p)
+    assert np.allclose(g1, want[:k], rtol=1e-13, atol=1e-13)
+    assert np.allclose(v, want[k:], rtol=1e-13, atol=1e-13)
+
+    jac = ev.jacobians(p)
+    grads = ev.merit_grads(p)
+    w = rng.uniform(0, 1, size=n)
+    assert np.allclose(ev.weighted_merit_grad(p, w), (w[:, None] * grads).mean(axis=0), rtol=1e-11, atol=1e-12)
+    assert np.allclose(ev.weighted_merit_grad(p, 1.0), grads.mean(axis=0), rtol=1e-11, atol=1e-12)
+    jbar, rbar = ev.mean_jacobian_residual(p)
+    assert np.allclose(jbar, jac.mean(axis=0), rtol=1e-12, atol=1e-12)
+    assert np.allclose(rbar, ev.residuals(p).mean(axis=0), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "draws",
+    [np.zeros(3), np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((0, 3)), np.zeros((2, 4, 3))],
+    ids=["1-d", "too_few_columns", "too_many_columns", "no_draws", "3-d"],
+)
+def test_evaluator_rejects_draws_of_the_wrong_shape(draws):
+    spec = random_spec(np.random.default_rng(127), omega_dim=3)
+    with pytest.raises(ValueError, match="shape"):
+        SampleEvaluator(spec, draws)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluator_rejects_non_finite_draws(bad):
+    spec = random_spec(np.random.default_rng(131), omega_dim=3)
+    draws = np.zeros((5, 3))
+    draws[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SampleEvaluator(spec, draws)
 
 
 @pytest.mark.parametrize("n", [1, 257])

@@ -13,6 +13,7 @@ from esoclcp.saa import SAAPoint, SampleEvaluator, SampleSet, theta_star
 from esoclcp.solver import (
     SolverConfig,
     _lm_from_means,
+    _StageProblem,
     aloc,
     default_start,
     solve,
@@ -337,3 +338,53 @@ def test_aloc_rejects_bad_shapes():
     s = stage_samples(spec, SolverConfig(schedule=(2,)), 1)
     with pytest.raises(ValueError):
         aloc(spec, s, np.zeros(2), np.zeros(2))
+
+
+def _wide_stage(mode, n):
+    # a fresh stage over one fixed k=10, l=6 instance and N-draw sample
+    spec = random_spec(np.random.default_rng(137), k=10, l=6, omega_dim=3)
+    cfg = SolverConfig(mode=mode, schedule=(n,), seed=5)
+    return _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
+
+
+@pytest.mark.parametrize("mode", ["cvar", "erm"])
+def test_stage_answers_for_an_older_point_as_a_fresh_stage_does(mode):
+    rng = np.random.default_rng(139)
+    za = np.concatenate([rng.normal(size=16), [0.8]])
+    zb = za + rng.normal(scale=0.1, size=za.size)
+    fresh = _wide_stage(mode, 300)
+    a0 = fresh.eval_point(za)
+    stage = _wide_stage(mode, 300)
+    a = stage.eval_point(za)
+    b = stage.eval_point(zb)
+    # A is no longer the point the stage's buffers hold, and B's gradient and
+    # FB coefficients are computed in between
+    stage.direction(b, stage.grad(b))
+    ga = stage.grad(a)
+    assert np.array_equal(ga, fresh.grad(a0))
+    assert np.array_equal(stage.direction(a, ga), fresh.direction(a0, fresh.grad(a0)))
+    assert np.array_equal(stage.losses(a), fresh.losses(a0))
+    assert np.array_equal([a.value, a.theta], [a0.value, a0.theta], equal_nan=True)
+
+
+@pytest.mark.parametrize("mode", ["cvar", "erm"])
+def test_trial_evaluation_allocates_no_per_draw_arrays(mode):
+    import tracemalloc
+
+    n = 4000
+    stage = _wide_stage(mode, n)
+    rng = np.random.default_rng(149)
+    z = np.concatenate([rng.normal(size=16), [0.8]])
+    e = stage.eval_point(z)
+    stage.direction(e, stage.grad(e))
+    stage.eval_point(z + 0.01)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        stage.eval_point(z + 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an allocating evaluation needs G1, v and the residuals: 2 m + 1 = 33 rows
+    # of N doubles; the cvar threshold and its smoothing take a few
+    assert peak < 5 * 8 * n, peak / (8 * n)

@@ -1,0 +1,90 @@
+"""Fresh-process figures for a default `esoclcp solve --builtin`.
+
+Run from the root of a checkout:
+
+    python3 tools/fresh_solve.py --seed 7 --seed 42 --seed 1234 [--src DIR]
+
+Each seed runs in a new interpreter that imports esoclcp from DIR (default
+./src), pinned to one BLAS thread, and calls
+`esoclcp.cli.main(["solve", "--builtin", "--seed", S, ...])` once with the
+default schedule and iteration cap.  Per seed, one JSON line reports the
+child's wall time (interpreter start-up and import included), the solve's
+own time, the child's minor page faults (from resource.getrusage
+RUSAGE_CHILDREN, so every allocation the allocator had to map counts), each
+stage's termination and inner iterations, the number of
+SampleEvaluator.residuals calls and the solve time per such call.
+
+The benchmark in perfbench/ cannot see the allocator's share of this time:
+its reference kernel allocates multi-megabyte temporaries between solves,
+which moves glibc's mmap and trim thresholds for the whole process.  A fresh
+process starts from the default thresholds, as a user's run does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+
+CHILD = """
+import json, sys, time
+import esoclcp.cli as cli
+from esoclcp.saa import SampleEvaluator
+
+calls = 0
+residuals = SampleEvaluator.residuals
+
+def counted(*args, **kwargs):
+    global calls
+    calls += 1
+    return residuals(*args, **kwargs)
+
+SampleEvaluator.residuals = counted
+t0 = time.perf_counter()
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "solve_s": time.perf_counter() - t0, "residuals_calls": calls}))
+"""
+
+
+def run_seed(src: str, seed: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        report_path = os.path.join(tmp, "report.json")
+        argv = ["solve", "--builtin", "--seed", str(seed), "--format", "json", "--no-timing", "--out", report_path]
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        t0 = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True, check=True)
+        wall = time.perf_counter() - t0
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        with open(report_path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    child = json.loads(done.stdout.strip().splitlines()[-1])
+    return {
+        "seed": seed,
+        "rc": child["rc"],
+        "wall_s": wall,
+        "solve_s": child["solve_s"],
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "stages": [[s["N"], s["termination"], s["inner_iters"]] for s in report["stages"]],
+        "residuals_calls": child["residuals_calls"],
+        "solve_s_per_residuals_call": child["solve_s"] / max(child["residuals_calls"], 1),
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description="fresh-process figures for esoclcp solve --builtin")
+    p.add_argument("--seed", type=int, action="append", required=True, help="solver seed; repeat for more")
+    p.add_argument("--src", default=os.path.join(os.getcwd(), "src"), help="directory esoclcp is imported from")
+    args = p.parse_args(argv)
+    for seed in args.seed:
+        print(json.dumps(run_seed(os.path.abspath(args.src), seed)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
