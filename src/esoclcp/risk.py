@@ -19,7 +19,8 @@ import math
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
+
+_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
 
 
 class SmoothingKind(Enum):
@@ -34,6 +35,15 @@ class SmoothingKind(Enum):
 def plus_part(t):
     """[t]_+ = max(t, 0), elementwise."""
     return np.maximum(t, 0.0)
+
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    # 1 / (1 + exp(-x)), the form of scipy's expit; exp(-x) is taken as inf
+    # where it would overflow, which gives 0 there without a warning
+    e = np.full(x.shape, np.inf)
+    np.exp(-x, out=e, where=~(x < -_LOG_MAX))
+    e += 1.0
+    return np.divide(1.0, e, out=e)
 
 
 def _check_mu(mu: float, positive: bool) -> float:
@@ -85,7 +95,7 @@ def smooth_plus_deriv(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
     kind = SmoothingKind(kind)
     t = np.asarray(t, dtype=float)
     if kind is SmoothingKind.NEURAL_NETWORK:
-        out = expit(t / mu)
+        out = _logistic(t / mu)
     elif kind is SmoothingKind.INTERIOR_POINT:
         out = 0.5 * (1.0 + t / np.sqrt(t * t + 4.0 * mu))
     else:
@@ -99,7 +109,7 @@ def smooth_plus_deriv2(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
 
     Closed forms, all positive:
 
-        neural_network   sigma (1 - sigma) / mu, sigma = expit(t / mu)
+        neural_network   sigma (1 - sigma) / mu, sigma = 1 / (1 + exp(-t / mu))
         interior_point   2 mu / (t^2 + 4 mu)^{3/2}
         auto_scaling_ip  2 mu^2 / (t^2 + 4 mu^2)^{3/2}
         chks             2 mu^2 / (t^2 + 4 mu^2)^{3/2}
@@ -111,8 +121,8 @@ def smooth_plus_deriv2(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
     kind = SmoothingKind(kind)
     t = np.asarray(t, dtype=float)
     if kind is SmoothingKind.NEURAL_NETWORK:
-        # expit(-x) in place of 1 - expit(x), which cancels to 0 for large x
-        out = expit(t / mu) * expit(-t / mu) / mu
+        # sigma(-x) in place of 1 - sigma(x), which cancels to 0 for large x
+        out = _logistic(t / mu) * _logistic(-t / mu) / mu
     else:
         c = 4.0 * mu if kind is SmoothingKind.INTERIOR_POINT else 4.0 * mu * mu
         r2 = t * t + c

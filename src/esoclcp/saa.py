@@ -1,11 +1,15 @@
 """Sample average approximation of the smoothed tail objective.
 
 Sampling contract: draws come from the counter-based Philox generator keyed
-by the seed, mapped to open-interval uniforms via (h + 0.5) / 2^53 over
-53-bit integers, then to normals by the inverse CDF (scipy's ndtri) and
-scaled by the distribution's mean and standard deviation.  The stream is a
-pure function of (seed, N, omega_dim), so equal seeds reproduce draws
-bit-for-bit and the whole pipeline downstream of them.
+by the seed as 53-bit integers h, mapped to uniforms u = (h + 0.5) / 2^53,
+then to normals by the inverse CDF (ndtri, a port of Cephes') and scaled by
+the distribution's mean and standard deviation.  For h < 2^52, h + 0.5 is
+exact and u lies strictly inside (0, 1); for h >= 2^52 it rounds to an even
+integer, so h = 2^53 - 1 gives u = 1.0 and an infinite draw, which the
+evaluator rejects.  That happens with probability 2^-53 per draw, and is
+kept so as not to change the stream.  The stream is a pure function of
+(seed, N, omega_dim), so equal seeds reproduce draws bit-for-bit, and the
+whole pipeline downstream of them, on one numpy build and CPU.
 
 The objective approximates the smoothed conditional value-at-risk of the
 merit loss theta(z, w) over N draws:
@@ -34,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .problem import DistributionSpec, ProblemSpec, _check_omegas, realize_batch
 from .reformulate import MixPoint
@@ -51,6 +54,92 @@ from .risk import (
 
 _MAX_SEED = 2**64 - 1
 _TINY = np.finfo(float).tiny
+
+# Cephes ndtri: rational approximations of the normal quantile in
+# y - 1/2 for exp(-2) < y <= 1 - exp(-2), and in z = 1 / sqrt(-2 log y) for
+# the tails, with one set for 2 < 1/z < 8 and one for 1/z >= 8.  Horner's
+# order, highest power first; the Q sets omit their leading 1.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x: np.ndarray, coef, monic: bool) -> np.ndarray:
+    # polevl (monic=False) or p1evl (monic=True, leading coefficient 1) at x
+    acc = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _ratio(x: np.ndarray, P, Q) -> np.ndarray:
+    # x P(x) / Q(x), evaluated left to right as Cephes does
+    r = _horner(x, P, False)
+    r *= x
+    r /= _horner(x, Q, True)
+    return r
+
+
+def ndtri(y) -> np.ndarray:
+    """Inverse of the standard normal CDF, elementwise; a port of Cephes ndtri.
+
+    Same coefficients, branch points (exp(-2) and 1/z = 8) and operation
+    order as Cephes (and scipy.special.ndtri), so the central branch
+    exp(-2) < y <= 1 - exp(-2) gives the same bits; in the tails numpy's log
+    may differ from the C library's in the last bit.  Returns -inf at 0,
+    +inf at 1 and nan outside [0, 1], without floating-point warnings.
+    """
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    out = np.full(flat.shape, np.nan)
+    out[flat == 0.0] = -np.inf
+    out[flat == 1.0] = np.inf
+
+    # each branch gathers its own elements by index, computes on them in
+    # place and scatters them back
+    mid = np.flatnonzero((flat > _EXP_M2) & (flat <= 1.0 - _EXP_M2))
+    c = flat[mid]
+    c -= 0.5
+    r = _ratio(c * c, _P0, _Q0)
+    r *= c
+    r += c
+    r *= _S2PI
+    out[mid] = r
+
+    tail = np.flatnonzero(((flat > 0.0) & (flat <= _EXP_M2)) | ((flat > 1.0 - _EXP_M2) & (flat < 1.0)))
+    v = flat[tail]
+    x = 1.0 - v
+    np.minimum(v, x, out=x)  # y, or 1 - y in the upper tail
+    np.log(x, out=x)
+    x *= -2.0
+    np.sqrt(x, out=x)  # x = sqrt(-2 log y)
+    x0 = np.log(x)
+    x0 /= x
+    np.subtract(x, x0, out=x0)  # x0 = x - log(x) / x
+    z = 1.0 / x
+    for sel, P, Q in ((x < 8.0, _P1, _Q1), (x >= 8.0, _P2, _Q2)):
+        i = np.flatnonzero(sel)
+        x0[i] -= _ratio(z[i], P, Q)
+    v -= 0.5
+    out[tail] = np.copysign(x0, v, out=x0)  # negative in the lower tail
+    return out.reshape(y.shape)
 
 
 @dataclass(eq=False)
@@ -96,7 +185,9 @@ def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> S
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     h = gen.integers(0, 2**53, size=(int(N), int(omega_dim)), dtype=np.uint64)
-    uniforms = (h.astype(float) + 0.5) / 2**53
+    uniforms = h.astype(float)
+    uniforms += 0.5
+    uniforms /= 2**53
     z = ndtri(uniforms)
     return SampleSet(dist.mean + dist.std * z, int(seed), int(N))
 

@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .cone import ConePoint
 from .problem import ProblemSpec, f_eval, realize_batch
@@ -125,10 +124,14 @@ def _lm_from_means(a_bar: np.ndarray, f_bar: np.ndarray, lm_nu: float) -> np.nda
     # damped Gauss-Newton direction from the sample-mean Jacobian and residual
     gram = a_bar.T @ a_bar + lm_nu * np.eye(a_bar.shape[1])
     rhs = -(a_bar.T @ f_bar)
+    # the Cholesky factorization is the SPD test; numpy has no triangular
+    # solve, and one LU solve of the small system costs less than two.
+    # Non-finite entries pass numpy's Cholesky and end in the step check.
     try:
-        d = cho_solve(cho_factor(gram), rhs)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"damped normal equations not SPD: {exc}") from exc
+    d = np.linalg.solve(gram, rhs)
     if not np.all(np.isfinite(d)):
         raise np.linalg.LinAlgError("damped normal equations produced non-finite step")
     return d

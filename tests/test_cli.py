@@ -205,3 +205,25 @@ def test_check_point_length_error(capsys):
     rc, _, err = run(capsys, ["check", "--builtin", "--point", "1,2,3"])
     assert rc == 1
     assert "error:" in err and "5 numbers" in err
+
+
+def test_solve_imports_no_scipy():
+    # a fresh interpreter, so that nothing imported by the test session counts;
+    # a solve runs after the import, so a lazy import inside it is caught too
+    import os
+    import subprocess
+    import sys
+
+    import esoclcp
+
+    child = (
+        "import sys\n"
+        "import esoclcp.cli\n"
+        "rc = esoclcp.cli.main(['solve', '--builtin', '--schedule', '10,100', '--kmax', '5', '--no-timing'])\n"
+        "assert rc in (0, 2), rc\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(esoclcp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

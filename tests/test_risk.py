@@ -5,6 +5,7 @@ import pytest
 
 from esoclcp.risk import (
     SmoothingKind,
+    _logistic,
     cvar_empirical,
     plus_part,
     ru_pointwise,
@@ -71,6 +72,23 @@ def test_smooth_plus_deriv2_far_from_the_kink():
     t = np.array([-1e11, 1e11])
     assert np.allclose(smooth_plus_deriv2(t, 1e-4, SmoothingKind.CHKS), 2e-8 / 1e33, rtol=1e-12)
     assert np.allclose(smooth_plus_deriv2(t, 1e-4, SmoothingKind.INTERIOR_POINT), 2e-4 / 1e33, rtol=1e-12)
+
+
+def test_logistic_matches_scipy_expit_without_warnings():
+    import warnings
+
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.linspace(-800, 800, 400_001), [-1e308, 1e308, -np.inf, np.inf, -745.2, 709.79]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logistic(x)
+        want = special.expit(x)
+    # same form, 1 / (1 + exp(-x)); numpy's exp may differ from the C
+    # library's by one ulp, which the rounding of 1 + exp(-x) near 2^53 can
+    # magnify to 4 ulp of the result (at x ~ -36.8)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+    assert np.array_equal(got[np.abs(x) > 710], want[np.abs(x) > 710])
+    assert np.isnan(_logistic(np.array([np.nan]))[0])
 
 
 def test_smooth_plus_deriv_rejects_nonpositive_mu():

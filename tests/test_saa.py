@@ -13,6 +13,7 @@ from esoclcp.saa import (
     SampleSet,
     draw_samples,
     gradient,
+    ndtri,
     objective,
     theta_star,
 )
@@ -57,6 +58,44 @@ def test_draw_samples_validation():
         draw_samples(DIST, 2, 5, -1)
     with pytest.raises(ValueError):
         draw_samples(DistributionSpec(kind="iid_normal", mean=0.0, std=1.0), 2, 5, 2**64)
+
+
+def _philox_uniforms(seed, n):
+    # the uniforms draw_samples maps through ndtri
+    h = np.random.Generator(np.random.Philox(key=seed)).integers(0, 2**53, size=n, dtype=np.uint64)
+    return (h.astype(float) + 0.5) / 2**53
+
+
+def test_ndtri_central_branch_is_bit_identical_to_scipy():
+    special = pytest.importorskip("scipy.special")
+    u = _philox_uniforms(11, 200_000)
+    central = u[(u > np.exp(-2)) & (u < 1 - np.exp(-2))]
+    assert central.size > 100_000
+    assert np.array_equal(ndtri(central), special.ndtri(central))
+
+
+def test_ndtri_tails_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    y = np.geomspace(1e-300, 0.2, 20_001)
+    u = np.concatenate([y, 1 - y[y >= 2**-53], [1 - 2**-53, 2**-1074], _philox_uniforms(13, 200_000)])
+    got, want = ndtri(u), special.ndtri(u)
+    # the tails start from x = sqrt(-2 log y), y = min(u, 1 - u); numpy's log
+    # may differ from the C library's in the last bit, which moves the result
+    # by up to 2 ulp of x (up to 4 ulp of the result near u = exp(-2), where
+    # x - log(x)/x - x1 loses a bit to cancellation)
+    x = np.sqrt(-2 * np.log(np.minimum(u, 1 - u)))
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(x))
+
+
+def test_ndtri_edges_are_infinite_without_warnings():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ndtri(np.array([0.0, 1.0, 0.5, -0.5, 1.5, np.nan]))
+    assert got[0] == -np.inf and got[1] == np.inf and got[2] == 0.0
+    assert np.all(np.isnan(got[3:]))
+    assert ndtri(np.array([[0.025], [0.975]])).shape == (2, 1)
 
 
 def test_sample_set_validation():

@@ -1,6 +1,7 @@
 """Tests for the staged solver: config, directions, line search, full solves."""
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,6 +131,23 @@ def test_gauss_newton_direction_matches_dense_normal_equations():
         )
         got = _gauss_newton(spec, s, p, nu)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("fill, nu", [(np.nan, 1e-6), (np.inf, 1e-6), (0.0, -1.0)])
+def test_unsolvable_normal_equations_fall_back_to_steepest_descent(monkeypatch, fill, nu):
+    # a non-finite mean Jacobian, or an indefinite gram (-I), must raise
+    # LinAlgError, and the stage must then step along -grad
+    a_bar = np.full((6, 6), fill)
+    with pytest.raises(np.linalg.LinAlgError):
+        _lm_from_means(a_bar, np.ones(6), nu)
+    spec = builtin_example()
+    cfg = SolverConfig(schedule=(20,), seed=3)
+    stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
+    monkeypatch.setattr(stage.ev, "mean_jacobian_residual", lambda *args: (a_bar, np.ones(6)))
+    monkeypatch.setattr(stage, "cfg", SimpleNamespace(**{**vars(cfg), "lm_nu": nu}))
+    e = stage.eval_point(default_start(spec).as_vector())
+    grad = stage.grad(e)
+    assert np.array_equal(stage.direction(e, grad), -grad)
 
 
 def test_gauss_newton_direction_huge_damping_aligns_with_steepest_descent():

@@ -8,8 +8,9 @@ Each seed runs in a new interpreter that imports esoclcp from DIR (default
 ./src), pinned to one BLAS thread, and calls
 `esoclcp.cli.main(["solve", "--builtin", "--seed", S, ...])` once with the
 default schedule and iteration cap.  Per seed, one JSON line reports the
-child's wall time (interpreter start-up and import included), the solve's
-own time, the child's minor page faults (from resource.getrusage
+child's wall time (interpreter start-up and import included), the child's
+`import esoclcp.cli` time (import_s) and the solve's own time (solve_s)
+separately, the child's minor page faults (from resource.getrusage
 RUSAGE_CHILDREN, so every allocation the allocator had to map counts), each
 stage's termination and inner iterations, the number of
 SampleEvaluator.residuals calls and the solve time per such call.
@@ -33,7 +34,9 @@ import time
 
 CHILD = """
 import json, sys, time
+t_import = time.perf_counter()
 import esoclcp.cli as cli
+import_s = time.perf_counter() - t_import
 from esoclcp.saa import SampleEvaluator
 
 calls = 0
@@ -47,7 +50,7 @@ def counted(*args, **kwargs):
 SampleEvaluator.residuals = counted
 t0 = time.perf_counter()
 rc = cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "solve_s": time.perf_counter() - t0, "residuals_calls": calls}))
+print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": time.perf_counter() - t0, "residuals_calls": calls}))
 """
 
 
@@ -68,6 +71,7 @@ def run_seed(src: str, seed: int) -> dict:
         "seed": seed,
         "rc": child["rc"],
         "wall_s": wall,
+        "import_s": child["import_s"],
         "solve_s": child["solve_s"],
         "minor_faults": after.ru_minflt - before.ru_minflt,
         "stages": [[s["N"], s["termination"], s["inner_iters"]] for s in report["stages"]],
