@@ -46,10 +46,15 @@ class MixPoint:
 
     @staticmethod
     def from_vector(z, k: int, l: int) -> "MixPoint":
+        # one check of the whole vector stands in for __post_init__'s
         z = np.asarray(z, dtype=float)
         if z.shape != (k + l + 1,):
             raise ValueError(f"expected a vector of length {k + l + 1}, got shape {z.shape}")
-        return MixPoint(z[:k], z[k : k + l], z[k + l])
+        if not np.isfinite(z).all():
+            raise ValueError("mix point must be finite")
+        p = object.__new__(MixPoint)
+        p.x_m, p.u, p.t = z[:k], z[k : k + l], float(z[k + l])
+        return p
 
 
 def recover_lcp_point(p: MixPoint) -> ConePoint:

@@ -264,6 +264,10 @@ class SampleEvaluator:
         K[m] = K[:k].sum(axis=0)
         self.K = K.reshape(-1, m + 2)
         self._eye = np.eye(l, l + 1)  # I beside a zero column, scaled per point in residuals
+        # per-point scratch: (x_m, u, t, 1), its image under K and [t I | u]
+        self._z1 = np.ones(m + 2)
+        self._coeffs = np.empty((m + 1) * d1)
+        self._head = np.empty((l, l + 1))
         # sample mean of T, reused by every mean-Jacobian call
         self.T_bar = np.einsum("ioj,o->ij", K[:m, :, :m], self.W.mean(axis=1))
 
@@ -296,9 +300,13 @@ class SampleEvaluator:
         # one product over the draws: G1 = A x + B u + p, v = C x + D u + q,
         # x = x_m + t e, returned as (k, N) and (l, N) views of out,
         # (k + l + 1, N), whose last row receives e^T G1
-        coeffs = np.dot(self.K, np.concatenate((p.x_m, p.u, (p.t, 1.0)))).reshape(self.dim, -1)
+        k, z1 = self.k, self._z1
+        z1[:k] = p.x_m
+        z1[k:-2] = p.u
+        z1[-2] = p.t
+        coeffs = np.dot(self.K, z1, self._coeffs).reshape(self.dim, -1)
         f = np.dot(coeffs, self.W, out)
-        return f[: self.k], f[self.k : -1]
+        return f[:k], f[k:-1]
 
     def _g1_v_array(self, p: MixPoint, f: np.ndarray | None) -> np.ndarray:
         # the (k + l + 1, N) array _g1_v fills, computed when not given
@@ -323,7 +331,7 @@ class SampleEvaluator:
         fb -= g1
         fb -= xm
         # t (C x + D u + q) + u e^T (A x + B u + p) is [t I | u] times the rows (v, e^T G1)
-        head = self._eye * p.t
+        head = np.multiply(self._eye, p.t, self._head)
         head[:, l] = p.u
         np.dot(head, f[k:], out[k:m])
         out[m] = p.t * p.t - float(p.u @ p.u)

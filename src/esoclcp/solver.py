@@ -15,6 +15,7 @@ eps.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -121,12 +122,15 @@ def stage_samples(spec: ProblemSpec, cfg: SolverConfig, j: int) -> SampleSet:
 
 
 def _lm_from_means(a_bar: np.ndarray, f_bar: np.ndarray, lm_nu: float) -> np.ndarray:
-    # damped Gauss-Newton direction from the sample-mean Jacobian and residual
+    # damped Gauss-Newton direction from the sample-mean Jacobian and residual;
+    # non-finite means are refused before the products, which would warn
+    if not (np.isfinite(a_bar).all() and np.isfinite(f_bar).all()):
+        raise np.linalg.LinAlgError("mean Jacobian or residual is not finite")
     gram = a_bar.T @ a_bar + lm_nu * np.eye(a_bar.shape[1])
     rhs = -(a_bar.T @ f_bar)
     # the Cholesky factorization is the SPD test; numpy has no triangular
     # solve, and one LU solve of the small system costs less than two.
-    # Non-finite entries pass numpy's Cholesky and end in the step check.
+    # Overflow in the products can pass numpy's Cholesky; the step check ends it.
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
@@ -161,7 +165,7 @@ def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9, s_init: float = 1.0, m
     best_f = float("inf")
     for _ in range(max_evals):
         fs = float(f(s))
-        if np.isfinite(fs) and fs <= f0 + c1 * s * g0:
+        if math.isfinite(fs) and fs <= f0 + c1 * s * g0:
             if fs < best_f:
                 best_s, best_f = s, fs
             gs = float(g(s))
@@ -170,7 +174,7 @@ def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9, s_init: float = 1.0, m
             lo = s
         else:
             hi = s
-        s = 0.5 * (lo + hi) if np.isfinite(hi) else 2.0 * s
+        s = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * s
     return best_s if best_s is not None else s
 
 
@@ -248,10 +252,11 @@ class _StageProblem:
         if self.cfg.mode == "cvar":
             theta = theta_star(thetas, self.cfg.alpha, self.cfg.mu, self.cfg.smoothing)
             shifted = smooth_plus(thetas - theta, self.cfg.mu, self.cfg.smoothing)
-            value = theta + float(np.mean(shifted)) / self.cfg.alpha
+            # x.sum() / x.size is np.mean's sum and division, without its wrapper
+            value = theta + float(shifted.sum()) / shifted.size / self.cfg.alpha
         else:
             theta = float("nan")
-            value = float(np.mean(thetas))
+            value = float(thetas.sum()) / thetas.size
         self._held = _PointEval(z, p, theta, value)
         return self._held
 

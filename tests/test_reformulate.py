@@ -207,6 +207,27 @@ def test_mix_point_vector_round_trip():
     assert np.array_equal(q.x_m, p.x_m) and np.array_equal(q.u, p.u) and q.t == p.t
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1, 2, 3])
+def test_mix_point_rejects_non_finite_entries(where, bad):
+    # z = (x_m, u, t) with k = 2, l = 1: both x_m entries, u and t
+    z = np.array([1.0, -2.0, 0.5, 3.0])
+    z[where] = bad
+    with pytest.raises(ValueError, match="mix point must be finite"):
+        MixPoint(z[:2], z[2:3], z[3])
+    with pytest.raises(ValueError, match="mix point must be finite"):
+        MixPoint.from_vector(z, 2, 1)
+
+
+def test_mix_point_from_vector_checks_the_length_and_coerces():
+    for z in (np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.zeros((1, 4))):
+        with pytest.raises(ValueError, match="length 4"):
+            MixPoint.from_vector(z, 2, 1)
+    q = MixPoint.from_vector([1, -2, 0, 3], 2, 1)
+    assert q.x_m.dtype == q.u.dtype == np.float64 and type(q.t) is float
+    assert np.array_equal(q.as_vector(), [1.0, -2.0, 0.0, 3.0])
+
+
 def test_dimension_mismatch_errors():
     spec = builtin_example()
     with pytest.raises(ValueError, match="x_m and u"):

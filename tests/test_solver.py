@@ -1,6 +1,7 @@
 """Tests for the staged solver: config, directions, line search, full solves."""
 
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from esoclcp.cone import ConeDims, classify_complementarity
 from esoclcp.merit import merit_theta
 from esoclcp.problem import builtin_example
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
+from esoclcp.risk import SmoothingKind, smooth_plus
 from esoclcp.saa import SAAPoint, SampleEvaluator, SampleSet, theta_star
 from esoclcp.solver import (
     SolverConfig,
@@ -136,18 +138,26 @@ def test_gauss_newton_direction_matches_dense_normal_equations():
 @pytest.mark.parametrize("fill, nu", [(np.nan, 1e-6), (np.inf, 1e-6), (0.0, -1.0)])
 def test_unsolvable_normal_equations_fall_back_to_steepest_descent(monkeypatch, fill, nu):
     # a non-finite mean Jacobian, or an indefinite gram (-I), must raise
-    # LinAlgError, and the stage must then step along -grad
-    a_bar = np.full((6, 6), fill)
-    with pytest.raises(np.linalg.LinAlgError):
-        _lm_from_means(a_bar, np.ones(6), nu)
+    # LinAlgError, and the stage must then step along -grad, without a
+    # warning; the fill beside zeros is where inf * 0 would make a product warn
     spec = builtin_example()
     cfg = SolverConfig(schedule=(20,), seed=3)
-    stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
-    monkeypatch.setattr(stage.ev, "mean_jacobian_residual", lambda *args: (a_bar, np.ones(6)))
-    monkeypatch.setattr(stage, "cfg", SimpleNamespace(**{**vars(cfg), "lm_nu": nu}))
-    e = stage.eval_point(default_start(spec).as_vector())
-    grad = stage.grad(e)
-    assert np.array_equal(stage.direction(e, grad), -grad)
+    for a_bar in (np.full((6, 6), fill), np.diag([fill, 1.0, 1.0, 1.0, 1.0, 1.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                _lm_from_means(a_bar, np.ones(6), nu)
+            stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
+            monkeypatch.setattr(stage.ev, "mean_jacobian_residual", lambda *args, a_bar=a_bar: (a_bar, np.ones(6)))
+            monkeypatch.setattr(stage, "cfg", SimpleNamespace(**{**vars(cfg), "lm_nu": nu}))
+            e = stage.eval_point(default_start(spec).as_vector())
+            grad = stage.grad(e)
+            assert np.array_equal(stage.direction(e, grad), -grad)
+    # a finite mean Jacobian beside a non-finite mean residual is refused too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            _lm_from_means(np.eye(6), np.array([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]), nu)
 
 
 def test_gauss_newton_direction_huge_damping_aligns_with_steepest_descent():
@@ -201,6 +211,17 @@ def test_wolfe_satisfies_both_conditions_on_random_quadratics():
         assert s > 0
         assert f(s) <= 1e-4 * s * b + 1e-15
         assert g(s) >= c2 * b
+
+
+def test_wolfe_backs_off_where_the_value_is_not_finite():
+    # f is inf beyond s = 0.3 and nan beyond 0.6; the unit step and the first
+    # bisection land there, and the step returned must be a finite one with
+    # sufficient decrease, on a quadratic (Wolfe step) and on a line (fallback)
+    for f0, g0 in ((lambda s: s * s - 2.0 * s, lambda s: 2.0 * s - 2.0), (lambda s: -s, lambda s: -1.0)):
+        f = lambda s, f0=f0: f0(s) if s <= 0.3 else (np.inf if s <= 0.6 else np.nan)
+        s = wolfe_search(f, g0, 1e-4, 0.9)
+        assert np.isfinite(s) and 0.0 < s <= 0.3
+        assert f(s) <= f(0.0) + 1e-4 * s * g0(0.0)
 
 
 def test_default_start_values():
@@ -406,3 +427,38 @@ def test_trial_evaluation_allocates_no_per_draw_arrays(mode):
     # an allocating evaluation needs G1, v and the residuals: 2 m + 1 = 33 rows
     # of N doubles; the cvar threshold and its smoothing take a few
     assert peak < 5 * 8 * n, peak / (8 * n)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trial_points_must_be_finite_and_of_the_right_length(bad):
+    spec = builtin_example()
+    cfg = SolverConfig(schedule=(5,), seed=3)
+    stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
+    z0 = default_start(spec).as_vector()
+    for i in (0, 3, 5):  # x_m, u and t
+        z = z0.copy()
+        z[i] = bad
+        with pytest.raises(ValueError, match="mix point must be finite"):
+            stage.eval_point(z)
+    with pytest.raises(ValueError, match="length 6"):
+        stage.eval_point(z0[:-1])
+
+
+@pytest.mark.parametrize("n", [1, 7, 4000])
+@pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
+def test_trial_value_is_the_mean_over_the_losses_bit_for_bit(mode, n):
+    rng = np.random.default_rng(151)
+    spec = random_spec(np.random.default_rng(153), k=4, l=2, omega_dim=3)
+    draws = stage_samples(spec, SolverConfig(schedule=(n,), seed=5), 1).draws
+    kinds = list(SmoothingKind) if mode == "cvar" else [SmoothingKind.CHKS]
+    for kind in kinds:
+        cfg = SolverConfig(mode=mode, schedule=(n,), seed=5, smoothing=kind)
+        stage = _StageProblem(SampleEvaluator(spec, draws), cfg)
+        for _ in range(4):
+            e = stage.eval_point(np.concatenate([rng.normal(size=6), [rng.uniform(0.1, 2.0)]]))
+            losses = stage.losses(e)
+            if mode == "cvar":
+                shifted = smooth_plus(losses - e.theta, cfg.mu, kind)
+                assert e.value == e.theta + float(np.mean(shifted)) / cfg.alpha
+            else:
+                assert e.value == float(np.mean(losses))
