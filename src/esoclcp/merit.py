@@ -11,9 +11,10 @@ the residual map
     R(x_m, u, t, w) = (psi((x_m)_1, (G1)_1), ..., psi((x_m)_k, (G1)_k), G2),
 
 whose zeros are exactly the solutions of the mixed problem at the draw w.
-The merit function is theta = 0.5 ||R||^2.  R, its Jacobian and theta are
-evaluated over a whole sample by saa.SampleEvaluator; this module keeps the
-one-draw merit that diagnostics score a single point with.
+The merit function is theta = 0.5 ||R||^2.  R and theta are evaluated over
+a whole sample by saa.SampleEvaluator, which forms R's Jacobian only in
+blocks, as its sample mean and as tail-weighted sums of J^T R; this module
+keeps the one-draw merit that diagnostics score a single point with.
 """
 
 from __future__ import annotations

@@ -125,22 +125,8 @@ def _check_entry_common(entry: PerturbEntry, omega_dim: int) -> None:
         )
 
 
-@dataclass(eq=False)
-class Realization:
-    """The matrix T(w) and vector r(w) at one draw of the random vector."""
-
-    T: np.ndarray
-    r: np.ndarray
-
-
-def realize(spec: ProblemSpec, omega) -> Realization:
-    """Apply the perturbation entries at a draw: T(w) = T_base + sum coeff * w_i."""
-    T, r = realize_batch(spec, _check_omega(spec, omega)[None, :])
-    return Realization(T[0], r[0])
-
-
 def realize_batch(spec: ProblemSpec, omegas) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized realize: stacked T(w_j) of shape (N, m, m) and r(w_j) of (N, m)."""
+    """Stacked T(w_j) = T_base + sum coeff * w_ji, shape (N, m, m), and r(w_j), (N, m)."""
     omegas = _check_omegas(spec, omegas)
     n = omegas.shape[0]
     T = np.broadcast_to(spec.T_base, (n,) + spec.T_base.shape).copy()
@@ -179,8 +165,8 @@ def f_eval(spec: ProblemSpec, omega, x, u) -> np.ndarray:
         raise ValueError(f"x must have length {spec.dims.k}, got shape {x.shape}")
     if u.shape != (spec.dims.l,):
         raise ValueError(f"u must have length {spec.dims.l}, got shape {u.shape}")
-    real = realize(spec, omega)
-    return real.T @ np.concatenate([x, u]) + real.r
+    T, r = realize_batch(spec, _check_omega(spec, omega)[None, :])
+    return T[0] @ np.concatenate([x, u]) + r[0]
 
 
 def load_problem(text) -> ProblemSpec:

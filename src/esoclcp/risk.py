@@ -177,15 +177,3 @@ def cvar_empirical(losses, alpha: float) -> float:
     alpha = _check_alpha(alpha)
     q = _tail_quantile(losses, alpha)
     return q + float(np.sum(plus_part(losses - q))) / (alpha * losses.size)
-
-
-def ru_pointwise(
-    loss: float,
-    Theta: float,
-    alpha: float,
-    mu: float,
-    kind: SmoothingKind = SmoothingKind.CHKS,
-) -> float:
-    """One term of the smoothed tail objective: Theta + [loss - Theta]_mu / alpha."""
-    alpha = _check_alpha(alpha)
-    return float(Theta) + float(smooth_plus(float(loss) - float(Theta), mu, kind)) / alpha

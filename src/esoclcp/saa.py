@@ -47,7 +47,7 @@ from .risk import (
     _check_losses,
     _check_mu,
     _tail_rank,
-    smooth_plus,
+    smooth_plus,  # unused here; perfbench/spans.py traces the name in this module
     smooth_plus_deriv,
     smooth_plus_deriv2,
 )
@@ -193,7 +193,7 @@ def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> S
 
 
 # the dense blocks SampleEvaluator realizes on first access
-_DENSE = frozenset(("A", "B", "C", "D", "A2", "B2", "C2", "D2", "p", "q"))
+_DENSE = frozenset(("A2", "B2", "C2", "D2", "p", "q"))
 
 
 class SampleEvaluator:
@@ -201,9 +201,10 @@ class SampleEvaluator:
 
     The one implementation of G1 and G2 (see reformulate), the
     Fischer-Burmeister residual R and merit theta = 0.5 ||R||^2 (see merit),
-    and the Jacobian of R; a single draw is the case N = 1.  The dense
-    jacobians and merit_grads are the reference the blockwise
-    weighted_merit_grad and mean_jacobian_residual are checked against.
+    and the Jacobian of R; a single draw is the case N = 1.  The Jacobian is
+    only ever assembled blockwise, as its sample mean
+    (mean_jacobian_residual) and as the weighted sum of J_j^T R_j
+    (weighted_merit_grad); no (N, dim, dim) array is formed.
 
     Storage.  The data are affine in the draw, T(w) = T_0 + sum_o w_o T_o and
     r(w) = r_0 + sum_o w_o r_o, so the sample is kept as its draws,
@@ -231,10 +232,10 @@ class SampleEvaluator:
     that evaluates many points of one sample allocates those once; called
     without them, they allocate their own.
 
-    The dense blocks A, B, C, D ((N, rows, cols)), their sample-last flat
-    forms A2, B2, C2, D2 (x @ A2 is A x as k N values) and the offsets p, q
-    ((rows, N)) are realized by realize_batch on first access only, for the
-    dense reference jacobians.
+    The sample-last flat blocks A2, B2, C2, D2 (x @ A2 is A x as k N values)
+    and the offsets p, q ((rows, N)) are realized by realize_batch on first
+    access only; no kernel reads them, but perfbench/spans.py's byte counter
+    does in traced runs.
     """
 
     def __init__(self, spec: ProblemSpec, draws) -> None:
@@ -277,16 +278,11 @@ class SampleEvaluator:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         k, n = self.k, self.N
         T, r = realize_batch(self.spec, self.W[1:].T)
-        t3 = np.ascontiguousarray(T.transpose(2, 1, 0))  # t3[j, i, n] = T(w_n)[i, j]
+        # tt[j, i n + n'] = T(w_n')[i, j]
+        tt = np.ascontiguousarray(T.transpose(2, 1, 0)).reshape(T.shape[1], -1)
         del T
-        tt = t3.reshape(-1, t3.shape[1] * n)
         rt = np.ascontiguousarray(r.T)
-        tn = t3.transpose(2, 1, 0)  # tn[n] = T(w_n)
         vars(self).update(
-            A=tn[:, :k, :k],
-            B=tn[:, :k, k:],
-            C=tn[:, k:, :k],
-            D=tn[:, k:, k:],
             A2=tt[:k, : k * n],
             B2=tt[k:, : k * n],
             C2=tt[:k, k * n :],
@@ -346,42 +342,6 @@ class SampleEvaluator:
         out *= 0.5
         return out
 
-    def jacobians(self, p: MixPoint) -> np.ndarray:
-        """Residual Jacobians, shape (N, k+l+1, k+l+1)."""
-        k, l, n = self.k, self.l, self.N
-        f = self._g1_v_array(p, None)
-        g1, v = f[:k].T, f[k:-1].T
-        da, db = (a.T for a in self._fb_coeffs(p, f))
-        A, B, C, D = self.A, self.B, self.C, self.D
-
-        out = np.zeros((n, self.dim, self.dim))
-        # FB rows: D_a + D_b A for x_m, D_b [B | A e] for (u, t)
-        out[:, :k, :k] = db[:, :, None] * A
-        idx = np.arange(k)
-        out[:, idx, idx] += da
-        out[:, :k, k : k + l] = db[:, :, None] * B
-        out[:, :k, k + l] = db * A.sum(axis=2)
-
-        # equality rows: head block then the norm row
-        out[:, k : k + l, :k] = p.t * C + p.u[None, :, None] * A.sum(axis=1)[:, None, :]
-        s1 = g1.sum(axis=1)
-        idx_l = np.arange(l)
-        out[:, k + idx_l, k + idx_l] = s1[:, None]
-        out[:, k : k + l, k : k + l] += p.u[None, :, None] * B.sum(axis=1)[:, None, :] + p.t * D
-        out[:, k : k + l, k + l] = v + p.t * C.sum(axis=2) + np.outer(A.sum(axis=(1, 2)), p.u)
-        out[:, k + l, :k] = 0.0
-        out[:, k + l, k : k + l] = -2.0 * p.u
-        out[:, k + l, k + l] = 2.0 * p.t
-        return out
-
-    def merit_grads(self, p: MixPoint, res: np.ndarray | None = None, jac: np.ndarray | None = None) -> np.ndarray:
-        """Per-draw merit gradients J_j^T R_j, shape (N, k+l+1)."""
-        if res is None:
-            res = self.residuals(p)
-        if jac is None:
-            jac = self.jacobians(p)
-        return np.einsum("nij,ni->nj", jac, res)
-
     def _fb_coeffs(self, p: MixPoint, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # the FB coefficients dpsi/da, dpsi/db at ((x_m)_i, (G1)_i), stacked
         # as (2, k, N), with (-1, -1) at the origin, where a norm raised to
@@ -415,7 +375,7 @@ class SampleEvaluator:
 
         res, f and fb are the residuals, the _g1_v array and the FB
         coefficients at p, computed when not given; work, (k + l, N), is
-        overwritten.  Agrees with weighting merit_grads to rounding error.
+        overwritten.
         """
         k, l, n = self.k, self.l, self.N
         m = k + l
@@ -485,41 +445,6 @@ class SampleEvaluator:
         jbar[m, k:m] = -2.0 * p.u
         jbar[m, m] = 2.0 * p.t
         return jbar, res.mean(axis=0)
-
-
-def objective(
-    spec: ProblemSpec,
-    s: SampleSet,
-    q: SAAPoint,
-    alpha: float,
-    mu: float,
-    kind: SmoothingKind = SmoothingKind.CHKS,
-) -> float:
-    """Nhat(z, Theta) = Theta + (alpha N)^{-1} sum_j [theta_j - Theta]_mu."""
-    alpha = _check_alpha(alpha)
-    ev = SampleEvaluator(spec, s.draws)
-    thetas = ev.thetas(q.p)
-    return q.Theta + float(np.mean(smooth_plus(thetas - q.Theta, mu, kind))) / alpha
-
-
-def gradient(
-    spec: ProblemSpec,
-    s: SampleSet,
-    q: SAAPoint,
-    alpha: float,
-    mu: float,
-    kind: SmoothingKind = SmoothingKind.CHKS,
-) -> np.ndarray:
-    """Gradient of the objective in (x_m, u, t, Theta); length k + l + 2."""
-    alpha = _check_alpha(alpha)
-    ev = SampleEvaluator(spec, s.draws)
-    res = ev.residuals(q.p)
-    thetas = ev.thetas(q.p, res)
-    w = smooth_plus_deriv(thetas - q.Theta, mu, kind)
-    grads = ev.merit_grads(q.p, res)
-    spatial = (w[:, None] * grads).mean(axis=0) / alpha
-    theta_comp = 1.0 - float(np.mean(w)) / alpha
-    return np.concatenate([spatial, [theta_comp]])
 
 
 def theta_star(

@@ -8,9 +8,9 @@ steepest descent whenever that system is unsolvable or insufficiently
 downhill, and a weak Wolfe line search picks the step.  The tail threshold
 Theta is re-optimized from scratch by saa.theta_star inside every objective
 and gradient evaluation, with no state carried between trial points, so the
-inner loop minimizes the reduced function min_Theta Nhat(z, Theta).  Stages stop on a small gradient or an iteration
-cap; the schedule stops early when consecutive stage solutions agree within
-eps.
+inner loop minimizes the reduced function min_Theta Nhat(z, Theta).  Stages
+stop on a small gradient or an iteration cap; the schedule stops early when
+consecutive stage solutions agree within eps.
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not self.lm_nu > 0:
-            raise ValueError(f"lm_nu must be > 0, got {self.lm_nu}")
+        # math.inf > 0, so each bound is checked for finiteness too
+        for name in ("mu", "lm_nu", "tol_r", "eps", "descent_r"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         schedule = tuple(int(n) for n in self.schedule)
         if len(schedule) < 1 or schedule[0] < 1 or any(
             b <= a for a, b in zip(schedule, schedule[1:])
@@ -67,9 +68,6 @@ class SolverConfig:
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
-        for name in ("tol_r", "eps", "descent_r"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
         if not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1):

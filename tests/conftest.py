@@ -4,6 +4,7 @@ import numpy as np
 
 from esoclcp.cone import ConeDims
 from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec
+from esoclcp.risk import smooth_plus, smooth_plus_deriv
 from esoclcp.saa import SampleEvaluator
 
 
@@ -44,8 +45,19 @@ def random_spec(rng, k=3, l=2, omega_dim=2, scale=1.0, perturbed=True):
 
 
 def one_draw(spec, omega):
-    """An evaluator over the single draw omega: G1, G2, R, J and theta at one draw."""
+    """An evaluator over the single draw omega: G1, G2, R and theta at one draw."""
     return SampleEvaluator(spec, np.asarray(omega, dtype=float)[None, :])
+
+
+def tail_objective(ev, p, theta, alpha, mu):
+    """Nhat(z, Theta) = Theta + (alpha N)^{-1} sum_j [theta_j - Theta]_mu over ev's sample (CHKS)."""
+    return theta + float(np.mean(smooth_plus(ev.thetas(p) - theta, mu))) / alpha
+
+
+def tail_gradient(ev, p, theta, alpha, mu):
+    """Gradient of tail_objective in (x_m, u, t, Theta), its spatial part from weighted_merit_grad."""
+    w = smooth_plus_deriv(ev.thetas(p) - theta, mu)
+    return np.append(ev.weighted_merit_grad(p, w) / alpha, 1.0 - float(np.mean(w)) / alpha)
 
 
 def case_iv_instance(rng=None):

@@ -22,10 +22,11 @@ from esoclcp.risk import (
     smooth_plus,
     var_empirical,
 )
-from esoclcp.saa import SAAPoint, SampleEvaluator, draw_samples, gradient, objective, theta_star
+from esoclcp.saa import SAAPoint, SampleEvaluator, draw_samples, theta_star
 from esoclcp.solver import SolverConfig, solve
 
-from conftest import case_iv_instance, random_spec
+from conftest import case_iv_instance, random_spec, tail_gradient, tail_objective
+from dense_reference import jacobians
 
 FULL_SCHEDULE = (10, 100, 1000, 10000, 100000)
 SEEDS = (7, 42, 1234)
@@ -98,11 +99,12 @@ def test_02_crafted_case_iv_solve():
 
 
 def test_03_gradient_exactness():
-    # 200 random (instance, point, mu) triples: analytic objective gradient
-    # against central differences, and the residual Jacobian at the first
-    # draw against central differences of the residual, both to relative
-    # error 1e-5; |x_m| >= 1e-2 keeps dpsi/db off zero, so the FB rows still
-    # carry dG1
+    # 200 random (instance, point, mu) triples: analytic objective gradient,
+    # its spatial part from the solver's kernel weighted_merit_grad, against
+    # central differences, and the residual Jacobian at the first draw (dense
+    # reference) against central differences of the residual, both to
+    # relative error 1e-5; |x_m| >= 1e-2 keeps dpsi/db off zero, so the FB
+    # rows still carry dG1
     rng = np.random.default_rng(3000)
     worst_grad = 0.0
     worst_jac = 0.0
@@ -120,13 +122,13 @@ def test_03_gradient_exactness():
         alpha = float(rng.uniform(0.1, 0.9))
         mu = (1e-2, 1e-4)[checked % 2]
         theta0 = float(rng.normal())
+        ev = SampleEvaluator(spec, s.draws)
 
         def fval(v):
-            q = SAAPoint(MixPoint.from_vector(v[:-1], k, l), float(v[-1]))
-            return objective(spec, s, q, alpha, mu)
+            return tail_objective(ev, MixPoint.from_vector(v[:-1], k, l), float(v[-1]), alpha, mu)
 
         v = np.concatenate([p.as_vector(), [theta0]])
-        grad = gradient(spec, s, SAAPoint(p, theta0), alpha, mu)
+        grad = tail_gradient(ev, p, theta0, alpha, mu)
         step = 1e-6
         fd = np.empty_like(v)
         for i in range(v.size):
@@ -135,11 +137,11 @@ def test_03_gradient_exactness():
             fd[i] = (fval(v + e) - fval(v - e)) / (2 * step)
         worst_grad = max(worst_grad, float(np.max(np.abs(grad - fd) / (1.0 + np.abs(grad)))))
 
-        ev = SampleEvaluator(spec, s.draws[:1])
-        jac = ev.jacobians(p)[0]
+        first = SampleEvaluator(spec, s.draws[:1])
+        jac = jacobians(first, p)[0]
 
         def gval(v):
-            return ev.residuals(MixPoint.from_vector(v, k, l))[0]
+            return first.residuals(MixPoint.from_vector(v, k, l))[0]
 
         z = p.as_vector()
         fdj = np.empty((k + l + 1, k + l + 1))

@@ -152,6 +152,14 @@ def test_solve_bad_config_value(capsys):
     assert "error:" in err and "alpha" in err
 
 
+@pytest.mark.parametrize("flag, name", [("--tol", "tol_r"), ("--lm-nu", "lm_nu"), ("--eps", "eps")])
+def test_solve_rejects_an_infinite_bound_before_solving(capsys, flag, name):
+    rc, out, err = run(capsys, ["solve", "--builtin", flag, "inf", *FAST])
+    assert rc == 1
+    assert "error:" in err and name in err and "finite" in err
+    assert out == ""
+
+
 def test_solve_mode_and_smoothing_flags(capsys):
     rc, out, _ = run(
         capsys,

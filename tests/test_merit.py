@@ -1,7 +1,8 @@
 """FB residual system, merit function, and its first derivatives.
 
-The residual, its Jacobian and the merit gradient come from SampleEvaluator
-over a single draw; merit_theta is the one-draw merit itself.
+The residual comes from SampleEvaluator over a single draw, the Jacobian and
+the merit gradient from the dense reference built on that evaluator;
+merit_theta is the one-draw merit itself.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from esoclcp.merit import merit_theta
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
 
 from conftest import case_iv_instance, one_draw, random_spec
+from dense_reference import jacobians, merit_grads
 
 
 def _residual(spec, omega, p):
@@ -20,11 +22,11 @@ def _residual(spec, omega, p):
 
 
 def _jacobian(spec, omega, p):
-    return one_draw(spec, omega).jacobians(p)[0]
+    return jacobians(one_draw(spec, omega), p)[0]
 
 
 def _merit_grad(spec, omega, p):
-    return one_draw(spec, omega).merit_grads(p)[0]
+    return merit_grads(one_draw(spec, omega), p)[0]
 
 
 def _fb_row(a, b):

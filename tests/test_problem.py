@@ -9,7 +9,6 @@ from esoclcp.problem import (
     builtin_example,
     f_eval,
     load_problem,
-    realize,
     realize_batch,
     serialize_problem,
 )
@@ -33,24 +32,30 @@ def test_builtin_matrices():
     assert spec.distribution.mean == 0.0 and spec.distribution.std == 1.0
 
 
+def _realize(spec, omega):
+    # T(w) and r(w) at one draw
+    T, r = realize_batch(spec, np.asarray(omega, dtype=float)[None, :])
+    return T[0], r[0]
+
+
 def test_realize_zero_omega_is_base():
     spec = builtin_example()
-    real = realize(spec, np.zeros(3))
-    assert np.array_equal(real.T, spec.T_base)
-    assert np.array_equal(real.r, spec.r_base)
+    T, r = _realize(spec, np.zeros(3))
+    assert np.array_equal(T, spec.T_base)
+    assert np.array_equal(r, spec.r_base)
 
 
 def test_realize_perturbations():
     spec = builtin_example()
-    real = realize(spec, np.array([1.0, 0.0, 0.0]))
-    assert real.T[0][0] == 42.0
+    T, _ = _realize(spec, np.array([1.0, 0.0, 0.0]))
+    assert T[0][0] == 42.0
     base_mask = np.ones((5, 5), dtype=bool)
     base_mask[0, 0] = False
-    assert np.array_equal(real.T[base_mask], spec.T_base[base_mask])
+    assert np.array_equal(T[base_mask], spec.T_base[base_mask])
 
-    real = realize(spec, np.array([0.0, 2.0, 1.0]))
-    assert real.T[3][2] == -20 + 2 * 2
-    assert real.r[1] == 4 - 1
+    T, r = _realize(spec, np.array([0.0, 2.0, 1.0]))
+    assert T[3][2] == -20 + 2 * 2
+    assert r[1] == 4 - 1
 
 
 def test_realize_is_affine_in_omega():
@@ -59,12 +64,9 @@ def test_realize_is_affine_in_omega():
     for _ in range(50):
         w1 = rng.normal(size=3)
         w2 = rng.normal(size=3)
-        lhs_T = realize(spec, w1 + w2).T + spec.T_base
-        rhs_T = realize(spec, w1).T + realize(spec, w2).T
-        assert np.allclose(lhs_T, rhs_T, atol=1e-12)
-        lhs_r = realize(spec, w1 + w2).r + spec.r_base
-        rhs_r = realize(spec, w1).r + realize(spec, w2).r
-        assert np.allclose(lhs_r, rhs_r, atol=1e-12)
+        (T12, r12), (T1, r1), (T2, r2) = (_realize(spec, w) for w in (w1 + w2, w1, w2))
+        assert np.allclose(T12 + spec.T_base, T1 + T2, atol=1e-12)
+        assert np.allclose(r12 + spec.r_base, r1 + r2, atol=1e-12)
 
 
 def test_realize_batch_matches_single():
@@ -73,16 +75,16 @@ def test_realize_batch_matches_single():
     omegas = rng.normal(size=(40, 3))
     T_all, r_all = realize_batch(spec, omegas)
     for i in (0, 7, 39):
-        single = realize(spec, omegas[i])
-        assert np.array_equal(T_all[i], single.T)
-        assert np.array_equal(r_all[i], single.r)
+        T, r = _realize(spec, omegas[i])
+        assert np.array_equal(T_all[i], T)
+        assert np.array_equal(r_all[i], r)
 
 
 def test_f_eval_zero_point_gives_r():
     spec = builtin_example()
     w = np.array([0.3, -1.2, 0.5])
     out = f_eval(spec, w, np.zeros(3), np.zeros(2))
-    assert np.array_equal(out, realize(spec, w).r)
+    assert np.array_equal(out, _realize(spec, w)[1])
 
 
 def test_f_eval_paper_solution():
@@ -104,7 +106,7 @@ def test_f_eval_is_linear_in_point():
         rhs = (
             a * f_eval(spec, w, x1, u1)
             + b * f_eval(spec, w, x2, u2)
-            - (a + b - 1) * realize(spec, w).r
+            - (a + b - 1) * _realize(spec, w)[1]
         )
         scale = 1 + np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale

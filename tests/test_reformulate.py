@@ -1,7 +1,7 @@
 """Mixed-CP reformulation: G1 and G2 at one draw, their Jacobian, variable maps.
 
-G1, G2 and the residual Jacobian are evaluated by SampleEvaluator; here it
-runs over a single draw.
+G1 and G2 are evaluated by SampleEvaluator over a single draw, the residual
+Jacobian by the dense reference built on it.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from esoclcp.merit import merit_theta
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
 
 from conftest import case_iv_instance, one_draw, random_spec
+from dense_reference import jacobians
 
 
 def _plain_spec(k, l, T, r):
@@ -39,7 +40,7 @@ def _g2(spec, omega, p):
 
 def _jacobian(spec, omega, p):
     """Residual Jacobian at one draw; rows k.. are the Jacobian of G2."""
-    return one_draw(spec, omega).jacobians(p)[0]
+    return jacobians(one_draw(spec, omega), p)[0]
 
 
 def test_f1_identity_A():
@@ -155,7 +156,7 @@ def test_jacobian_matches_finite_differences():
         def res_of(z):
             return ev.residuals(MixPoint(z[:k], z[k : k + l], float(z[k + l])))[0]
 
-        jac = ev.jacobians(MixPoint(z0[:k], z0[k : k + l], float(z0[k + l])))[0]
+        jac = jacobians(ev, MixPoint(z0[:k], z0[k : k + l], float(z0[k + l])))[0]
         J = _fd_jacobian(res_of, z0, k + l + 1)
         scale1 = 1 + np.max(np.abs(J[:k]))
         scale2 = 1 + np.max(np.abs(J[k:]))

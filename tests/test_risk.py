@@ -1,4 +1,4 @@
-"""Empirical VaR/CVaR, the RU pointwise form, and the smoothed plus-parts."""
+"""Empirical VaR/CVaR and the smoothed plus-parts."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from esoclcp.risk import (
     _logistic,
     cvar_empirical,
     plus_part,
-    ru_pointwise,
     smooth_plus,
     smooth_plus_deriv,
     smooth_plus_deriv2,
@@ -228,17 +227,21 @@ def test_var_subadditivity_failure_witness():
 
 
 def test_ru_pointwise():
-    assert ru_pointwise(2.0, 2.0, 0.5, 0.0, SmoothingKind.CHKS) == 2.0
-    assert ru_pointwise(3.0, 2.0, 0.5, 0.0, SmoothingKind.CHKS) == pytest.approx(4.0)
+    # one term of the tail objective, Theta + [loss - Theta]_mu / alpha
+    def term(loss, theta, alpha, mu):
+        return theta + smooth_plus(loss - theta, mu, SmoothingKind.CHKS) / alpha
+
+    assert term(2.0, 2.0, 0.5, 0.0) == 2.0
+    assert term(3.0, 2.0, 0.5, 0.0) == pytest.approx(4.0)
     # mu -> 0 approaches the unsmoothed value from above
     rng = np.random.default_rng(47)
     for _ in range(50):
         loss, theta = rng.normal(size=2) * 3
         alpha = float(rng.uniform(0.1, 0.9))
-        exact = ru_pointwise(loss, theta, alpha, 0.0, SmoothingKind.CHKS)
+        exact = term(loss, theta, alpha, 0.0)
         prev = float("inf")
         for mu in (1e-2, 1e-4, 1e-8):
-            val = ru_pointwise(loss, theta, alpha, mu, SmoothingKind.CHKS)
+            val = term(loss, theta, alpha, mu)
             assert exact <= val <= prev + 1e-15
             prev = val
         assert prev == pytest.approx(exact, abs=1e-7)

@@ -26,6 +26,7 @@ from esoclcp.solver import (
 )
 
 from conftest import case_iv_instance, random_spec
+from dense_reference import jacobians
 
 
 def test_config_defaults_valid():
@@ -62,6 +63,9 @@ def test_config_validation_errors():
         dict(mode="saddle"),
         dict(smoothing="parabolic"),
     ]
+    # inf > 0, so every positive bound must also refuse non-finite values
+    for name in ("mu", "lm_nu", "tol_r", "eps", "descent_r"):
+        bad += [{name: float("inf")}, {name: float("nan")}]
     for kwargs in bad:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
@@ -126,7 +130,7 @@ def test_gauss_newton_direction_matches_dense_normal_equations():
         p = MixPoint(rng.normal(size=k), rng.normal(size=l), float(rng.uniform(0.2, 2.0)))
         nu = float(rng.uniform(1e-8, 1e-2))
         ev = SampleEvaluator(spec, s.draws)
-        a_bar = ev.jacobians(p).mean(axis=0)
+        a_bar = jacobians(ev, p).mean(axis=0)
         f_bar = ev.residuals(p).mean(axis=0)
         want = np.linalg.solve(
             a_bar.T @ a_bar + nu * np.eye(k + l + 1), -(a_bar.T @ f_bar)
@@ -166,7 +170,7 @@ def test_gauss_newton_direction_huge_damping_aligns_with_steepest_descent():
     s = stage_samples(spec, SolverConfig(schedule=(5,)), 1)
     p = MixPoint(rng.normal(size=3), rng.normal(size=2), 0.7)
     ev = SampleEvaluator(spec, s.draws)
-    sd = -(ev.jacobians(p).mean(axis=0).T @ ev.residuals(p).mean(axis=0))
+    sd = -(jacobians(ev, p).mean(axis=0).T @ ev.residuals(p).mean(axis=0))
     d = _gauss_newton(spec, s, p, 1e12)
     cosang = float(d @ sd) / (np.linalg.norm(d) * np.linalg.norm(sd))
     assert np.arccos(np.clip(cosang, -1.0, 1.0)) <= 1e-6
@@ -462,3 +466,37 @@ def test_trial_value_is_the_mean_over_the_losses_bit_for_bit(mode, n):
                 assert e.value == e.theta + float(np.mean(shifted)) / cfg.alpha
             else:
                 assert e.value == float(np.mean(losses))
+
+
+@pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
+def test_stage_gradient_matches_central_differences_of_the_value(mode):
+    # the gradient the solver steps along against differences of the value
+    # its line search compares; in cvar every trial point re-optimizes Theta
+    # by theta_star, so the differences are of min_Theta Nhat(z, Theta)
+    rng = np.random.default_rng(157)
+    step = 1e-6
+    checked = 0
+    while checked < 20:
+        k = int(rng.integers(1, 4))
+        l = int(rng.integers(1, 4))
+        spec = random_spec(rng, k=k, l=l, omega_dim=2)
+        z = np.concatenate([rng.normal(size=k + l), [rng.uniform(0.2, 2.0)]])
+        # the FB rows are nonsmooth only where x_m and G1 both vanish
+        if float(np.min(np.abs(z[:k]))) < 1e-2:
+            continue
+        cfg = SolverConfig(
+            mode=mode,
+            alpha=float(rng.uniform(0.1, 0.9)),
+            mu=(1e-2, 1e-4)[checked % 2],
+            schedule=(int(rng.integers(3, 9)),),
+            seed=int(rng.integers(1000)),
+        )
+        stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
+        grad = stage.grad(stage.eval_point(z))
+        fd = np.empty_like(z)
+        for i in range(z.size):
+            e = np.zeros_like(z)
+            e[i] = step
+            fd[i] = (stage.eval_point(z + e).value - stage.eval_point(z - e).value) / (2 * step)
+        assert np.max(np.abs(grad - fd) / (1.0 + np.abs(grad))) <= 1e-5, (checked, grad, fd)
+        checked += 1
