@@ -152,10 +152,23 @@ def _tail_rank(n: int, alpha: float) -> int:
     return min(max(math.ceil((1.0 - alpha) * n - 1e-12), 1), n)
 
 
-def _tail_quantile(losses: np.ndarray, alpha: float) -> float:
-    # the ceil((1 - alpha) N)-th order statistic
+def _tail_quantile(losses: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    # the ceil((1 - alpha) N)-th order statistic q, found by selection, and
+    # the losses ranked above it, each >= q; one rule for VaR, CVaR,
+    # theta_star's start and the solver's screen of trial points
     rank = _tail_rank(losses.size, alpha)
-    return float(np.sort(losses)[rank - 1])
+    part = np.partition(losses, rank - 1)
+    return float(part[rank - 1]), part[rank:]
+
+
+def _tail_cvar(losses: np.ndarray, alpha: float) -> float:
+    # q + (alpha N)^{-1} sum_i [theta_i - q]_+; only the losses ranked above
+    # q can exceed it, so the sum runs over them alone.  An infinite q is
+    # returned as it is, where upper - q would warn
+    q, upper = _tail_quantile(losses, alpha)
+    if not math.isfinite(q):
+        return q
+    return q + float(np.sum(upper - q)) / (alpha * losses.size)
 
 
 def var_empirical(losses, alpha: float) -> float:
@@ -164,7 +177,7 @@ def var_empirical(losses, alpha: float) -> float:
     The minimum is the ceil((1 - alpha) N)-th order statistic, the same
     quantile cvar_empirical starts from, so CVaR >= VaR by construction.
     """
-    return _tail_quantile(_check_losses(losses), _check_alpha(alpha))
+    return _tail_quantile(_check_losses(losses), _check_alpha(alpha))[0]
 
 
 def cvar_empirical(losses, alpha: float) -> float:
@@ -173,7 +186,4 @@ def cvar_empirical(losses, alpha: float) -> float:
     With q the ceil((1 - alpha) N)-th order statistic,
     CVaR = q + (alpha N)^{-1} sum_i [theta_i - q]_+ .
     """
-    losses = _check_losses(losses)
-    alpha = _check_alpha(alpha)
-    q = _tail_quantile(losses, alpha)
-    return q + float(np.sum(plus_part(losses - q))) / (alpha * losses.size)
+    return _tail_cvar(_check_losses(losses), _check_alpha(alpha))

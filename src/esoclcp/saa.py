@@ -46,7 +46,7 @@ from .risk import (
     _check_alpha,
     _check_losses,
     _check_mu,
-    _tail_rank,
+    _tail_quantile,
     smooth_plus,  # unused here; perfbench/spans.py traces the name in this module
     smooth_plus_deriv,
     smooth_plus_deriv2,
@@ -503,12 +503,11 @@ def theta_star(
                 scale * float(np.sum(smooth_plus_deriv2(s, mu, kind))),
             )
 
-    rank = _tail_rank(n, alpha)
-    part = np.partition(losses, rank - 1)
-    q = float(part[rank - 1])
+    q, upper = _tail_quantile(losses, alpha)
+    rank = n - upper.size
     # the next order statistic; a one-rank partition and a min beat a
     # two-rank partition several times over
-    q_next = float(part[rank:].min()) if rank < n else q
+    q_next = float(upper.min()) if upper.size else q
     pad = 2.0 * (math.sqrt(mu) if kind is SmoothingKind.INTERIOR_POINT else mu)
     # between q and q_next, h is about rank - (1 - alpha) N over alpha N; where
     # that is 0 the root sits where the two neighbours' tails balance, near

@@ -6,9 +6,11 @@ stage objective: the direction solves (Abar^T Abar + nu I) d = -Abar^T Fbar
 built from the sample-mean residual Jacobian and residual, falling back to
 steepest descent whenever that system is unsolvable or insufficiently
 downhill, and a weak Wolfe line search picks the step.  The tail threshold
-Theta is re-optimized from scratch by saa.theta_star inside every objective
-and gradient evaluation, with no state carried between trial points, so the
-inner loop minimizes the reduced function min_Theta Nhat(z, Theta).  Stages
+Theta is re-optimized from scratch by saa.theta_star at every point the line
+search may accept, with no state carried between trial points, so the inner
+loop minimizes the reduced function min_Theta Nhat(z, Theta).  A trial point
+whose empirical CVaR, a lower bound of that function, already fails the
+sufficient-decrease test is rejected on the bound alone.  Stages
 stop on a small gradient or an iteration cap; the schedule stops early when
 consecutive stage solutions agree within eps.
 """
@@ -24,13 +26,18 @@ import numpy as np
 from .cone import ConePoint
 from .problem import ProblemSpec, f_eval, realize_batch
 from .reformulate import MixPoint, recover_lcp_point
-from .risk import SmoothingKind, smooth_plus, smooth_plus_deriv
+from .risk import SmoothingKind, _tail_cvar, smooth_plus, smooth_plus_deriv
 from .saa import SAAPoint, SampleEvaluator, SampleSet, draw_samples, theta_star
 
 MODES = ("cvar", "ev", "erm")
 TERMINATIONS = ("grad_tol", "k_max", "outer_eps")
 
 DEFAULT_SCHEDULE = (10, 100, 1000, 10000)
+
+# a trial point is screened out when its empirical CVaR exceeds the line
+# search's bar by more than this share of (|bar| + |bound| + mu) / alpha, a
+# margin far above the rounding of either value (about 1e-16 log2 N of it)
+_SCREEN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -185,24 +192,31 @@ def default_start(spec: ProblemSpec) -> MixPoint:
 
 class _PointEval:
     # one point of the inner loop: its value, and its gradient once asked for;
-    # its per-draw data are in the stage's buffers while it is held there
-    __slots__ = ("z", "p", "theta", "value", "_gvec")
+    # its per-draw data are in the stage's buffers while it is held there.
+    # A screened trial point is not exact: its value is only a lower bound
+    __slots__ = ("z", "p", "theta", "value", "exact", "_gvec")
 
-    def __init__(self, z, p, theta, value):
+    def __init__(self, z, p, theta, value, exact=True):
         self.z = z
         self.p = p
         self.theta = theta
         self.value = value
+        self.exact = exact
         self._gvec = None
 
 
 class _StageProblem:
     """Mode-specific reduced objective over one stage's sample.
 
-    In mode cvar the tail threshold is re-optimized inside every objective
-    and gradient evaluation, so the line search runs on the reduced function
+    In mode cvar the tail threshold is re-optimized at every point the line
+    search may accept, so it runs on the reduced function
     min_Theta Nhat(z, Theta); its gradient is the spatial gradient at the
-    minimizing Theta.  Modes ev and erm average the merit directly.
+    minimizing Theta.  Since every smoothing satisfies p_mu(t) >= [t]_+,
+    that function is at least the empirical CVaR of the losses; eval_point,
+    given the line search's sufficient-decrease bar, returns that bound as
+    an inexact value when it exceeds the bar, without theta_star.  Modes ev
+    and erm average the merit directly.  A trial point whose losses are not
+    all finite has the value inf in every mode.
 
     The per-draw arrays of one point, G1 and v, the residuals, the losses
     and, once grad or direction asks, the FB coefficients, live in (rows, N)
@@ -244,14 +258,24 @@ class _StageProblem:
             self._fb_of = e
         return self._fb
 
-    def eval_point(self, z: np.ndarray) -> _PointEval:
+    def eval_point(self, z: np.ndarray, bar: float | None = None) -> _PointEval:
         p = MixPoint.from_vector(z, self.k, self.l)
         thetas = self._fill(p)
-        if self.cfg.mode == "cvar":
-            theta = theta_star(thetas, self.cfg.alpha, self.cfg.mu, self.cfg.smoothing)
-            shifted = smooth_plus(thetas - theta, self.cfg.mu, self.cfg.smoothing)
-            # x.sum() / x.size is np.mean's sum and division, without its wrapper
-            value = theta + float(shifted.sum()) / shifted.size / self.cfg.alpha
+        self._held = None
+        cfg = self.cfg
+        if cfg.mode == "cvar":
+            if bar is not None:
+                bound = _tail_cvar(thetas, cfg.alpha)
+                margin = _SCREEN_RTOL * (abs(bar) + abs(bound) + cfg.mu) / cfg.alpha
+                if math.isfinite(bound) and bound > bar + margin:
+                    return _PointEval(z, p, float("nan"), bound, exact=False)
+            if np.isfinite(thetas).all():
+                theta = theta_star(thetas, cfg.alpha, cfg.mu, cfg.smoothing)
+                shifted = smooth_plus(thetas - theta, cfg.mu, cfg.smoothing)
+                # x.sum() / x.size is np.mean's sum and division, without its wrapper
+                value = theta + float(shifted.sum()) / shifted.size / cfg.alpha
+            else:
+                theta, value = float("nan"), float("inf")
         else:
             theta = float("nan")
             value = float(thetas.sum()) / thetas.size
@@ -320,15 +344,24 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
             d = stage.direction(cur, grad)
             cache: dict[float, _PointEval] = {0.0: cur}
 
-            def trial(s: float, z=z, d=d, cache=cache) -> _PointEval:
+            def trial(s: float, bar: float | None = None, z=z, d=d, cache=cache) -> _PointEval:
+                # only exact points are kept, so the gradient and the step
+                # returned are never taken at a screened one
                 e = cache.get(s)
                 if e is None:
-                    e = stage.eval_point(z + s * d)
-                    cache[s] = e
+                    e = stage.eval_point(z + s * d, bar)
+                    if e.exact:
+                        cache[s] = e
                 return e
 
+            if cfg.mode == "cvar":
+                # the floats wolfe_search forms: f(0), g(0) and f(0) + c1 s g(0)
+                g0 = float(grad @ d)
+                value = lambda s, f0=cur.value, g0=g0: trial(s, f0 + cfg.c1 * s * g0).value
+            else:
+                value = lambda s: trial(s).value
             step = wolfe_search(
-                lambda s: trial(s).value,
+                value,
                 lambda s, d=d: float(stage.grad(trial(s)) @ d),
                 cfg.c1,
                 cfg.c2,

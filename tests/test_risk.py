@@ -6,6 +6,8 @@ import pytest
 from esoclcp.risk import (
     SmoothingKind,
     _logistic,
+    _tail_quantile,
+    _tail_rank,
     cvar_empirical,
     plus_part,
     smooth_plus,
@@ -155,6 +157,28 @@ def test_var_matches_enumeration_oracle():
         losses = rng.normal(size=n) * rng.uniform(0.1, 10)
         alpha = float(rng.uniform(0.02, 0.98))
         assert var_empirical(losses, alpha) == _var_oracle(losses, alpha)
+
+
+def test_tail_quantile_is_the_sorted_order_statistic():
+    # selection, not a sort: the same float as np.sort at rank ceil((1 - alpha) N),
+    # with tied losses and with (1 - alpha) N integral, and the losses above
+    # that rank are the ones a sort puts after it
+    rng = np.random.default_rng(59)
+    cases = [(np.arange(1.0, 21.0), a) for a in (0.05, 0.2, 0.25, 0.5, 0.95)]
+    cases += [(np.repeat([3.0, 1.0, 2.0, 2.0], 5), a) for a in (0.05, 0.2, 0.25, 0.5, 0.95)]
+    for _ in range(300):
+        n = int(rng.integers(1, 200))
+        x = rng.integers(0, 6, size=n).astype(float) if rng.random() < 0.5 else rng.normal(size=n)
+        cases.append((x, float(rng.choice([0.05, 0.1, 0.2, 0.5, rng.uniform(0.01, 0.99)]))))
+    for x, alpha in cases:
+        rank = _tail_rank(x.size, alpha)
+        q, upper = _tail_quantile(x, alpha)
+        ordered = np.sort(x)
+        assert q == ordered[rank - 1]
+        assert np.array_equal(np.sort(upper), ordered[rank:])
+    # (1 - 0.95) 20 is 1 in the reals and 1.0000000000000009 in floats
+    assert _tail_rank(20, 0.95) == 1
+    assert _tail_quantile(np.arange(1.0, 21.0), 0.95)[0] == 1.0
 
 
 def test_cvar_matches_kink_oracle():

@@ -11,7 +11,7 @@ from esoclcp.cone import ConeDims, classify_complementarity
 from esoclcp.merit import merit_theta
 from esoclcp.problem import builtin_example
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
-from esoclcp.risk import SmoothingKind, smooth_plus
+from esoclcp.risk import SmoothingKind, _tail_cvar, cvar_empirical, smooth_plus
 from esoclcp.saa import SAAPoint, SampleEvaluator, SampleSet, theta_star
 from esoclcp.solver import (
     SolverConfig,
@@ -401,8 +401,12 @@ def test_stage_answers_for_an_older_point_as_a_fresh_stage_does(mode):
     a = stage.eval_point(za)
     b = stage.eval_point(zb)
     # A is no longer the point the stage's buffers hold, and B's gradient and
-    # FB coefficients are computed in between
+    # FB coefficients are computed in between; then a trial point fills the
+    # buffers and, in cvar, is screened out (erm ignores the bar)
     stage.direction(b, stage.grad(b))
+    c = stage.eval_point(za + 0.5 * (zb - za), -1.0)
+    assert c.exact == (mode != "cvar")
+    assert np.array_equal(stage.losses(b), fresh.losses(fresh.eval_point(zb)))
     ga = stage.grad(a)
     assert np.array_equal(ga, fresh.grad(a0))
     assert np.array_equal(stage.direction(a, ga), fresh.direction(a0, fresh.grad(a0)))
@@ -500,3 +504,170 @@ def test_stage_gradient_matches_central_differences_of_the_value(mode):
             fd[i] = (stage.eval_point(z + e).value - stage.eval_point(z - e).value) / (2 * step)
         assert np.max(np.abs(grad - fd) / (1.0 + np.abs(grad))) <= 1e-5, (checked, grad, fd)
         checked += 1
+
+
+def _tied_stage(kind, alpha, mu, n):
+    # a builtin cvar stage whose second half of draws repeats the first, so
+    # the losses come in tied pairs
+    spec = builtin_example()
+    cfg = SolverConfig(alpha=alpha, mu=mu, schedule=(n,), seed=17, smoothing=kind)
+    draws = stage_samples(spec, cfg, 1).draws.copy()
+    draws[n - n // 2 :] = draws[: n // 2]
+    return _StageProblem(SampleEvaluator(spec, draws), cfg)
+
+
+@pytest.mark.parametrize("n", [1, 7, 20, 4000])
+@pytest.mark.parametrize("kind", list(SmoothingKind))
+def test_screen_bound_is_below_the_exact_value(kind, n):
+    # p_mu(t) >= [t]_+ for every kind, so min_Theta Nhat >= the empirical
+    # CVaR up to rounding; the screen rejects with that bound, and never at a
+    # bar the exact value meets
+    rng = np.random.default_rng(163)
+    for alpha in (0.05, 0.2, 0.95):
+        for mu in (1e-9, 1e-4, 1e-1):
+            stage = _tied_stage(kind, alpha, mu, n)
+            for _ in range(3):
+                z = np.concatenate([rng.normal(size=5), [rng.uniform(0.1, 2.0)]])
+                e = stage.eval_point(z)
+                bound = _tail_cvar(stage.losses(e), alpha)
+                # where p_mu - [.]_+ is below rounding (nn, far from Theta)
+                # the two agree to an ulp or two, either way
+                assert bound - e.value <= 1e-14 * abs(e.value), (alpha, mu, bound, e.value)
+                assert bound == cvar_empirical(stage.losses(e), alpha)
+                assert stage.eval_point(z, e.value).exact
+                low = stage.eval_point(z, bound - 1.0 - abs(bound))
+                assert not low.exact and low.value == bound
+
+
+@pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
+def test_trial_point_whose_losses_overflow_has_the_value_inf(mode):
+    spec = builtin_example()
+    cfg = SolverConfig(mode=mode, schedule=(100,), seed=3)
+    stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
+    z = default_start(spec).as_vector()
+    z[0] = 1e160
+    with np.errstate(over="ignore"):
+        e = stage.eval_point(z)
+        assert not np.isfinite(stage.losses(e)).any()
+        screened = stage.eval_point(z, 1.0)
+        losses = stage.losses(e)
+    assert e.value == np.inf and e.exact
+    # a non-finite bound falls through to the exact path
+    assert screened.value == np.inf and screened.exact
+    with pytest.raises(ValueError, match="losses must be finite"):
+        theta_star(losses, cfg.alpha, cfg.mu)
+
+
+def _kept_points_checked(monkeypatch):
+    # every point the solver takes a gradient or a direction at is exact, and
+    # theta_star runs inside eval_point exactly when the result is exact;
+    # returns the (stage, z, bar, result) of every evaluation
+    import esoclcp.solver as solver_mod
+
+    calls = []
+    evals = []
+    orig_theta_star = solver_mod.theta_star
+    orig_eval = _StageProblem.eval_point
+    orig_grad = _StageProblem.grad
+    orig_direction = _StageProblem.direction
+
+    def theta_star_spy(*args, **kwargs):
+        calls.append(1)
+        return orig_theta_star(*args, **kwargs)
+
+    def eval_spy(self, z, bar=None):
+        before = len(calls)
+        e = orig_eval(self, z, bar)
+        assert len(calls) - before == (1 if e.exact and self.cfg.mode == "cvar" else 0)
+        assert e.exact or (bar is not None and e.value > bar)
+        evals.append((self, z, bar, e))
+        return e
+
+    def grad_spy(self, e):
+        assert e.exact
+        return orig_grad(self, e)
+
+    def direction_spy(self, e, grad):
+        assert e.exact
+        return orig_direction(self, e, grad)
+
+    monkeypatch.setattr(solver_mod, "theta_star", theta_star_spy)
+    monkeypatch.setattr(_StageProblem, "eval_point", eval_spy)
+    monkeypatch.setattr(_StageProblem, "grad", grad_spy)
+    monkeypatch.setattr(_StageProblem, "direction", direction_spy)
+    return evals
+
+
+def _assert_reports_equal(a, b):
+    assert len(a.stages) == len(b.stages)
+    for ra, rb in zip(a.stages, b.stages):
+        assert np.array_equal(ra.point.p.as_vector(), rb.point.p.as_vector())
+        assert ra.point.Theta == rb.point.Theta
+        assert (ra.inner_iters, ra.termination) == (rb.inner_iters, rb.termination)
+        assert ra.grad_inf_norm == rb.grad_inf_norm
+        assert ra.aloc == rb.aloc
+    assert np.array_equal(a.F_at_mean, b.F_at_mean)
+    assert (a.aloc, a.theta_threshold) == (b.aloc, b.theta_threshold)
+
+
+@pytest.mark.parametrize("kind", list(SmoothingKind))
+def test_screen_leaves_the_report_unchanged(monkeypatch, kind):
+    import esoclcp.solver as solver_mod
+
+    spec = builtin_example()
+    for seed in (7, 42, 1234):
+        cfg = SolverConfig(schedule=(100, 1000), k_max=6, seed=seed, smoothing=kind)
+        with monkeypatch.context() as m:
+            evals = _kept_points_checked(m)
+            screened = solve(spec, cfg)
+        assert any(not e.exact for _, _, _, e in evals)
+        # each screened trial would have failed the test it was screened for
+        for stage, z, bar, e in evals:
+            if not e.exact:
+                assert stage.eval_point(z).value > bar
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, "_tail_cvar", lambda losses, alpha: float("nan"))
+            evals = _kept_points_checked(m)
+            exact = solve(spec, cfg)
+        assert all(e.exact for _, _, _, e in evals)
+        _assert_reports_equal(screened, exact)
+
+
+def _one_trial(orig, f, g, c1, c2):
+    # with one trial per search, a screened unit step leaves wolfe_search
+    # with its untried bisected step
+    return orig(f, g, c1, c2, max_evals=1)
+
+
+def _unit_step(orig, f, g, c1, c2):
+    # a search that returns the unit step even though it was rejected
+    f(0.0)
+    f(1.0)
+    return 1.0
+
+
+@pytest.mark.parametrize("search", [_one_trial, _unit_step])
+def test_fallback_step_is_evaluated_exactly(monkeypatch, search):
+    # the step the line search returns is kept, so it is evaluated exactly
+    # even where the search tried it and the screen rejected it
+    import esoclcp.solver as solver_mod
+
+    orig = solver_mod.wolfe_search
+    steps = []
+
+    def spy(f, g, c1, c2):
+        steps.append(search(orig, f, g, c1, c2))
+        return steps[-1]
+
+    monkeypatch.setattr(solver_mod, "wolfe_search", spy)
+    evals = _kept_points_checked(monkeypatch)
+    spec = builtin_example()
+    cfg = SolverConfig(schedule=(1000,), k_max=4, seed=7)
+    rep = solve(spec, cfg)
+    assert any(not e.exact for _, _, _, e in evals)
+    # the stage's start, and at least one returned step evaluated again
+    # without a bar; the spies saw every gradient and direction at exact points
+    assert len([e for _, _, bar, e in evals if bar is None]) >= 2
+    stage = rep.stages[0]
+    ev = SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws)
+    assert stage.point.Theta == theta_star(ev.thetas(stage.point.p), cfg.alpha, cfg.mu, cfg.smoothing)
