@@ -8,8 +8,10 @@ exact and u lies strictly inside (0, 1); for h >= 2^52 it rounds to an even
 integer, so h = 2^53 - 1 gives u = 1.0 and an infinite draw, which the
 evaluator rejects.  That happens with probability 2^-53 per draw, and is
 kept so as not to change the stream.  The stream is a pure function of
-(seed, N, omega_dim), so equal seeds reproduce draws bit-for-bit, and the
-whole pipeline downstream of them, on one numpy build and CPU.
+(seed, N, omega_dim), so equal seeds reproduce draws bit-for-bit on one
+numpy build and CPU, and the whole pipeline downstream of them on one numpy
+build, CPU and BLAS thread count (BLAS may split its products over the draws
+by thread).
 
 The objective approximates the smoothed conditional value-at-risk of the
 merit loss theta(z, w) over N draws:
@@ -54,6 +56,11 @@ from .risk import (
 
 _MAX_SEED = 2**64 - 1
 _TINY = np.finfo(float).tiny
+# RayBound screens a trial out only when its bound exceeds the line search's
+# bar by this share of |bar| plus its rounding scale S: at k + l = 16,
+# omega_dim = 8 rounding is below about 1e-13 S, and on the benchmark's
+# instances the bound and the exact merit at N = 1 differed by 4e-19 S at most
+_RAY_RTOL = 1e-11
 
 # Cephes ndtri: rational approximations of the normal quantile in
 # y - 1/2 for exp(-2) < y <= 1 - exp(-2), and in z = 1 / sqrt(-2 log y) for
@@ -269,8 +276,14 @@ class SampleEvaluator:
         self._z1 = np.ones(m + 2)
         self._coeffs = np.empty((m + 1) * d1)
         self._head = np.empty((l, l + 1))
+        # for RayBound: the sample's first two moments, W's row means and
+        # W W^T / N, and |K| with row (i, o) scaled by the root mean square
+        # of W's row o
+        self.W_bar = self.W.mean(axis=1)
+        self.M = (self.W @ self.W.T) / n
+        self._K_abs = (np.abs(K) * np.sqrt(np.diag(self.M))[:, None]).reshape(-1, m + 2)
         # sample mean of T, reused by every mean-Jacobian call
-        self.T_bar = np.einsum("ioj,o->ij", K[:m, :, :m], self.W.mean(axis=1))
+        self.T_bar = np.einsum("ioj,o->ij", K[:m, :, :m], self.W_bar)
 
     def __getattr__(self, name: str):
         # only reached for attributes not set yet: the dense blocks
@@ -445,6 +458,116 @@ class SampleEvaluator:
         jbar[m, k:m] = -2.0 * p.u
         jbar[m, m] = 2.0 * p.t
         return jbar, res.mean(axis=0)
+
+
+class RayBound:
+    """A lower bound of the mean merit at z + s d, s >= 0, in closed form.
+
+    The draws enter the residual only through W = (1, w)^T.  The l head rows
+    t v + u e^T G1 are q_h(s) . W_j, with q_h quadratic in s, so their mean
+    square is sum_h q_h(s)^T M q_h(s), M = W W^T / N, a quartic in s; the
+    norm row t^2 - ||u||^2, quadratic in s and the same for every draw, adds
+    its square.  phi(x_i, .) is convex, so the mean of FB row i is at least
+    phi(x_i(s), mean G1_i(s)), and its mean square at least the square of
+    that where it is positive; at N = 1 the mean is the draw, and the square
+    is kept whatever its sign.  Half the sum is at most the mean merit (modes
+    erm and ev), which is at most the empirical CVaR for alpha < 1, and so at
+    most min_Theta Nhat (mode cvar).
+
+    Rounding.  The bound and the exact merit are rounded differently, each
+    by less than about 1e-16 (k + l + omega_dim)^2 S(s), where
+
+        S(s) = zeta^2 (zeta^2 + 2 alpha^2 + 2) + 2 alpha^2,
+        zeta = ||(z, 1)|| + s ||d||,
+        alpha = ||D |K| (|z|, 1)|| + s ||D |K| (|d|, 0)||,
+
+    and D scales row (i, o) of K by the root mean square of W's row o.  S
+    bounds the mean square over the draws of every row's terms in absolute
+    value, up to a factor omega_dim + 1, so unlike the bound itself it does
+    not shrink where the terms of a row cancel, as they do at a solution.
+    screen answers only when the bound exceeds the bar by more than
+    _RAY_RTOL (|bar| + S(s)).  S bounds every term the bound is built from,
+    so an overflow while building the bound or evaluating it at a step makes
+    the margin infinite, or the bound nan, and such a bound screens nothing.
+    """
+
+    __slots__ = ("_lead", "_scale", "_fb", "_clip")
+
+    def __init__(self, ev: SampleEvaluator, z: np.ndarray, d: np.ndarray) -> None:
+        k, m = ev.k, ev.dim - 1
+        # columns (z, 1) and (d, 0) in (x_m, u, t, 1) coordinates, so that
+        # K zd holds the s^0 and s^1 coefficients of G1, v and e^T G1 against W
+        zd = np.empty((m + 2, 2))
+        zd[:-1, 0] = z
+        zd[:-1, 1] = d
+        zd[-1] = (1.0, 0.0)
+        with np.errstate(all="ignore"):
+            c = (ev.K @ zd).reshape(m + 1, -1, 2).transpose(2, 0, 1)  # (b, row, o)
+            g1_mean = (c[:, :k] @ ev.W_bar).tolist()
+            # the head rows are [t I | u] (v; e^T G1) . W, so with
+            # h_a = [t_a I | u_a], x_ab = h_a c_b[k:] is the coefficient of
+            # s^(a + b) contributed by that pair
+            h = ev._eye * zd[m, :, None, None]
+            h[:, :, -1] = zd[k:m].T
+            x = h[:, None] @ c[:, k:]  # (a, b, h, o)
+            g = (x.reshape(4, -1) @ (x @ ev.M).reshape(4, -1).T).tolist()
+            (p00, p01), (_, p11) = (zd[k:-1].T @ zd[k:-1]).tolist()  # (u; t)
+            (z0, _), (_, z1) = (zd.T @ zd).tolist()
+            a = ev._K_abs @ np.abs(zd)
+            (a0, _), (_, a1) = (a.T @ a).tolist()
+        t0, t1 = zd[m].tolist()
+        # the norm row (t0 + s t1)^2 - ||u0 + s u1||^2 = n0 + n1 s + n2 s^2
+        n0, n1, n2 = 2.0 * t0 * t0 - p00, 2.0 * (2.0 * t0 * t1 - p01), 2.0 * t1 * t1 - p11
+        lead = (
+            g[0][0] + n0 * n0,
+            2.0 * (g[0][1] + g[0][2] + n0 * n1),
+            g[1][1] + 2.0 * g[1][2] + g[2][2] + 2.0 * g[0][3] + n1 * n1 + 2.0 * n0 * n2,
+            2.0 * (g[1][3] + g[2][3] + n1 * n2),
+            g[3][3] + n2 * n2,
+        )
+        self._lead = tuple(0.5 * q for q in lead)
+        self._scale = tuple(map(math.sqrt, (z0, z1, a0, a1)))
+        self._fb = tuple(zip(*zd[:k].T.tolist(), *g1_mean))
+        self._clip = ev.N > 1
+
+    def value(self, s: float) -> float:
+        """The bound at step s."""
+        return self._quartic(s) + self._fb_terms(s)
+
+    def _quartic(self, s: float) -> float:
+        q0, q1, q2, q3, q4 = self._lead
+        return (((q4 * s + q3) * s + q2) * s + q1) * s + q0
+
+    def _fb_terms(self, s: float) -> float:
+        acc = 0.0
+        for x, dx, g, dg in self._fb:
+            x += s * dx
+            g += s * dg
+            phi = math.sqrt(x * x + g * g) - x - g
+            if phi > 0.0 or not self._clip:
+                acc += phi * phi
+        return 0.5 * acc
+
+    def margin(self, s: float, bar: float) -> float:
+        """How far the bound must exceed bar before screen answers."""
+        z0, z1, a0, a1 = self._scale
+        zeta = z0 + s * z1
+        alpha = a0 + s * a1
+        zeta *= zeta
+        alpha *= alpha
+        return _RAY_RTOL * (abs(bar) + zeta * (zeta + 2.0 * alpha + 2.0) + 2.0 * alpha)
+
+    def screen(self, s: float, bar: float) -> float | None:
+        """The bound at step s if it exceeds bar by more than the margin, else None.
+
+        The FB rows' terms are added only when the quartic alone does not
+        exceed it.
+        """
+        limit = bar + self.margin(s, bar)
+        low = self._quartic(s)
+        if not low > limit:
+            low += self._fb_terms(s)
+        return low if low > limit else None
 
 
 def theta_star(

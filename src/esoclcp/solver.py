@@ -8,11 +8,17 @@ steepest descent whenever that system is unsolvable or insufficiently
 downhill, and a weak Wolfe line search picks the step.  The tail threshold
 Theta is re-optimized from scratch by saa.theta_star at every point the line
 search may accept, with no state carried between trial points, so the inner
-loop minimizes the reduced function min_Theta Nhat(z, Theta).  A trial point
-whose empirical CVaR, a lower bound of that function, already fails the
-sufficient-decrease test is rejected on the bound alone.  Stages
-stop on a small gradient or an iteration cap; the schedule stops early when
-consecutive stage solutions agree within eps.
+loop minimizes the reduced function min_Theta Nhat(z, Theta).
+
+Most line-search trials exist only to be rejected.  A trial whose lower
+bound already fails the sufficient-decrease test is rejected on the bound:
+saa.RayBound's closed form along the search ray, before any pass over the
+draws, in every mode; then, in mode cvar, the empirical CVaR, before
+theta_star.  Bounds answer only rejections, by a margin above their
+rounding, and every point kept is evaluated exactly, so the steps taken are
+those of exact evaluation.  Stages stop on a small gradient or an iteration
+cap; the schedule stops early when consecutive stage solutions agree within
+eps.
 """
 
 from __future__ import annotations
@@ -27,12 +33,17 @@ from .cone import ConePoint
 from .problem import ProblemSpec, f_eval, realize_batch
 from .reformulate import MixPoint, recover_lcp_point
 from .risk import SmoothingKind, _tail_cvar, smooth_plus, smooth_plus_deriv
-from .saa import SAAPoint, SampleEvaluator, SampleSet, draw_samples, theta_star
+from .saa import RayBound, SAAPoint, SampleEvaluator, SampleSet, draw_samples, theta_star
 
 MODES = ("cvar", "ev", "erm")
 TERMINATIONS = ("grad_tol", "k_max", "outer_eps")
 
 DEFAULT_SCHEDULE = (10, 100, 1000, 10000)
+
+# the largest smoothing parameter accepted: CHKS and auto-scaling IP square
+# mu, and theta_star brackets a Theta about mu / sqrt(alpha) above the losses,
+# whose square overflows from mu ~ 1e153 on
+MU_MAX = 1e100
 
 # a trial point is screened out when its empirical CVaR exceeds the line
 # search's bar by more than this share of (|bar| + |bound| + mu) / alpha, a
@@ -66,6 +77,8 @@ class SolverConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if self.mu > MU_MAX:
+            raise ValueError(f"mu must be at most {MU_MAX:g}, got {self.mu:g}")
         schedule = tuple(int(n) for n in self.schedule)
         if len(schedule) < 1 or schedule[0] < 1 or any(
             b <= a for a, b in zip(schedule, schedule[1:])
@@ -96,6 +109,8 @@ class StageResult:
     termination: str
     wall_time: float
     aloc: float  # average loss of complementarity over the stage's own sample
+    trials: int = 0  # line-search values asked for, cache hits aside
+    screened: int = 0  # of those, the ones a lower bound answered
 
 
 @dataclass(eq=False)
@@ -215,8 +230,10 @@ class _StageProblem:
     that function is at least the empirical CVaR of the losses; eval_point,
     given the line search's sufficient-decrease bar, returns that bound as
     an inexact value when it exceeds the bar, without theta_star.  Modes ev
-    and erm average the merit directly.  A trial point whose losses are not
-    all finite has the value inf in every mode.
+    and erm average the merit directly.  In every mode the value is at least
+    the mean merit, which saa.RayBound bounds along a search ray; solve asks
+    that bound before eval_point.  A trial point whose losses are not all
+    finite has the value inf in every mode.
 
     The per-draw arrays of one point, G1 and v, the residuals, the losses
     and, once grad or direction asks, the FB coefficients, live in (rows, N)
@@ -329,7 +346,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
         ev = SampleEvaluator(spec, samples.draws)
         stage = _StageProblem(ev, cfg)
         t0 = time.perf_counter()
-        iters = 0
+        iters = trials = screened = 0
         termination = "k_max"
         cur = stage.eval_point(z)
         while True:
@@ -343,6 +360,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
                 break
             d = stage.direction(cur, grad)
             cache: dict[float, _PointEval] = {0.0: cur}
+            ray = RayBound(ev, z, d)
 
             def trial(s: float, bar: float | None = None, z=z, d=d, cache=cache) -> _PointEval:
                 # only exact points are kept, so the gradient and the step
@@ -354,12 +372,26 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
                         cache[s] = e
                 return e
 
-            if cfg.mode == "cvar":
-                # the floats wolfe_search forms: f(0), g(0) and f(0) + c1 s g(0)
-                g0 = float(grad @ d)
-                value = lambda s, f0=cur.value, g0=g0: trial(s, f0 + cfg.c1 * s * g0).value
-            else:
-                value = lambda s: trial(s).value
+            def value(s: float, f0=cur.value, g0=float(grad @ d), ray=ray, cache=cache) -> float:
+                # the floats wolfe_search forms: f(0), g(0) and the bar
+                # f(0) + c1 s g(0); a value is screened when a bound of it
+                # already fails the bar, by the ray bound before any pass over
+                # the draws, or in cvar by the empirical CVaR after one
+                nonlocal trials, screened
+                e = cache.get(s)
+                if e is not None:
+                    return e.value
+                trials += 1
+                bar = f0 + cfg.c1 * s * g0
+                low = ray.screen(s, bar)
+                if low is None:
+                    e = trial(s, bar)
+                    if e.exact:
+                        return e.value
+                    low = e.value
+                screened += 1
+                return low
+
             step = wolfe_search(
                 value,
                 lambda s, d=d: float(stage.grad(trial(s)) @ d),
@@ -386,7 +418,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
         point = SAAPoint(MixPoint.from_vector(z, spec.dims.k, spec.dims.l), theta)
         pt = recover_lcp_point(point.p)
         stage_aloc = aloc(spec, samples, pt.x, pt.u)
-        result = StageResult(j, samples.N, point, gnorm, iters, termination, wall, stage_aloc)
+        result = StageResult(j, samples.N, point, gnorm, iters, termination, wall, stage_aloc, trials, screened)
         report.stages.append(result)
 
         if prev_z is not None and float(np.linalg.norm(z - prev_z)) < cfg.eps:

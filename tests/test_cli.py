@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ def test_solve_rejects_an_infinite_bound_before_solving(capsys, flag, name):
     assert rc == 1
     assert "error:" in err and name in err and "finite" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("smoothing", ["chks", "asip"])
+def test_solve_rejects_a_mu_beyond_the_limit_before_solving(capsys, smoothing):
+    # 3e153 squared by the smoothing, and Theta's bracket around it, overflow
+    argv = ["solve", "--builtin", "--mu", "3e153", "--smoothing", smoothing, "--schedule", "10", "--kmax", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == ["error: mu must be at most 1e+100, got 3e+153"]
 
 
 def test_solve_mode_and_smoothing_flags(capsys):

@@ -12,8 +12,9 @@ from esoclcp.merit import merit_theta
 from esoclcp.problem import builtin_example
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
 from esoclcp.risk import SmoothingKind, _tail_cvar, cvar_empirical, smooth_plus
-from esoclcp.saa import SAAPoint, SampleEvaluator, SampleSet, theta_star
+from esoclcp.saa import RayBound, SAAPoint, SampleEvaluator, SampleSet, draw_samples, theta_star
 from esoclcp.solver import (
+    MU_MAX,
     SolverConfig,
     _lm_from_means,
     _StageProblem,
@@ -43,6 +44,7 @@ def test_config_validation_errors():
         dict(alpha=1.0),
         dict(mu=0.0),
         dict(mu=-1e-4),
+        dict(mu=1.0000000000000002e100),
         dict(lm_nu=0.0),
         dict(schedule=()),
         dict(schedule=(0, 10)),
@@ -69,6 +71,10 @@ def test_config_validation_errors():
     for kwargs in bad:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+
+def test_config_accepts_mu_up_to_its_limit():
+    assert SolverConfig(mu=MU_MAX).mu == MU_MAX == 1e100
 
 
 def test_config_normalizes_schedule_to_int_tuple():
@@ -561,11 +567,13 @@ def test_trial_point_whose_losses_overflow_has_the_value_inf(mode):
 def _kept_points_checked(monkeypatch):
     # every point the solver takes a gradient or a direction at is exact, and
     # theta_star runs inside eval_point exactly when the result is exact;
-    # returns the (stage, z, bar, result) of every evaluation
+    # returns the (stage, z, bar, result) of every evaluation and the
+    # (ray, s, bar, bound) of every trial the ray bound answered
     import esoclcp.solver as solver_mod
 
     calls = []
     evals = []
+    rays = []
     orig_theta_star = solver_mod.theta_star
     orig_eval = _StageProblem.eval_point
     orig_grad = _StageProblem.grad
@@ -591,11 +599,32 @@ def _kept_points_checked(monkeypatch):
         assert e.exact
         return orig_direction(self, e, grad)
 
+    class RaySpy(RayBound):
+        def __init__(self, ev, z, d):
+            super().__init__(ev, z, d)
+            self.ev, self.z, self.d = ev, z, d
+
+        def screen(self, s, bar):
+            low = super().screen(s, bar)
+            if low is not None:
+                assert low > bar
+                rays.append((self, s, bar, low))
+            return low
+
     monkeypatch.setattr(solver_mod, "theta_star", theta_star_spy)
+    monkeypatch.setattr(solver_mod, "RayBound", RaySpy)
     monkeypatch.setattr(_StageProblem, "eval_point", eval_spy)
     monkeypatch.setattr(_StageProblem, "grad", grad_spy)
     monkeypatch.setattr(_StageProblem, "direction", direction_spy)
-    return evals
+    return evals, rays
+
+
+def _screens_off(monkeypatch):
+    # neither the ray bound nor the empirical CVaR answers any trial
+    import esoclcp.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_tail_cvar", lambda losses, alpha: float("nan"))
+    monkeypatch.setattr(RayBound, "screen", lambda self, s, bar: None)
 
 
 def _assert_reports_equal(a, b):
@@ -610,27 +639,41 @@ def _assert_reports_equal(a, b):
     assert (a.aloc, a.theta_threshold) == (b.aloc, b.theta_threshold)
 
 
-@pytest.mark.parametrize("kind", list(SmoothingKind))
-def test_screen_leaves_the_report_unchanged(monkeypatch, kind):
-    import esoclcp.solver as solver_mod
+_MODE_KINDS = [pytest.param("cvar", kind, id=str(kind)) for kind in SmoothingKind] + [
+    pytest.param(mode, SmoothingKind.CHKS, id=mode) for mode in ("erm", "ev")
+]
 
+
+@pytest.mark.parametrize("mode, kind", _MODE_KINDS)
+def test_screen_leaves_the_report_unchanged(monkeypatch, mode, kind):
     spec = builtin_example()
     for seed in (7, 42, 1234):
-        cfg = SolverConfig(schedule=(100, 1000), k_max=6, seed=seed, smoothing=kind)
+        cfg = SolverConfig(schedule=(100, 1000), k_max=6, seed=seed, smoothing=kind, mode=mode)
         with monkeypatch.context() as m:
-            evals = _kept_points_checked(m)
+            evals, rays = _kept_points_checked(m)
             screened = solve(spec, cfg)
-        assert any(not e.exact for _, _, _, e in evals)
+        assert rays
+        assert any(not e.exact for _, _, _, e in evals) == (mode == "cvar")
         # each screened trial would have failed the test it was screened for
         for stage, z, bar, e in evals:
             if not e.exact:
                 assert stage.eval_point(z).value > bar
+        for ray, s, bar, _ in rays:
+            # the bar is the one wolfe_search forms, f(0) + c1 s g(0)
+            stage = _StageProblem(ray.ev, cfg)
+            start = stage.eval_point(ray.z)
+            assert bar == start.value + cfg.c1 * s * float(stage.grad(start) @ ray.d)
+            assert stage.eval_point(ray.z + s * ray.d).value > bar
         with monkeypatch.context() as m:
-            m.setattr(solver_mod, "_tail_cvar", lambda losses, alpha: float("nan"))
-            evals = _kept_points_checked(m)
+            _screens_off(m)
+            evals, rays = _kept_points_checked(m)
             exact = solve(spec, cfg)
-        assert all(e.exact for _, _, _, e in evals)
+        assert all(e.exact for _, _, _, e in evals) and not rays
         _assert_reports_equal(screened, exact)
+        # the same line-search values were asked for, in the same searches
+        assert [r.trials for r in screened.stages] == [r.trials for r in exact.stages]
+        assert all(r.screened > 0 for r in screened.stages)
+        assert all(r.screened == 0 for r in exact.stages)
 
 
 def _one_trial(orig, f, g, c1, c2):
@@ -649,7 +692,7 @@ def _unit_step(orig, f, g, c1, c2):
 @pytest.mark.parametrize("search", [_one_trial, _unit_step])
 def test_fallback_step_is_evaluated_exactly(monkeypatch, search):
     # the step the line search returns is kept, so it is evaluated exactly
-    # even where the search tried it and the screen rejected it
+    # even where the search tried it and a screen rejected it
     import esoclcp.solver as solver_mod
 
     orig = solver_mod.wolfe_search
@@ -660,14 +703,119 @@ def test_fallback_step_is_evaluated_exactly(monkeypatch, search):
         return steps[-1]
 
     monkeypatch.setattr(solver_mod, "wolfe_search", spy)
-    evals = _kept_points_checked(monkeypatch)
+    evals, rays = _kept_points_checked(monkeypatch)
     spec = builtin_example()
     cfg = SolverConfig(schedule=(1000,), k_max=4, seed=7)
     rep = solve(spec, cfg)
-    assert any(not e.exact for _, _, _, e in evals)
+    # some search's unit step was screened, by the ray bound or the CVaR
+    assert any(s == 1.0 for _, s, _, _ in rays) or any(not e.exact for _, _, _, e in evals)
     # the stage's start, and at least one returned step evaluated again
     # without a bar; the spies saw every gradient and direction at exact points
     assert len([e for _, _, bar, e in evals if bar is None]) >= 2
     stage = rep.stages[0]
     ev = SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws)
     assert stage.point.Theta == theta_star(ev.thetas(stage.point.p), cfg.alpha, cfg.mu, cfg.smoothing)
+
+
+@pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
+def test_stage_counts_line_search_values_and_screened_ones(monkeypatch, capsys, mode):
+    import esoclcp.cli as cli_mod
+    import esoclcp.solver as solver_mod
+
+    orig = solver_mod.wolfe_search
+    asked = []
+
+    def spy(f, g, c1, c2):
+        def counted(s):
+            asked.append(s)
+            return f(s)
+
+        return orig(counted, g, c1, c2)
+
+    spec = builtin_example()
+    cfg = SolverConfig(schedule=(100, 1000), k_max=8, seed=42, mode=mode)
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "wolfe_search", spy)
+        evals, rays = _kept_points_checked(m)
+        rep = solve(spec, cfg)
+    # each search asks for f(0), the point it starts from, and then distinct
+    # steps, none of them cached yet
+    trials = sum(r.trials for r in rep.stages)
+    assert trials == len([s for s in asked if s != 0.0]) > 0
+    assert sum(r.screened for r in rep.stages) == len(rays) + len([e for *_, e in evals if not e.exact])
+    assert 0 < sum(r.screened for r in rep.stages) < trials
+
+    # the counts appear in no report format
+    argv = ["solve", "--builtin", "--mode", mode, "--schedule", "100,1000", "--kmax", "8", "--no-timing"]
+    orig_solve = cli_mod.solve
+
+    def relabelled(*args, **kwargs):
+        report = orig_solve(*args, **kwargs)
+        for stage in report.stages:
+            stage.trials, stage.screened = 10**9, -1
+        return report
+
+    for fmt in ("table", "csv", "json"):
+        assert cli_mod.main(argv + ["--format", fmt]) in (0, 2)
+        plain = capsys.readouterr().out
+        with monkeypatch.context() as m:
+            m.setattr(cli_mod, "solve", relabelled)
+            assert cli_mod.main(argv + ["--format", fmt]) in (0, 2)
+        assert capsys.readouterr().out == plain
+
+
+def _ray_instances(n, rng):
+    # (spec, draws, z, d): the bundled example over n draws whose second half
+    # repeats the first, at random points and directions; and the case-IV
+    # instance at its solution, where every row of the residual is 0 for
+    # every draw and the head rows' two terms cancel
+    spec = builtin_example()
+    draws = draw_samples(spec.distribution, spec.omega_dim, n, 19).draws.copy()
+    draws[n - n // 2 :] = draws[: n // 2]
+    for _ in range(3):
+        z = np.concatenate([rng.normal(size=5), [rng.uniform(0.1, 2.0)]])
+        yield spec, draws, z, rng.normal(size=6)
+    spec, x, u, _, _ = case_iv_instance()
+    draws = draw_samples(spec.distribution, spec.omega_dim, n, 23).draws
+    z = init_from_lcp(x, u).as_vector()
+    for _ in range(3):
+        yield spec, draws, z, rng.normal(size=6)
+
+
+@pytest.mark.parametrize("n", [1, 7, 4000])
+@pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
+def test_ray_bound_is_below_the_exact_value(mode, n):
+    # LB(s) <= the stage's value at z + s d in every mode, up to rounding far
+    # below the screen's margin, so the screen never rejects at a bar equal
+    # to the exact value, and does reject at a bar below the bound
+    rng = np.random.default_rng(167)
+    for spec, draws, z, d in _ray_instances(n, rng):
+        cfg = SolverConfig(mode=mode, schedule=(n,), seed=5)
+        stage = _StageProblem(SampleEvaluator(spec, draws), cfg)
+        ray = RayBound(stage.ev, z, d)
+        for s in np.logspace(-12, 6, 10):
+            exact = stage.eval_point(z + s * d).value
+            low = ray.value(s)
+            margin = ray.margin(s, exact)
+            assert low - exact <= 1e-3 * margin, (s, low, exact, margin)
+            if n == 1 and mode != "cvar":
+                # at one draw the bound is the mean merit
+                assert abs(low - exact) <= 1e-3 * margin, (s, low, exact, margin)
+            assert ray.screen(s, exact) is None
+            bar = low - 2.0 * ray.margin(s, low)
+            assert bar < ray.screen(s, bar) <= low
+
+
+def test_ray_bound_that_overflows_screens_nothing():
+    # overflow while building the bound, or in the bound at a step, leaves
+    # the trial to the exact path, without a warning
+    spec = builtin_example()
+    ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, 50, 29).draws)
+    z = default_start(spec).as_vector()
+    d = np.ones_like(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert RayBound(ev, z, d).screen(1.0, -1.0) is not None
+        assert RayBound(ev, z, 1e300 * d).screen(1.0, -1.0) is None
+        assert RayBound(ev, z + 1e160, d).screen(1.0, -1.0) is None
+        assert RayBound(ev, z, d).screen(1e100, -1.0) is None

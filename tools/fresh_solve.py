@@ -12,8 +12,11 @@ child's wall time (interpreter start-up and import included), the child's
 `import esoclcp.cli` time (import_s) and the solve's own time (solve_s)
 separately, the child's minor page faults (from resource.getrusage
 RUSAGE_CHILDREN, so every allocation the allocator had to map counts), each
-stage's termination and inner iterations, the number of
-SampleEvaluator.residuals calls and the solve time per such call.
+stage's sample size, termination, inner iterations, SampleEvaluator.residuals
+calls, line-search values asked for (StageResult.trials) and how many of
+those a lower bound answered (StageResult.screened; both null for a source
+tree older than those fields), and the total residuals calls and the solve
+time per such call.
 
 The benchmark in perfbench/ cannot see the allocator's share of this time:
 its reference kernel allocates multi-megabyte temporaries between solves,
@@ -39,18 +42,36 @@ import esoclcp.cli as cli
 import_s = time.perf_counter() - t_import
 from esoclcp.saa import SampleEvaluator
 
-calls = 0
+# residuals calls per evaluator, and so per stage; the stages' line-search
+# counts from the report the CLI renders, where the tree has them
+calls = []
 residuals = SampleEvaluator.residuals
+init = SampleEvaluator.__init__
+solve = cli.solve
+stages = []
 
 def counted(*args, **kwargs):
-    global calls
-    calls += 1
+    calls[-1] += 1
     return residuals(*args, **kwargs)
 
+def new_stage(*args, **kwargs):
+    calls.append(0)
+    init(*args, **kwargs)
+
+def kept(*args, **kwargs):
+    report = solve(*args, **kwargs)
+    stages.extend({k: getattr(r, k, None) for k in ("trials", "screened")} for r in report.stages)
+    return report
+
 SampleEvaluator.residuals = counted
+SampleEvaluator.__init__ = new_stage
+cli.solve = kept
 t0 = time.perf_counter()
 rc = cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": time.perf_counter() - t0, "residuals_calls": calls}))
+solve_s = time.perf_counter() - t0
+for stage, n in zip(stages, calls):
+    stage["residuals_calls"] = n
+print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": solve_s, "residuals_calls": sum(calls), "stages": stages}))
 """
 
 
@@ -74,7 +95,10 @@ def run_seed(src: str, seed: int) -> dict:
         "import_s": child["import_s"],
         "solve_s": child["solve_s"],
         "minor_faults": after.ru_minflt - before.ru_minflt,
-        "stages": [[s["N"], s["termination"], s["inner_iters"]] for s in report["stages"]],
+        "stages": [
+            [s["N"], s["termination"], s["inner_iters"], c["residuals_calls"], c["trials"], c["screened"]]
+            for s, c in zip(report["stages"], child["stages"])
+        ],
         "residuals_calls": child["residuals_calls"],
         "solve_s_per_residuals_call": child["solve_s"] / max(child["residuals_calls"], 1),
     }
