@@ -274,24 +274,31 @@ def _cmd_check(args) -> int:
     x = np.array(values[:k])
     u = np.array(values[k:])
     mean_omega = spec.mean_omega()
-
     dims = ConeDims(k, l)
     point = ConePoint(x, u)
-    f_mean = f_eval(spec, mean_omega, x, u)
-    y, v = f_mean[:k], f_mean[k:]
-    dual_point = ConePoint(y, v)
-    cls = classify_complementarity(dims, x, u, y, v)
-    start = init_from_lcp(x, u)
     samples = draw_samples(spec.distribution, spec.omega_dim, args.samples, args.seed)
 
-    print(f"point (x, u): in_L = {in_L(dims, point)}")
-    print(f"F at mean draw as (y, v): in_M = {in_M(dims, dual_point)}")
+    # a point at which a figure overflows is refused before anything is printed
+    with np.errstate(all="ignore"):
+        f_mean = f_eval(spec, mean_omega, x, u)
+        finite_t = np.isfinite(np.linalg.norm(u))  # the shifted point's t = ||u||
+        merit = merit_theta(spec, mean_omega, init_from_lcp(x, u)) if finite_t else np.inf
+        loss = aloc(spec, samples, x, u)
+        for name, value in (("F at the mean draw", f_mean), ("the merit", merit), ("aloc", loss)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} is not finite at --point {args.point}")
+        y, v = f_mean[:k], f_mean[k:]
+        cls = classify_complementarity(dims, x, u, y, v)
+        in_l, in_m = in_L(dims, point), in_M(dims, ConePoint(y, v))
+
+    print(f"point (x, u): in_L = {in_l}")
+    print(f"F at mean draw as (y, v): in_M = {in_m}")
     lam = "" if cls.lam is None else f", lambda = {_fmt6(cls.lam)}"
     print(f"complementarity case: {cls.case}{lam}")
     residuals = "  ".join(f"{name}={val:.3e}" for name, val in sorted(cls.residuals.items()))
     print(f"  residuals: {residuals}")
-    print(f"merit at shifted point (mean draw): {_fmt6(merit_theta(spec, mean_omega, start))}")
-    print(f"aloc (N={args.samples}, seed={args.seed}): {_fmt6(aloc(spec, samples, x, u))}")
+    print(f"merit at shifted point (mean draw): {_fmt6(merit)}")
+    print(f"aloc (N={args.samples}, seed={args.seed}): {_fmt6(loss)}")
     return 0
 
 

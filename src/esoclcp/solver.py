@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import ConePoint
-from .problem import ProblemSpec, f_eval, realize_batch
+from .problem import ProblemSpec, f_eval, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
 from .reformulate import MixPoint, recover_lcp_point
 from .risk import SmoothingKind, _tail_cvar, smooth_plus, smooth_plus_deriv
 from .saa import RayBound, SAAPoint, SampleEvaluator, SampleSet, draw_samples, theta_star
@@ -437,12 +437,15 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
 
 
 def aloc(spec: ProblemSpec, s: SampleSet, x, u) -> float:
-    """Average absolute loss of complementarity: mean_j |<(x, u), F(x, u, w_j)>|."""
+    """Average absolute loss of complementarity: mean_j |<(x, u), F(x, u, w_j)>|.
+
+    F's rows are those of SampleEvaluator._g1_v at (x_m, u, t) = (x, u, 0):
+    one product over the draws, in O(N (m + omega_dim)) memory.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.shape != (spec.dims.k,) or u.shape != (spec.dims.l,):
         raise ValueError("point does not match the problem dimensions")
-    t_all, r_all = realize_batch(spec, s.draws)
-    w = np.concatenate([x, u])
-    vals = np.einsum("nij,j->ni", t_all, w) + r_all
-    return float(np.mean(np.abs(vals @ w)))
+    f = SampleEvaluator(spec, s.draws)._g1_v_array(MixPoint(x, u, 0.0), None)
+    vals = np.concatenate([x, u]) @ f[:-1]
+    return float(np.mean(np.abs(vals, out=vals)))

@@ -1,9 +1,10 @@
-"""Per-draw dense Jacobians and merit gradients, the reference for the kernels.
+"""Per-draw dense Jacobians, merit gradients and aloc, the reference for the kernels.
 
 SampleEvaluator assembles the residual Jacobian only blockwise (its sample
-mean, and the weighted sum of J_j^T R_j); these build every J_j in full from
-the realized T(w_j), so the blockwise kernels and central differences can be
-checked against them.
+mean, and the weighted sum of J_j^T R_j), and solver.aloc reads F off its
+product over the draws; these build every J_j and F(x, u, w_j) in full from
+the realized T(w_j), so the kernels and central differences can be checked
+against them.
 """
 
 import numpy as np
@@ -47,3 +48,11 @@ def jacobians(ev, p):
 def merit_grads(ev, p):
     """Per-draw merit gradients J_j^T R_j at p, shape (N, k+l+1)."""
     return np.einsum("nij,ni->nj", jacobians(ev, p), ev.residuals(p))
+
+
+def aloc_dense(spec, s, x, u):
+    """mean_j |<(x, u), F(x, u, w_j)>| over the realized T(w_j) and r(w_j) of sample s."""
+    T, r = realize_batch(spec, s.draws)
+    w = np.concatenate([x, u])
+    vals = np.einsum("nij,j->ni", T, w) + r
+    return float(np.mean(np.abs(vals @ w)))

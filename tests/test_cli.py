@@ -228,6 +228,21 @@ def test_check_point_length_error(capsys):
     assert "error:" in err and "5 numbers" in err
 
 
+@pytest.mark.parametrize(
+    "point",
+    ["1e155,0.28,1.04,0.12,-0.25", "1e200,0.28,1.04,0.12,-0.25", "0.5,0.28,1.04,1e155,-0.25"],
+    ids=["x-1e155", "x-1e200", "u-1e155"],
+)
+def test_check_refuses_a_point_whose_figures_overflow(capsys, point):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, ["check", "--builtin", "--point", point])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not finite" in err
+
+
 def test_solve_imports_no_scipy():
     # a fresh interpreter, so that nothing imported by the test session counts;
     # a solve runs after the import, so a lazy import inside it is caught too

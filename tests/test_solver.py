@@ -9,7 +9,7 @@ import pytest
 
 from esoclcp.cone import ConeDims, classify_complementarity
 from esoclcp.merit import merit_theta
-from esoclcp.problem import builtin_example
+from esoclcp.problem import builtin_example, realize_batch
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
 from esoclcp.risk import SmoothingKind, _tail_cvar, cvar_empirical, smooth_plus
 from esoclcp.saa import RayBound, SAAPoint, SampleEvaluator, SampleSet, draw_samples, theta_star
@@ -27,7 +27,7 @@ from esoclcp.solver import (
 )
 
 from conftest import case_iv_instance, random_spec
-from dense_reference import jacobians
+from dense_reference import aloc_dense, jacobians
 
 
 def test_config_defaults_valid():
@@ -387,6 +387,70 @@ def test_aloc_rejects_bad_shapes():
     s = stage_samples(spec, SolverConfig(schedule=(2,)), 1)
     with pytest.raises(ValueError):
         aloc(spec, s, np.zeros(2), np.zeros(2))
+
+
+def _aloc_scale(spec, s, x, u):
+    # mean_j |w|^T (|T_j| |w| + |r_j|), w = (x, u): the size of the terms
+    # w . F(x, u, w_j) sums, which does not shrink where they cancel
+    T, r = realize_batch(spec, s.draws)
+    w = np.abs(np.concatenate([x, u]))
+    return float(np.mean((np.abs(T) @ w + np.abs(r)) @ w))
+
+
+def test_aloc_matches_the_dense_reference():
+    rng = np.random.default_rng(211)
+    cases = []
+    for i in range(51):
+        k, l, omega_dim = int(rng.integers(1, 11)), int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        spec = random_spec(rng, k=k, l=l, omega_dim=omega_dim, scale=10.0 ** rng.uniform(-2, 2), perturbed=i % 7 > 0)
+        s = draw_samples(spec.distribution, omega_dim, (1, 5, 257)[i % 3], int(rng.integers(2**32)))
+        x = rng.normal(size=k) * 10.0 ** rng.uniform(-3, 3)
+        cases.append((spec, s, x, rng.normal(size=l)))
+    spec = builtin_example()
+    s = draw_samples(spec.distribution, spec.omega_dim, 1000, 7)
+    cases.append((spec, s, np.array([0.5, 0.28, 1.04]), np.array([0.12, -0.25])))
+    for spec, s, x, u in cases:
+        assert abs(aloc(spec, s, x, u) - aloc_dense(spec, s, x, u)) <= 1e-12 * _aloc_scale(spec, s, x, u)
+    # at an exact solution every w . F vanishes, up to rounding, on either path
+    spec, x, u, _, _ = case_iv_instance()
+    s = draw_samples(spec.distribution, spec.omega_dim, 257, 9)
+    assert aloc(spec, s, x, u) <= 1e-12 and aloc_dense(spec, s, x, u) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
+def test_solve_realizes_no_sample(monkeypatch, mode):
+    import esoclcp.saa as saa_mod
+    import esoclcp.solver as solver_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve realized T(w_j) for its sample")
+
+    monkeypatch.setattr(solver_mod, "realize_batch", refuse)
+    monkeypatch.setattr(saa_mod, "realize_batch", refuse)
+    rep = solve(builtin_example(), SolverConfig(mode=mode, schedule=(50, 200), k_max=5))
+    assert len(rep.stages) == (1 if mode == "ev" else 2)
+    assert all(np.isfinite(stage.aloc) for stage in rep.stages)
+
+
+def test_aloc_memory_grows_with_the_draws_not_with_m_squared():
+    import tracemalloc
+
+    # the wide benchmark shape: k = 10, l = 6, omega_dim = 8
+    rng = np.random.default_rng(223)
+    spec = random_spec(rng, k=10, l=6, omega_dim=8)
+    n = 20000
+    s = draw_samples(spec.distribution, spec.omega_dim, n, 5)
+    x, u = rng.normal(size=10), rng.normal(size=6)
+    aloc(spec, s, x, u)  # one-off costs of a first call aside
+    tracemalloc.start()
+    try:
+        aloc(spec, s, x, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # (omega_dim + 1, N) draws and (m + 1, N) rows, with room to spare; the
+    # N m^2 doubles of one realized (N, m, m) sample are about five times this
+    assert peak <= 2 * n * (16 + 8 + 2) * 8
 
 
 def _wide_stage(mode, n):

@@ -2,15 +2,18 @@
 
 Run from the root of a checkout:
 
-    python3 tools/fresh_solve.py --seed 7 --seed 42 --seed 1234 [--src DIR]
+    python3 tools/fresh_solve.py --seed 7 --seed 42 --seed 1234 [--src DIR] [--schedule LIST]
 
 Each seed runs in a new interpreter that imports esoclcp from DIR (default
 ./src), pinned to one BLAS thread, and calls
 `esoclcp.cli.main(["solve", "--builtin", "--seed", S, ...])` once with the
-default schedule and iteration cap.  Per seed, one JSON line reports the
-child's wall time (interpreter start-up and import included), the child's
-`import esoclcp.cli` time (import_s) and the solve's own time (solve_s)
-separately, the child's minor page faults (from resource.getrusage
+default iteration cap and the default schedule, or LIST (say
+10,100,1000,10000,100000, the acceptance schedule).  Per seed, one JSON line
+reports the child's wall time (interpreter start-up and import included),
+the child's `import esoclcp.cli` time (import_s) and the solve's own time
+(solve_s) separately, the child's own peak RSS (peak_rss_mb, from
+resource.getrusage RUSAGE_SELF in the child: RUSAGE_CHILDREN here would
+report the largest child so far), the child's minor page faults (from
 RUSAGE_CHILDREN, so every allocation the allocator had to map counts), each
 stage's sample size, termination, inner iterations, SampleEvaluator.residuals
 calls, line-search values asked for (StageResult.trials) and how many of
@@ -36,7 +39,7 @@ import tempfile
 import time
 
 CHILD = """
-import json, sys, time
+import json, resource, sys, time
 t_import = time.perf_counter()
 import esoclcp.cli as cli
 import_s = time.perf_counter() - t_import
@@ -69,17 +72,22 @@ cli.solve = kept
 t0 = time.perf_counter()
 rc = cli.main(sys.argv[1:])
 solve_s = time.perf_counter() - t0
-for stage, n in zip(stages, calls):
+# every stage's evaluator computes residuals; aloc's evaluators never do
+for stage, n in zip(stages, [n for n in calls if n]):
     stage["residuals_calls"] = n
-print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": solve_s, "residuals_calls": sum(calls), "stages": stages}))
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": solve_s, "peak_rss_mb": peak_rss_mb,
+                  "residuals_calls": sum(calls), "stages": stages}))
 """
 
 
-def run_seed(src: str, seed: int) -> dict:
+def run_seed(src: str, seed: int, schedule: str | None = None) -> dict:
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         report_path = os.path.join(tmp, "report.json")
         argv = ["solve", "--builtin", "--seed", str(seed), "--format", "json", "--no-timing", "--out", report_path]
+        if schedule is not None:
+            argv += ["--schedule", schedule]
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         t0 = time.perf_counter()
         done = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True, check=True)
@@ -94,6 +102,7 @@ def run_seed(src: str, seed: int) -> dict:
         "wall_s": wall,
         "import_s": child["import_s"],
         "solve_s": child["solve_s"],
+        "peak_rss_mb": child["peak_rss_mb"],
         "minor_faults": after.ru_minflt - before.ru_minflt,
         "stages": [
             [s["N"], s["termination"], s["inner_iters"], c["residuals_calls"], c["trials"], c["screened"]]
@@ -108,9 +117,10 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="fresh-process figures for esoclcp solve --builtin")
     p.add_argument("--seed", type=int, action="append", required=True, help="solver seed; repeat for more")
     p.add_argument("--src", default=os.path.join(os.getcwd(), "src"), help="directory esoclcp is imported from")
+    p.add_argument("--schedule", help="comma-separated sample sizes passed to solve (default: solve's own)")
     args = p.parse_args(argv)
     for seed in args.seed:
-        print(json.dumps(run_seed(os.path.abspath(args.src), seed)), flush=True)
+        print(json.dumps(run_seed(os.path.abspath(args.src), seed, args.schedule)), flush=True)
     return 0
 
 
