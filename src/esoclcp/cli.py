@@ -20,7 +20,7 @@ from .problem import (
 )
 from .reformulate import init_from_lcp, recover_lcp_point
 from .risk import SmoothingKind
-from .saa import draw_samples
+from .saa import SampleEvaluator, draw_samples
 from .solver import DEFAULT_SCHEDULE, SolveReport, SolverConfig, aloc, solve
 
 SMOOTHING_NAMES = {
@@ -276,14 +276,14 @@ def _cmd_check(args) -> int:
     mean_omega = spec.mean_omega()
     dims = ConeDims(k, l)
     point = ConePoint(x, u)
-    samples = draw_samples(spec.distribution, spec.omega_dim, args.samples, args.seed)
+    ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, args.samples, args.seed))
 
     # a point at which a figure overflows is refused before anything is printed
     with np.errstate(all="ignore"):
         f_mean = f_eval(spec, mean_omega, x, u)
         finite_t = np.isfinite(np.linalg.norm(u))  # the shifted point's t = ||u||
         merit = merit_theta(spec, mean_omega, init_from_lcp(x, u)) if finite_t else np.inf
-        loss = aloc(spec, samples, x, u)
+        loss = aloc(ev, x, u)
         for name, value in (("F at the mean draw", f_mean), ("the merit", merit), ("aloc", loss)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} is not finite at --point {args.point}")

@@ -204,7 +204,7 @@ def load_problem(text) -> ProblemSpec:
             PerturbEntry(
                 _as_index(item["row"], f"T_perturb[{i}].row"),
                 _as_index(item["col"], f"T_perturb[{i}].col"),
-                float(item["coeff"]),
+                _as_number(item["coeff"], f"T_perturb[{i}].coeff"),
                 _as_index(item["omega"], f"T_perturb[{i}].omega"),
             )
         )
@@ -220,7 +220,7 @@ def load_problem(text) -> ProblemSpec:
             PerturbEntry(
                 _as_index(item["row"], f"r_perturb[{i}].row"),
                 None,
-                float(item["coeff"]),
+                _as_number(item["coeff"], f"r_perturb[{i}].coeff"),
                 _as_index(item["omega"], f"r_perturb[{i}].omega"),
             )
         )
@@ -234,12 +234,22 @@ def load_problem(text) -> ProblemSpec:
         dims = ConeDims(k, l)
     except ValueError as exc:
         raise ProblemValidationError(str(exc)) from exc
-    dist = DistributionSpec(dist_doc["kind"], float(dist_doc["mean"]), float(dist_doc["std"]))
+    dist = DistributionSpec(
+        dist_doc["kind"],
+        _as_number(dist_doc["mean"], "distribution.mean"),
+        _as_number(dist_doc["std"], "distribution.std"),
+    )
+    base = {}
+    for name in ("T_base", "r_base"):
+        try:
+            base[name] = np.asarray(doc[name], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ProblemParseError(f"{name} must be an array of numbers: {exc}") from exc
     return ProblemSpec(
         dims=dims,
         omega_dim=omega_dim,
-        T_base=doc["T_base"],
-        r_base=doc["r_base"],
+        T_base=base["T_base"],
+        r_base=base["r_base"],
         T_perturb=tuple(t_entries),
         r_perturb=tuple(r_entries),
         distribution=dist,
@@ -250,6 +260,12 @@ def _as_index(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ProblemParseError(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def _as_number(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ProblemParseError(f"{where} must be a number, got {value!r}")
+    return float(value)
 
 
 def _require_keys(doc: dict, keys: set[str], where: str) -> None:

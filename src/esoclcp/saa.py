@@ -150,24 +150,6 @@ def ndtri(y) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class SampleSet:
-    """N draws of the random vector plus the seed that produced them."""
-
-    draws: np.ndarray  # (N, omega_dim)
-    seed: int
-    N: int
-
-    def __post_init__(self) -> None:
-        self.draws = np.asarray(self.draws, dtype=float)
-        if self.draws.ndim != 2:
-            raise ValueError(f"draws must be 2-d, got shape {self.draws.shape}")
-        if self.draws.shape[0] != self.N:
-            raise ValueError(f"N={self.N} does not match draws.shape[0]={self.draws.shape[0]}")
-        if not 0 <= self.seed <= _MAX_SEED:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(eq=False)
 class SAAPoint:
     """A spatial point plus the tail threshold Theta."""
 
@@ -180,8 +162,8 @@ class SAAPoint:
             raise ValueError("Theta must be finite")
 
 
-def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> SampleSet:
-    """Draw an (N, omega_dim) table of iid normals; deterministic in the seed."""
+def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> np.ndarray:
+    """Draw an (N, omega_dim) array of iid normals; deterministic in the seed."""
     if dist.kind != "iid_normal":
         raise ValueError(f"unsupported distribution kind {dist.kind!r}")
     if not (isinstance(N, (int, np.integer)) and N >= 1):
@@ -195,8 +177,7 @@ def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> S
     uniforms = h.astype(float)
     uniforms += 0.5
     uniforms /= 2**53
-    z = ndtri(uniforms)
-    return SampleSet(dist.mean + dist.std * z, int(seed), int(N))
+    return dist.mean + dist.std * ndtri(uniforms)
 
 
 # the dense blocks SampleEvaluator realizes on first access
@@ -305,30 +286,23 @@ class SampleEvaluator:
         )
         return vars(self)[name]
 
-    def _g1_v(self, p: MixPoint, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def _g1_v(self, p: MixPoint, out: np.ndarray | None = None) -> np.ndarray:
         # one product over the draws: G1 = A x + B u + p, v = C x + D u + q,
-        # x = x_m + t e, returned as (k, N) and (l, N) views of out,
-        # (k + l + 1, N), whose last row receives e^T G1
+        # x = x_m + t e, as the rows of out, (k + l + 1, N): G1 in the first
+        # k, v in the next l, e^T G1 in the last
         k, z1 = self.k, self._z1
         z1[:k] = p.x_m
         z1[k:-2] = p.u
         z1[-2] = p.t
         coeffs = np.dot(self.K, z1, self._coeffs).reshape(self.dim, -1)
-        f = np.dot(coeffs, self.W, out)
-        return f[:k], f[k:-1]
-
-    def _g1_v_array(self, p: MixPoint, f: np.ndarray | None) -> np.ndarray:
-        # the (k + l + 1, N) array _g1_v fills, computed when not given
-        if f is None:
-            f = np.empty((self.dim, self.N))
-            self._g1_v(p, f)
-        return f
+        return np.dot(coeffs, self.W, out)
 
     def residuals(self, p: MixPoint, f: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Stacked residuals, shape (N, k+l+1), a transposed view of out, (k+l+1, N)."""
         k, l = self.k, self.l
         m = k + l
-        f = self._g1_v_array(p, f)
+        if f is None:
+            f = self._g1_v(p)
         if out is None:
             out = np.empty((self.dim, self.N))
         g1 = f[:k]
@@ -392,7 +366,8 @@ class SampleEvaluator:
         """
         k, l, n = self.k, self.l, self.N
         m = k + l
-        f = self._g1_v_array(p, f)
+        if f is None:
+            f = self._g1_v(p)
         if res is None:
             res = self.residuals(p, f)
         if fb is None:
@@ -437,7 +412,8 @@ class SampleEvaluator:
         """
         k, l, n = self.k, self.l, self.N
         m = k + l
-        f = self._g1_v_array(p, f)
+        if f is None:
+            f = self._g1_v(p)
         if res is None:
             res = self.residuals(p, f)
         if fb is None:

@@ -33,7 +33,7 @@ from .cone import ConePoint
 from .problem import ProblemSpec, f_eval, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
 from .reformulate import MixPoint, recover_lcp_point
 from .risk import SmoothingKind, _tail_cvar, smooth_plus, smooth_plus_deriv
-from .saa import RayBound, SAAPoint, SampleEvaluator, SampleSet, draw_samples, theta_star
+from .saa import RayBound, SAAPoint, SampleEvaluator, draw_samples, theta_star
 
 MODES = ("cvar", "ev", "erm")
 TERMINATIONS = ("grad_tol", "k_max", "outer_eps")
@@ -49,6 +49,10 @@ MU_MAX = 1e100
 # search's bar by more than this share of (|bar| + |bound| + mu) / alpha, a
 # margin far above the rounding of either value (about 1e-16 log2 N of it)
 _SCREEN_RTOL = 1e-9
+
+# the Gauss-Newton direction d is kept only when g^T d <= -_DESCENT_R ||d||;
+# otherwise the stage steps along -g
+_DESCENT_R = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,13 +71,12 @@ class SolverConfig:
     k_max: int = 500
     mode: str = "cvar"
     smoothing: SmoothingKind = SmoothingKind.CHKS
-    descent_r: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         # math.inf > 0, so each bound is checked for finiteness too
-        for name in ("mu", "lm_nu", "tol_r", "eps", "descent_r"):
+        for name in ("mu", "lm_nu", "tol_r", "eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -132,10 +135,10 @@ def stage_seed(seed: int, j: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def stage_samples(spec: ProblemSpec, cfg: SolverConfig, j: int) -> SampleSet:
-    """The sample a given stage solves over; mode ev uses the single mean draw."""
+def stage_samples(spec: ProblemSpec, cfg: SolverConfig, j: int) -> np.ndarray:
+    """The (N, omega_dim) draws a given stage solves over; mode ev uses the single mean draw."""
     if cfg.mode == "ev":
-        return SampleSet(spec.mean_omega()[None, :], stage_seed(cfg.seed, j), 1)
+        return spec.mean_omega()[None, :]
     if not 1 <= j <= len(cfg.schedule):
         raise ValueError(f"stage index {j} outside schedule of length {len(cfg.schedule)}")
     return draw_samples(spec.distribution, spec.omega_dim, cfg.schedule[j - 1], stage_seed(cfg.seed, j))
@@ -169,12 +172,14 @@ def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9, s_init: float = 1.0, m
     f(s) <= f(0) + c1 s g(0) and g(s) >= c2 g(0).  The slope at zero must be
     negative.  After max_evals trial steps the best sufficient-decrease step
     seen is returned (pure backtracking fallback); if none was seen, the
-    last, tiny bisected step is returned.
+    last, tiny bisected step is returned.  max_evals must be at least 1.
     """
     if not 0.0 < c1 < c2 < 1.0:
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
     if not s_init > 0:
         raise ValueError(f"s_init must be > 0, got {s_init}")
+    if not max_evals >= 1:
+        raise ValueError(f"max_evals must be >= 1, got {max_evals}")
     g0 = float(g(0.0))
     if not g0 < 0.0:
         raise ValueError(f"slope at zero must be negative, got {g0}")
@@ -317,7 +322,7 @@ class _StageProblem:
         except np.linalg.LinAlgError:
             return -grad
         nd = float(np.linalg.norm(d))
-        if nd == 0.0 or float(grad @ d) > -self.cfg.descent_r * nd:
+        if nd == 0.0 or float(grad @ d) > -_DESCENT_R * nd:
             return -grad
         return d
 
@@ -342,8 +347,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
     prev_z: np.ndarray | None = None
 
     for j in range(1, stage_count + 1):
-        samples = stage_samples(spec, cfg, j)
-        ev = SampleEvaluator(spec, samples.draws)
+        ev = SampleEvaluator(spec, stage_samples(spec, cfg, j))
         stage = _StageProblem(ev, cfg)
         t0 = time.perf_counter()
         iters = trials = screened = 0
@@ -417,8 +421,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
             theta = float(theta_star(stage.losses(cur), cfg.alpha, cfg.mu, cfg.smoothing))
         point = SAAPoint(MixPoint.from_vector(z, spec.dims.k, spec.dims.l), theta)
         pt = recover_lcp_point(point.p)
-        stage_aloc = aloc(spec, samples, pt.x, pt.u)
-        result = StageResult(j, samples.N, point, gnorm, iters, termination, wall, stage_aloc, trials, screened)
+        result = StageResult(j, ev.N, point, gnorm, iters, termination, wall, aloc(ev, pt.x, pt.u), trials, screened)
         report.stages.append(result)
 
         if prev_z is not None and float(np.linalg.norm(z - prev_z)) < cfg.eps:
@@ -436,16 +439,17 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
     return report
 
 
-def aloc(spec: ProblemSpec, s: SampleSet, x, u) -> float:
-    """Average absolute loss of complementarity: mean_j |<(x, u), F(x, u, w_j)>|.
+def aloc(ev: SampleEvaluator, x, u) -> float:
+    """Average absolute loss of complementarity over ev's sample: mean_j |<(x, u), F(x, u, w_j)>|.
 
-    F's rows are those of SampleEvaluator._g1_v at (x_m, u, t) = (x, u, 0):
-    one product over the draws, in O(N (m + omega_dim)) memory.
+    F's rows are those of ev._g1_v at (x_m, u, t) = (x, u, 0): one product
+    over the draws the evaluator already holds, in O(N (m + omega_dim))
+    memory.  solve passes each stage's own evaluator.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.shape != (spec.dims.k,) or u.shape != (spec.dims.l,):
+    if x.shape != (ev.k,) or u.shape != (ev.l,):
         raise ValueError("point does not match the problem dimensions")
-    f = SampleEvaluator(spec, s.draws)._g1_v_array(MixPoint(x, u, 0.0), None)
+    f = ev._g1_v(MixPoint(x, u, 0.0))
     vals = np.concatenate([x, u]) @ f[:-1]
     return float(np.mean(np.abs(vals, out=vals)))

@@ -15,7 +15,7 @@ from esoclcp.problem import realize_batch
 def jacobians(ev, p):
     """Residual Jacobians at p over the evaluator's sample, shape (N, k+l+1, k+l+1)."""
     k, l, n = ev.k, ev.l, ev.N
-    f = ev._g1_v_array(p, None)
+    f = ev._g1_v(p)
     g1, v = f[:k].T, f[k:-1].T
     da, db = (a.T for a in ev._fb_coeffs(p, f))
     T, _ = realize_batch(ev.spec, ev.W[1:].T)
@@ -50,9 +50,9 @@ def merit_grads(ev, p):
     return np.einsum("nij,ni->nj", jacobians(ev, p), ev.residuals(p))
 
 
-def aloc_dense(spec, s, x, u):
-    """mean_j |<(x, u), F(x, u, w_j)>| over the realized T(w_j) and r(w_j) of sample s."""
-    T, r = realize_batch(spec, s.draws)
+def aloc_dense(spec, draws, x, u):
+    """mean_j |<(x, u), F(x, u, w_j)>| over the realized T(w_j) and r(w_j) of the (N, omega_dim) draws."""
+    T, r = realize_batch(spec, draws)
     w = np.concatenate([x, u])
     vals = np.einsum("nij,j->ni", T, w) + r
     return float(np.mean(np.abs(vals @ w)))

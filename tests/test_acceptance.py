@@ -122,7 +122,7 @@ def test_03_gradient_exactness():
         alpha = float(rng.uniform(0.1, 0.9))
         mu = (1e-2, 1e-4)[checked % 2]
         theta0 = float(rng.normal())
-        ev = SampleEvaluator(spec, s.draws)
+        ev = SampleEvaluator(spec, s)
 
         def fval(v):
             return tail_objective(ev, MixPoint.from_vector(v[:-1], k, l), float(v[-1]), alpha, mu)
@@ -137,7 +137,7 @@ def test_03_gradient_exactness():
             fd[i] = (fval(v + e) - fval(v - e)) / (2 * step)
         worst_grad = max(worst_grad, float(np.max(np.abs(grad - fd) / (1.0 + np.abs(grad)))))
 
-        first = SampleEvaluator(spec, s.draws[:1])
+        first = SampleEvaluator(spec, s[:1])
         jac = jacobians(first, p)[0]
 
         def gval(v):

@@ -132,6 +132,25 @@ def test_solve_missing_problem_file(capsys):
     assert "/nonexistent/prob.json" in err
 
 
+@pytest.mark.parametrize("field, value", [("coeff", None), ("coeff", True), ("std", [1]), ("r_base", {})])
+def test_solve_refuses_a_problem_field_that_is_not_a_number(tmp_path, capsys, field, value):
+    # one error line naming the field, exit 1, no traceback
+    doc = json.loads(serialize_problem(builtin_example()))
+    if field == "coeff":
+        doc["T_perturb"][0]["coeff"] = value
+    elif field == "std":
+        doc["distribution"]["std"] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["solve", "--problem", str(path), *FAST])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_solve_exit_codes_by_termination(capsys):
     # a huge tolerance stops on the gradient test immediately: success
     rc, _, _ = run(capsys, ["solve", "--builtin", "--schedule", "2,3", "--tol", "1e6"])

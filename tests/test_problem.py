@@ -1,5 +1,8 @@
 """Problem data model: file format, realization, builtin instance, F."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,44 @@ def test_load_rejects_unknown_keys():
 def test_load_rejects_malformed_text():
     with pytest.raises(ProblemParseError):
         load_problem("{not json")
+
+
+def _edited(edit):
+    doc = json.loads(serialize_problem(builtin_example()))
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "where, edit",
+    [
+        ("T_perturb[0].coeff", lambda d: d["T_perturb"][0].update(coeff=None)),
+        ("T_perturb[1].coeff", lambda d: d["T_perturb"][1].update(coeff="abc")),
+        ("T_perturb[0].coeff", lambda d: d["T_perturb"][0].update(coeff=True)),
+        ("r_perturb[0].coeff", lambda d: d["r_perturb"][0].update(coeff=[1.0])),
+        ("distribution.mean", lambda d: d["distribution"].update(mean=None)),
+        ("distribution.mean", lambda d: d["distribution"].update(mean=False)),
+        ("distribution.std", lambda d: d["distribution"].update(std=[1])),
+        ("distribution.std", lambda d: d["distribution"].update(std="1")),
+        ("T_base", lambda d: d.update(T_base=[[1, 2], [3]])),
+        ("T_base", lambda d: d.update(T_base="abc")),
+        ("r_base", lambda d: d.update(r_base={})),
+        ("r_base", lambda d: d.update(r_base=[1, 2, {"a": 1}, 4, 5])),
+    ],
+)
+def test_load_names_the_field_that_is_not_a_number(where, edit):
+    with pytest.raises(ProblemParseError, match=re.escape(where)):
+        load_problem(_edited(edit))
+
+
+def test_load_accepts_integer_numbers():
+    def edit(doc):
+        doc["distribution"].update(mean=0, std=2)
+        doc["T_perturb"][0]["coeff"] = 3
+
+    spec = load_problem(_edited(edit))
+    assert spec.distribution.std == 2.0 and type(spec.distribution.std) is float
+    assert spec.T_perturb[0].coeff == 3.0 and type(spec.T_perturb[0].coeff) is float
 
 
 def test_f_eval_identity_spec():

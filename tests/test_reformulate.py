@@ -30,7 +30,7 @@ def _plain_spec(k, l, T, r):
 
 def _g1(spec, omega, p):
     """G1 = A(w) (x_m + t e) + B(w) u + p(w) at one draw."""
-    return one_draw(spec, omega)._g1_v(p)[0][:, 0]
+    return one_draw(spec, omega)._g1_v(p)[: spec.dims.k, 0]
 
 
 def _g2(spec, omega, p):

@@ -7,7 +7,7 @@ from esoclcp.cone import ConeDims
 from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec, f_eval, realize_batch
 from esoclcp.reformulate import MixPoint, init_from_lcp
 from esoclcp.risk import SmoothingKind, cvar_empirical, smooth_plus, smooth_plus_deriv
-from esoclcp.saa import SAAPoint, SampleEvaluator, SampleSet, draw_samples, ndtri, theta_star
+from esoclcp.saa import SAAPoint, SampleEvaluator, draw_samples, ndtri, theta_star
 from esoclcp.solver import SolverConfig, _StageProblem
 
 from conftest import case_iv_instance, random_spec, tail_gradient, tail_objective
@@ -25,21 +25,21 @@ def test_draw_samples_deterministic():
     a = draw_samples(DIST, 3, 50, 42)
     b = draw_samples(DIST, 3, 50, 42)
     c = draw_samples(DIST, 3, 50, 43)
-    assert np.array_equal(a.draws, b.draws)
-    assert a.draws.shape == (50, 3)
-    assert not np.array_equal(a.draws, c.draws)
+    assert np.array_equal(a, b)
+    assert a.shape == (50, 3)
+    assert not np.array_equal(a, c)
 
 
 def test_draw_samples_moments():
     s = draw_samples(DistributionSpec(kind="iid_normal", mean=0.5, std=2.0), 1, 100_000, 42)
-    assert abs(np.mean(s.draws) - 0.5) < 0.02
-    assert abs(np.std(s.draws) - 2.0) < 0.02
+    assert abs(np.mean(s) - 0.5) < 0.02
+    assert abs(np.std(s) - 2.0) < 0.02
 
 
 def test_draw_samples_single():
     s = draw_samples(DIST, 4, 1, 7)
-    assert s.draws.shape == (1, 4)
-    assert np.all(np.isfinite(s.draws))
+    assert s.shape == (1, 4)
+    assert np.all(np.isfinite(s))
 
 
 def test_draw_samples_validation():
@@ -91,13 +91,6 @@ def test_ndtri_edges_are_infinite_without_warnings():
     assert ndtri(np.array([[0.025], [0.975]])).shape == (2, 1)
 
 
-def test_sample_set_validation():
-    with pytest.raises(ValueError):
-        SampleSet(np.zeros(5), seed=1, N=5)
-    with pytest.raises(ValueError):
-        SampleSet(np.zeros((4, 2)), seed=1, N=5)
-
-
 def test_saa_point_requires_finite_theta():
     p = MixPoint(np.zeros(3), np.zeros(2), 0.0)
     with pytest.raises(ValueError):
@@ -111,7 +104,7 @@ def test_objective_min_over_theta_is_cvar():
     spec = random_spec(rng)
     s = draw_samples(spec.distribution, spec.omega_dim, 40, 9)
     p = _random_point(rng, spec)
-    ev = SampleEvaluator(spec, s.draws)
+    ev = SampleEvaluator(spec, s)
     thetas = ev.thetas(p)
     for alpha in (0.05, 0.2, 0.5):
         e = _StageProblem(ev, SolverConfig(alpha=alpha, mu=1e-9)).eval_point(p.as_vector())
@@ -131,7 +124,7 @@ def test_gradient_matches_finite_differences():
         # vanish; the first argument is x_m, so keeping it off zero suffices
         if float(np.min(np.abs(p.x_m))) < 1e-2:
             continue
-        ev = SampleEvaluator(spec, s.draws)
+        ev = SampleEvaluator(spec, s)
         alpha = float(rng.uniform(0.1, 0.9))
         mu = float(rng.choice([1e-2, 1e-4]))
         theta0 = float(np.quantile(ev.thetas(p), 0.7))
@@ -158,7 +151,7 @@ def test_gradient_theta_component_limits():
     spec = random_spec(rng)
     s = draw_samples(spec.distribution, spec.omega_dim, 10, 11)
     p = _random_point(rng, spec)
-    ev = SampleEvaluator(spec, s.draws)
+    ev = SampleEvaluator(spec, s)
     thetas = ev.thetas(p)
     alpha, mu = 0.2, 1e-6
     hi = tail_gradient(ev, p, float(np.max(thetas)) + 1.0, alpha, mu)
@@ -171,7 +164,7 @@ def test_gradient_spatial_zero_at_exact_solution():
     spec, x, u, _, _ = case_iv_instance()
     p = init_from_lcp(x, u)
     s = draw_samples(spec.distribution, spec.omega_dim, 7, 13)
-    g = tail_gradient(SampleEvaluator(spec, s.draws), p, -1.0, 0.5, 1e-4)
+    g = tail_gradient(SampleEvaluator(spec, s), p, -1.0, 0.5, 1e-4)
     assert np.max(np.abs(g[:-1])) < 1e-10
 
 
@@ -284,7 +277,7 @@ def test_evaluator_derivatives_match_central_differences():
         spec = random_spec(rng, k=int(rng.integers(1, 4)), l=int(rng.integers(1, 4)))
         s = draw_samples(spec.distribution, spec.omega_dim, 5, int(rng.integers(1, 10**6)))
         p = _random_point(rng, spec)
-        ev = SampleEvaluator(spec, s.draws)
+        ev = SampleEvaluator(spec, s)
         jac = jacobians(ev, p)
         grads = merit_grads(ev, p)
         z = p.as_vector()
@@ -307,7 +300,7 @@ def test_evaluator_mean_jacobian_residual():
     spec = random_spec(rng)
     s = draw_samples(spec.distribution, spec.omega_dim, 9, 21)
     p = _random_point(rng, spec)
-    ev = SampleEvaluator(spec, s.draws)
+    ev = SampleEvaluator(spec, s)
     jbar, rbar = ev.mean_jacobian_residual(p)
     assert np.allclose(jbar, jacobians(ev, p).mean(axis=0), atol=1e-13)
     assert np.allclose(rbar, ev.residuals(p).mean(axis=0), atol=1e-13)
@@ -319,8 +312,8 @@ def test_weighted_merit_grad_matches_per_draw_weighting():
         spec = random_spec(rng, k=int(rng.integers(1, 4)), l=int(rng.integers(1, 4)))
         s = draw_samples(spec.distribution, spec.omega_dim, 11, int(rng.integers(1, 10**6)))
         p = _random_point(rng, spec)
-        ev = SampleEvaluator(spec, s.draws)
-        w = rng.uniform(0, 1, size=s.N)
+        ev = SampleEvaluator(spec, s)
+        w = rng.uniform(0, 1, size=len(s))
         fused = ev.weighted_merit_grad(p, w)
         naive = (w[:, None] * merit_grads(ev, p)).mean(axis=0)
         assert np.allclose(fused, naive, rtol=1e-11, atol=1e-12)
@@ -332,7 +325,7 @@ def test_evaluator_holds_the_draws_and_realizes_dense_blocks_on_first_access():
     rng = np.random.default_rng(107)
     k, l, n = 4, 3, 500
     spec = random_spec(rng, k=k, l=l, omega_dim=3)
-    draws = draw_samples(spec.distribution, spec.omega_dim, n, 5).draws
+    draws = draw_samples(spec.distribution, spec.omega_dim, n, 5)
     ev = SampleEvaluator(spec, draws)
     assert ev.W.shape == (spec.omega_dim + 1, n)
     assert np.array_equal(ev.W[0], np.ones(n)) and np.array_equal(ev.W[1:], draws.T)
@@ -398,16 +391,17 @@ def test_structured_kernels_match_the_dense_reference_on_awkward_specs(case, n):
     spec = _awkward_spec(case)
     k, l = spec.dims.k, spec.dims.l
     rng = np.random.default_rng(113 + n)
-    draws = draw_samples(spec.distribution, spec.omega_dim, n, 19).draws
+    draws = draw_samples(spec.distribution, spec.omega_dim, n, 19)
     ev = SampleEvaluator(spec, draws)
     p = _random_point(rng, spec)
     T, r = realize_batch(spec, draws)
     assert np.allclose(ev.T_bar, T.mean(axis=0), rtol=1e-13, atol=1e-13)
 
     want = np.einsum("nij,j->in", T, np.concatenate([p.x_m + p.t, p.u])) + r.T
-    g1, v = ev._g1_v(p)
-    assert np.allclose(g1, want[:k], rtol=1e-13, atol=1e-13)
-    assert np.allclose(v, want[k:], rtol=1e-13, atol=1e-13)
+    f = ev._g1_v(p)
+    assert np.allclose(f[:k], want[:k], rtol=1e-13, atol=1e-13)
+    assert np.allclose(f[k:-1], want[k:], rtol=1e-13, atol=1e-13)
+    assert np.allclose(f[-1], want[:k].sum(axis=0), rtol=1e-13, atol=1e-13)
 
     jac = jacobians(ev, p)
     grads = merit_grads(ev, p)
@@ -445,11 +439,11 @@ def test_evaluator_matches_dense_reference_on_a_wide_instance(n):
     k, l = 10, 6
     spec = random_spec(rng, k=k, l=l, omega_dim=3)
     s = draw_samples(spec.distribution, spec.omega_dim, n, 17)
-    ev = SampleEvaluator(spec, s.draws)
+    ev = SampleEvaluator(spec, s)
     p = _random_point(rng, spec)
 
     want = np.empty((n, k + l + 1))
-    for j, omega in enumerate(s.draws):
+    for j, omega in enumerate(s):
         f = f_eval(spec, omega, p.x_m + p.t, p.u)
         g1, v = f[:k], f[k:]
         want[j, :k] = np.hypot(p.x_m, g1) - p.x_m - g1

@@ -12,7 +12,7 @@ from esoclcp.merit import merit_theta
 from esoclcp.problem import builtin_example, realize_batch
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
 from esoclcp.risk import SmoothingKind, _tail_cvar, cvar_empirical, smooth_plus
-from esoclcp.saa import RayBound, SAAPoint, SampleEvaluator, SampleSet, draw_samples, theta_star
+from esoclcp.saa import RayBound, SAAPoint, SampleEvaluator, draw_samples, theta_star
 from esoclcp.solver import (
     MU_MAX,
     SolverConfig,
@@ -55,7 +55,6 @@ def test_config_validation_errors():
         dict(seed="42"),
         dict(tol_r=0.0),
         dict(eps=-1.0),
-        dict(descent_r=0.0),
         dict(c1=0.0),
         dict(c1=0.5, c2=0.5),
         dict(c1=0.5, c2=0.2),
@@ -66,7 +65,7 @@ def test_config_validation_errors():
         dict(smoothing="parabolic"),
     ]
     # inf > 0, so every positive bound must also refuse non-finite values
-    for name in ("mu", "lm_nu", "tol_r", "eps", "descent_r"):
+    for name in ("mu", "lm_nu", "tol_r", "eps"):
         bad += [{name: float("inf")}, {name: float("nan")}]
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -96,10 +95,10 @@ def test_stage_samples_reproducible_and_sized():
     for j in (1, 2, 3):
         a = stage_samples(spec, cfg, j)
         b = stage_samples(spec, cfg, j)
-        assert a.N == cfg.schedule[j - 1]
-        assert np.array_equal(a.draws, b.draws)
+        assert len(a) == cfg.schedule[j - 1]
+        assert np.array_equal(a, b)
     assert not np.array_equal(
-        stage_samples(spec, cfg, 1).draws[:4], stage_samples(spec, cfg, 2).draws[:4]
+        stage_samples(spec, cfg, 1)[:4], stage_samples(spec, cfg, 2)[:4]
     )
     with pytest.raises(ValueError):
         stage_samples(spec, cfg, 4)
@@ -111,12 +110,12 @@ def test_stage_samples_ev_mode_is_single_mean_draw():
     spec = random_spec(np.random.default_rng(1))
     cfg = SolverConfig(mode="ev", schedule=(10, 100))
     s = stage_samples(spec, cfg, 1)
-    assert s.N == 1
-    assert np.array_equal(s.draws, spec.mean_omega()[None, :])
+    assert len(s) == 1
+    assert np.array_equal(s, spec.mean_omega()[None, :])
 
 
 def _gauss_newton(spec, s, p, nu):
-    return _lm_from_means(*SampleEvaluator(spec, s.draws).mean_jacobian_residual(p), nu)
+    return _lm_from_means(*SampleEvaluator(spec, s).mean_jacobian_residual(p), nu)
 
 
 def test_gauss_newton_direction_zero_at_exact_solution():
@@ -135,7 +134,7 @@ def test_gauss_newton_direction_matches_dense_normal_equations():
         s = stage_samples(spec, SolverConfig(schedule=(7,), seed=int(rng.integers(1000))), 1)
         p = MixPoint(rng.normal(size=k), rng.normal(size=l), float(rng.uniform(0.2, 2.0)))
         nu = float(rng.uniform(1e-8, 1e-2))
-        ev = SampleEvaluator(spec, s.draws)
+        ev = SampleEvaluator(spec, s)
         a_bar = jacobians(ev, p).mean(axis=0)
         f_bar = ev.residuals(p).mean(axis=0)
         want = np.linalg.solve(
@@ -157,7 +156,7 @@ def test_unsolvable_normal_equations_fall_back_to_steepest_descent(monkeypatch, 
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):
                 _lm_from_means(a_bar, np.ones(6), nu)
-            stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
+            stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1)), cfg)
             monkeypatch.setattr(stage.ev, "mean_jacobian_residual", lambda *args, a_bar=a_bar: (a_bar, np.ones(6)))
             monkeypatch.setattr(stage, "cfg", SimpleNamespace(**{**vars(cfg), "lm_nu": nu}))
             e = stage.eval_point(default_start(spec).as_vector())
@@ -175,7 +174,7 @@ def test_gauss_newton_direction_huge_damping_aligns_with_steepest_descent():
     spec = random_spec(rng)
     s = stage_samples(spec, SolverConfig(schedule=(5,)), 1)
     p = MixPoint(rng.normal(size=3), rng.normal(size=2), 0.7)
-    ev = SampleEvaluator(spec, s.draws)
+    ev = SampleEvaluator(spec, s)
     sd = -(jacobians(ev, p).mean(axis=0).T @ ev.residuals(p).mean(axis=0))
     d = _gauss_newton(spec, s, p, 1e12)
     cosang = float(d @ sd) / (np.linalg.norm(d) * np.linalg.norm(sd))
@@ -199,6 +198,22 @@ def test_wolfe_rejects_uphill_start():
         wolfe_search(lambda s: 0.0, lambda s: 0.0)
     with pytest.raises(ValueError):
         wolfe_search(lambda s: -s, lambda s: -1.0, s_init=0.0)
+
+
+@pytest.mark.parametrize("max_evals", [0, -1])
+def test_wolfe_refuses_a_search_that_may_evaluate_no_step(max_evals):
+    # with no trial allowed the search would return s_init unevaluated
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return -s
+
+    with pytest.raises(ValueError, match="max_evals"):
+        wolfe_search(f, lambda s: -1.0, max_evals=max_evals)
+    assert calls == []
+    assert wolfe_search(f, lambda s: -1.0, max_evals=1) == 1.0
+    assert calls == [0.0, 1.0]
 
 
 def test_wolfe_linear_decay_returns_armijo_step():
@@ -287,7 +302,7 @@ def test_solve_theta_matches_reoptimized_threshold():
     cfg = SolverConfig(schedule=(6, 15), k_max=30, seed=9)
     rep = solve(spec, cfg)
     final = rep.stages[-1]
-    ev = SampleEvaluator(spec, stage_samples(spec, cfg, final.j).draws)
+    ev = SampleEvaluator(spec, stage_samples(spec, cfg, final.j))
     th = theta_star(ev.thetas(rep.final_mix.p), cfg.alpha, cfg.mu, cfg.smoothing)
     assert rep.theta_threshold == pytest.approx(th, abs=1e-8)
 
@@ -358,14 +373,36 @@ def test_stage_aloc_is_over_the_stage_sample():
     rep = solve(spec, cfg)
     for stage in rep.stages:
         pt = recover_lcp_point(stage.point.p)
-        assert stage.aloc == aloc(spec, stage_samples(spec, cfg, stage.j), pt.x, pt.u)
+        assert stage.aloc == aloc(SampleEvaluator(spec, stage_samples(spec, cfg, stage.j)), pt.x, pt.u)
     assert rep.aloc == rep.stages[-1].aloc
+
+
+@pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
+def test_solve_builds_one_evaluator_per_stage(monkeypatch, mode):
+    # the stage's aloc is read off the evaluator the stage solved with, not
+    # off a second one over the same draws
+    built = []
+    init = SampleEvaluator.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SampleEvaluator, "__init__", spy)
+    spec = builtin_example()
+    rep = solve(spec, SolverConfig(mode=mode, schedule=(5, 10), k_max=5))
+    monkeypatch.undo()
+    assert len(built) == len(rep.stages) == (1 if mode == "ev" else 2)
+    for ev, stage in zip(built, rep.stages):
+        assert ev.N == stage.N
+        pt = recover_lcp_point(stage.point.p)
+        assert stage.aloc == aloc(ev, pt.x, pt.u)
 
 
 def test_aloc_zero_at_exact_complementarity():
     spec, x, u, _, _ = case_iv_instance()
     s = stage_samples(spec, SolverConfig(schedule=(3,)), 1)
-    assert aloc(spec, s, x, u) <= 1e-12
+    assert aloc(SampleEvaluator(spec, s), x, u) <= 1e-12
 
 
 def test_aloc_matches_hand_computation():
@@ -378,21 +415,21 @@ def test_aloc_matches_hand_computation():
         from esoclcp.problem import f_eval
 
         w = np.concatenate([x, u])
-        want = np.mean([abs(float(w @ f_eval(spec, om, x, u))) for om in s.draws])
-        assert aloc(spec, s, x, u) == pytest.approx(want, rel=1e-12)
+        want = np.mean([abs(float(w @ f_eval(spec, om, x, u))) for om in s])
+        assert aloc(SampleEvaluator(spec, s), x, u) == pytest.approx(want, rel=1e-12)
 
 
 def test_aloc_rejects_bad_shapes():
     spec = random_spec(np.random.default_rng(71), k=3, l=2)
     s = stage_samples(spec, SolverConfig(schedule=(2,)), 1)
     with pytest.raises(ValueError):
-        aloc(spec, s, np.zeros(2), np.zeros(2))
+        aloc(SampleEvaluator(spec, s), np.zeros(2), np.zeros(2))
 
 
 def _aloc_scale(spec, s, x, u):
     # mean_j |w|^T (|T_j| |w| + |r_j|), w = (x, u): the size of the terms
     # w . F(x, u, w_j) sums, which does not shrink where they cancel
-    T, r = realize_batch(spec, s.draws)
+    T, r = realize_batch(spec, s)
     w = np.abs(np.concatenate([x, u]))
     return float(np.mean((np.abs(T) @ w + np.abs(r)) @ w))
 
@@ -410,11 +447,12 @@ def test_aloc_matches_the_dense_reference():
     s = draw_samples(spec.distribution, spec.omega_dim, 1000, 7)
     cases.append((spec, s, np.array([0.5, 0.28, 1.04]), np.array([0.12, -0.25])))
     for spec, s, x, u in cases:
-        assert abs(aloc(spec, s, x, u) - aloc_dense(spec, s, x, u)) <= 1e-12 * _aloc_scale(spec, s, x, u)
+        got = aloc(SampleEvaluator(spec, s), x, u)
+        assert abs(got - aloc_dense(spec, s, x, u)) <= 1e-12 * _aloc_scale(spec, s, x, u)
     # at an exact solution every w . F vanishes, up to rounding, on either path
     spec, x, u, _, _ = case_iv_instance()
     s = draw_samples(spec.distribution, spec.omega_dim, 257, 9)
-    assert aloc(spec, s, x, u) <= 1e-12 and aloc_dense(spec, s, x, u) <= 1e-12
+    assert aloc(SampleEvaluator(spec, s), x, u) <= 1e-12 and aloc_dense(spec, s, x, u) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
@@ -439,17 +477,18 @@ def test_aloc_memory_grows_with_the_draws_not_with_m_squared():
     rng = np.random.default_rng(223)
     spec = random_spec(rng, k=10, l=6, omega_dim=8)
     n = 20000
-    s = draw_samples(spec.distribution, spec.omega_dim, n, 5)
+    ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, n, 5))
     x, u = rng.normal(size=10), rng.normal(size=6)
-    aloc(spec, s, x, u)  # one-off costs of a first call aside
+    aloc(ev, x, u)  # one-off costs of a first call aside
     tracemalloc.start()
     try:
-        aloc(spec, s, x, u)
+        aloc(ev, x, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # (omega_dim + 1, N) draws and (m + 1, N) rows, with room to spare; the
-    # N m^2 doubles of one realized (N, m, m) sample are about five times this
+    # aloc reads the evaluator's draws and writes (m + 1, N) rows; the bound
+    # leaves room for a second copy of the draws as well.  The N m^2 doubles
+    # of one realized (N, m, m) sample are about five times it
     assert peak <= 2 * n * (16 + 8 + 2) * 8
 
 
@@ -457,7 +496,7 @@ def _wide_stage(mode, n):
     # a fresh stage over one fixed k=10, l=6 instance and N-draw sample
     spec = random_spec(np.random.default_rng(137), k=10, l=6, omega_dim=3)
     cfg = SolverConfig(mode=mode, schedule=(n,), seed=5)
-    return _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
+    return _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1)), cfg)
 
 
 @pytest.mark.parametrize("mode", ["cvar", "erm"])
@@ -511,7 +550,7 @@ def test_trial_evaluation_allocates_no_per_draw_arrays(mode):
 def test_trial_points_must_be_finite_and_of_the_right_length(bad):
     spec = builtin_example()
     cfg = SolverConfig(schedule=(5,), seed=3)
-    stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
+    stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1)), cfg)
     z0 = default_start(spec).as_vector()
     for i in (0, 3, 5):  # x_m, u and t
         z = z0.copy()
@@ -527,7 +566,7 @@ def test_trial_points_must_be_finite_and_of_the_right_length(bad):
 def test_trial_value_is_the_mean_over_the_losses_bit_for_bit(mode, n):
     rng = np.random.default_rng(151)
     spec = random_spec(np.random.default_rng(153), k=4, l=2, omega_dim=3)
-    draws = stage_samples(spec, SolverConfig(schedule=(n,), seed=5), 1).draws
+    draws = stage_samples(spec, SolverConfig(schedule=(n,), seed=5), 1)
     kinds = list(SmoothingKind) if mode == "cvar" else [SmoothingKind.CHKS]
     for kind in kinds:
         cfg = SolverConfig(mode=mode, schedule=(n,), seed=5, smoothing=kind)
@@ -565,7 +604,7 @@ def test_stage_gradient_matches_central_differences_of_the_value(mode):
             schedule=(int(rng.integers(3, 9)),),
             seed=int(rng.integers(1000)),
         )
-        stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
+        stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1)), cfg)
         grad = stage.grad(stage.eval_point(z))
         fd = np.empty_like(z)
         for i in range(z.size):
@@ -581,7 +620,7 @@ def _tied_stage(kind, alpha, mu, n):
     # the losses come in tied pairs
     spec = builtin_example()
     cfg = SolverConfig(alpha=alpha, mu=mu, schedule=(n,), seed=17, smoothing=kind)
-    draws = stage_samples(spec, cfg, 1).draws.copy()
+    draws = stage_samples(spec, cfg, 1).copy()
     draws[n - n // 2 :] = draws[: n // 2]
     return _StageProblem(SampleEvaluator(spec, draws), cfg)
 
@@ -613,7 +652,7 @@ def test_screen_bound_is_below_the_exact_value(kind, n):
 def test_trial_point_whose_losses_overflow_has_the_value_inf(mode):
     spec = builtin_example()
     cfg = SolverConfig(mode=mode, schedule=(100,), seed=3)
-    stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws), cfg)
+    stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1)), cfg)
     z = default_start(spec).as_vector()
     z[0] = 1e160
     with np.errstate(over="ignore"):
@@ -777,7 +816,7 @@ def test_fallback_step_is_evaluated_exactly(monkeypatch, search):
     # without a bar; the spies saw every gradient and direction at exact points
     assert len([e for _, _, bar, e in evals if bar is None]) >= 2
     stage = rep.stages[0]
-    ev = SampleEvaluator(spec, stage_samples(spec, cfg, 1).draws)
+    ev = SampleEvaluator(spec, stage_samples(spec, cfg, 1))
     assert stage.point.Theta == theta_star(ev.thetas(stage.point.p), cfg.alpha, cfg.mu, cfg.smoothing)
 
 
@@ -834,13 +873,13 @@ def _ray_instances(n, rng):
     # instance at its solution, where every row of the residual is 0 for
     # every draw and the head rows' two terms cancel
     spec = builtin_example()
-    draws = draw_samples(spec.distribution, spec.omega_dim, n, 19).draws.copy()
+    draws = draw_samples(spec.distribution, spec.omega_dim, n, 19).copy()
     draws[n - n // 2 :] = draws[: n // 2]
     for _ in range(3):
         z = np.concatenate([rng.normal(size=5), [rng.uniform(0.1, 2.0)]])
         yield spec, draws, z, rng.normal(size=6)
     spec, x, u, _, _ = case_iv_instance()
-    draws = draw_samples(spec.distribution, spec.omega_dim, n, 23).draws
+    draws = draw_samples(spec.distribution, spec.omega_dim, n, 23)
     z = init_from_lcp(x, u).as_vector()
     for _ in range(3):
         yield spec, draws, z, rng.normal(size=6)
@@ -874,7 +913,7 @@ def test_ray_bound_that_overflows_screens_nothing():
     # overflow while building the bound, or in the bound at a step, leaves
     # the trial to the exact path, without a warning
     spec = builtin_example()
-    ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, 50, 29).draws)
+    ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, 50, 29))
     z = default_start(spec).as_vector()
     d = np.ones_like(z)
     with warnings.catch_warnings():

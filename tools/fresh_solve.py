@@ -18,8 +18,8 @@ RUSAGE_CHILDREN, so every allocation the allocator had to map counts), each
 stage's sample size, termination, inner iterations, SampleEvaluator.residuals
 calls, line-search values asked for (StageResult.trials) and how many of
 those a lower bound answered (StageResult.screened; both null for a source
-tree older than those fields), and the total residuals calls and the solve
-time per such call.
+tree older than those fields), the total residuals calls and the solve
+time per such call, and src_lines, the line count of DIR/esoclcp/*.py.
 
 The benchmark in perfbench/ cannot see the allocator's share of this time:
 its reference kernel allocates multi-megabyte temporaries between solves,
@@ -30,6 +30,7 @@ process starts from the default thresholds, as a user's run does.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import resource
@@ -72,7 +73,8 @@ cli.solve = kept
 t0 = time.perf_counter()
 rc = cli.main(sys.argv[1:])
 solve_s = time.perf_counter() - t0
-# every stage's evaluator computes residuals; aloc's evaluators never do
+# every stage's evaluator computes residuals; skip those that compute none,
+# such as the second evaluator per stage that older trees built for aloc
 for stage, n in zip(stages, [n for n in calls if n]):
     stage["residuals_calls"] = n
 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -110,7 +112,17 @@ def run_seed(src: str, seed: int, schedule: str | None = None) -> dict:
         ],
         "residuals_calls": child["residuals_calls"],
         "solve_s_per_residuals_call": child["solve_s"] / max(child["residuals_calls"], 1),
+        "src_lines": src_lines(src),
     }
+
+
+def src_lines(src: str) -> int:
+    """Lines in the package's modules, as `wc -l DIR/esoclcp/*.py` totals them."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "esoclcp", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def main(argv=None) -> int:
