@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
 
-from .cone import ConeDims, ConePoint, classify_complementarity, in_L, in_M
+from .cone import ConePoint, classify_complementarity, in_L, in_M
 from .merit import merit_theta
 from .problem import (
     ProblemParseError,
     ProblemSpec,
-    ProblemValidationError,
     builtin_example,
     f_eval,
     load_problem,
@@ -21,7 +21,7 @@ from .problem import (
 from .reformulate import init_from_lcp, recover_lcp_point
 from .risk import SmoothingKind
 from .saa import SampleEvaluator, draw_samples
-from .solver import DEFAULT_SCHEDULE, SolveReport, SolverConfig, aloc, solve
+from .solver import MODES, SolveReport, SolverConfig, aloc, solve
 
 SMOOTHING_NAMES = {
     "chks": SmoothingKind.CHKS,
@@ -40,29 +40,49 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+def _parse_schedule(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad schedule {text!r}: {exc}") from exc
+
+
+# solve's flags that set a SolverConfig field: (flag, field, type, help); each
+# flag's default is the field's value in SolverConfig()
+CONFIG_FLAGS = (
+    ("--alpha", "alpha", float, "tail level"),
+    ("--mu", "mu", float, "smoothing parameter"),
+    ("--lm-nu", "lm_nu", float, "damping of the normal equations"),
+    ("--schedule", "schedule", _parse_schedule, "comma-separated increasing sample sizes"),
+    ("--seed", "seed", int, "base seed"),
+    ("--tol", "tol_r", float, "gradient stopping tolerance"),
+    ("--eps", "eps", float, "between-stage displacement stop"),
+    ("--c1", "c1", float, "sufficient decrease constant"),
+    ("--c2", "c2", float, "curvature constant"),
+    ("--kmax", "k_max", int, "inner iteration cap"),
+)
+
+
+def _shown(value) -> str:
+    # a default as it is typed on the command line
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="esoclcp", description="Stochastic cone complementarity solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="run the staged solve and report per-stage results")
     _add_problem_flags(ps)
-    ps.add_argument("--alpha", type=float, default=0.05, help="tail level (default 0.05)")
-    ps.add_argument("--mu", type=float, default=1e-4, help="smoothing parameter (default 1e-4)")
-    ps.add_argument("--lm-nu", type=float, default=1e-6, help="damping of the normal equations")
-    ps.add_argument(
-        "--schedule",
-        type=_parse_schedule,
-        default=DEFAULT_SCHEDULE,
-        help="comma-separated increasing sample sizes (default 10,100,1000,10000)",
-    )
-    ps.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
-    ps.add_argument("--tol", type=float, default=1e-6, help="gradient stopping tolerance")
-    ps.add_argument("--eps", type=float, default=1e-6, help="between-stage displacement stop")
-    ps.add_argument("--c1", type=float, default=1e-4, help="sufficient decrease constant")
-    ps.add_argument("--c2", type=float, default=0.9, help="curvature constant")
-    ps.add_argument("--kmax", type=int, default=500, help="inner iteration cap (default 500)")
-    ps.add_argument("--mode", choices=("cvar", "ev", "erm"), default="cvar")
-    ps.add_argument("--smoothing", choices=sorted(SMOOTHING_NAMES), default="chks")
+    defaults = SolverConfig()
+    for flag, name, kind, text in CONFIG_FLAGS:
+        default = getattr(defaults, name)
+        metavar = flag[2:].replace("-", "_").upper()  # the one argparse derives from the flag
+        help_text = f"{text} (default {_shown(default)})"
+        ps.add_argument(flag, dest=name, metavar=metavar, type=kind, default=default, help=help_text)
+    smoothing = next(name for name, kind in SMOOTHING_NAMES.items() if kind is defaults.smoothing)
+    ps.add_argument("--mode", choices=MODES, default=defaults.mode, help=f"objective (default {defaults.mode})")
+    ps.add_argument("--smoothing", choices=sorted(SMOOTHING_NAMES), default=smoothing, help=f"kind (default {smoothing})")
     ps.add_argument("--format", choices=FORMATS, default="table")
     ps.add_argument("--out", help="write the report here instead of stdout")
     ps.add_argument("--no-timing", action="store_true", help="blank wall times for reproducible output")
@@ -84,13 +104,6 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument("--builtin", action="store_true", help="use the bundled example problem")
 
 
-def _parse_schedule(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad schedule {text!r}: {exc}") from exc
-
-
 def _load_spec(args) -> ProblemSpec:
     if args.builtin:
         return builtin_example()
@@ -109,20 +122,20 @@ def _fmt_full(v) -> str:
     return repr(float(v))
 
 
-def _stage_rows(spec: ProblemSpec, report: SolveReport) -> list[dict]:
+def _stage_rows(spec: ProblemSpec, report: SolveReport, no_timing: bool) -> list[dict]:
+    """Each stage's object of the JSON report; the table and the CSV render the same rows."""
     rows = []
     mean_omega = spec.mean_omega()
     for stage in report.stages:
         pt = recover_lcp_point(stage.point.p)
-        f_mean = f_eval(spec, mean_omega, pt.x, pt.u)
         rows.append(
             {
                 "j": stage.j,
                 "N": stage.N,
-                "x": pt.x,
-                "u": pt.u,
-                "F": f_mean,
-                "time_s": stage.wall_time,
+                "x": pt.x.tolist(),
+                "u": pt.u.tolist(),
+                "F_at_mean": f_eval(spec, mean_omega, pt.x, pt.u).tolist(),
+                "time_s": None if no_timing else stage.wall_time,
                 "aloc": stage.aloc,
                 "theta": stage.point.Theta,
                 "grad_inf_norm": stage.grad_inf_norm,
@@ -133,92 +146,39 @@ def _stage_rows(spec: ProblemSpec, report: SolveReport) -> list[dict]:
     return rows
 
 
-def _render_table(spec: ProblemSpec, rows: list[dict], no_timing: bool) -> str:
-    k, l, m = spec.dims.k, spec.dims.l, spec.m
-    head1 = ["j", "N"] + [f"x{i+1}" for i in range(k)] + [f"u{i+1}" for i in range(l)] + [
-        f"F{i+1}" for i in range(m)
-    ]
-    lines = ["solutions and F at the mean draw:"]
-    lines.append("  " + "  ".join(h.rjust(11) for h in head1))
-    for row in rows:
-        cells = [str(row["j"]), str(row["N"])]
-        cells += [_fmt6(v) for v in row["x"]]
-        cells += [_fmt6(v) for v in row["u"]]
-        cells += [_fmt6(v) for v in row["F"]]
-        lines.append("  " + "  ".join(c.rjust(11) for c in cells))
-    lines.append("")
-    lines.append("performance:")
-    head2 = ["j", "N", "time_s", "aloc", "theta", "iters", "stop"]
-    lines.append("  " + "  ".join(h.rjust(11) for h in head2))
-    for row in rows:
-        time_cell = "-" if no_timing else _fmt6(row["time_s"])
-        cells = [
-            str(row["j"]),
-            str(row["N"]),
-            time_cell,
-            _fmt6(row["aloc"]),
-            _fmt6(row["theta"]),
-            str(row["inner_iters"]),
-            row["termination"],
-        ]
-        lines.append("  " + "  ".join(c.rjust(11) for c in cells))
-    return "\n".join(lines) + "\n"
+def _head(spec: ProblemSpec) -> list[str]:
+    # j, N and one column per component of x, u and F at the mean draw
+    sizes = (spec.dims.k, spec.dims.l, spec.m)
+    return ["j", "N"] + [f"{name}{i + 1}" for name, n in zip("xuF", sizes) for i in range(n)]
 
 
-def _render_csv(spec: ProblemSpec, rows: list[dict], no_timing: bool) -> str:
-    k, l, m = spec.dims.k, spec.dims.l, spec.m
-    header = (
-        ["j", "N"]
-        + [f"x{i+1}" for i in range(k)]
-        + [f"u{i+1}" for i in range(l)]
-        + [f"F{i+1}" for i in range(m)]
-        + ["time_s", "aloc", "theta"]
+def _cells(row: dict, keys: tuple[str, ...], fmt, blank: str) -> list[str]:
+    # one cell per number of the row's keys: floats through fmt, None as blank,
+    # counts and text as they are
+    values = [v for key in keys for v in (row[key] if isinstance(row[key], list) else [row[key]])]
+    return [blank if v is None else fmt(v) if isinstance(v, float) else str(v) for v in values]
+
+
+_SOLUTION_KEYS = ("j", "N", "x", "u", "F_at_mean")
+_PERFORMANCE_KEYS = ("j", "N", "time_s", "aloc", "theta", "inner_iters", "termination")
+
+
+def _render_table(spec: ProblemSpec, rows: list[dict]) -> str:
+    sections = (
+        ("solutions and F at the mean draw:", _head(spec), _SOLUTION_KEYS),
+        ("performance:", ["j", "N", "time_s", "aloc", "theta", "iters", "stop"], _PERFORMANCE_KEYS),
     )
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [str(row["j"]), str(row["N"])]
-        cells += [_fmt_full(v) for v in row["x"]]
-        cells += [_fmt_full(v) for v in row["u"]]
-        cells += [_fmt_full(v) for v in row["F"]]
-        cells.append("" if no_timing else _fmt_full(row["time_s"]))
-        cells.append(_fmt_full(row["aloc"]))
-        cells.append(_fmt_full(row["theta"]))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for title, head, keys in sections:
+        table = [head] + [_cells(row, keys, _fmt6, "-") for row in rows]
+        blocks.append("\n".join([title] + ["  " + "  ".join(c.rjust(11) for c in cells) for cells in table]))
+    return "\n\n".join(blocks) + "\n"
 
 
-def _render_json(spec: ProblemSpec, rows: list[dict], report: SolveReport, no_timing: bool) -> str:
-    import json
-
-    stages = []
-    for row in rows:
-        stages.append(
-            {
-                "j": row["j"],
-                "N": row["N"],
-                "x": [float(v) for v in row["x"]],
-                "u": [float(v) for v in row["u"]],
-                "F_at_mean": [float(v) for v in row["F"]],
-                "time_s": None if no_timing else row["time_s"],
-                "aloc": row["aloc"],
-                "theta": row["theta"],
-                "grad_inf_norm": row["grad_inf_norm"],
-                "inner_iters": row["inner_iters"],
-                "termination": row["termination"],
-            }
-        )
-    doc = {
-        "mode": report.mode,
-        "stages": stages,
-        "final": {
-            "x": [float(v) for v in report.recovered.x],
-            "u": [float(v) for v in report.recovered.u],
-            "F_at_mean": [float(v) for v in report.F_at_mean],
-            "aloc": report.aloc,
-            "theta": report.theta_threshold,
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+def _render_csv(spec: ProblemSpec, rows: list[dict]) -> str:
+    tail = ("time_s", "aloc", "theta")
+    lines = [_head(spec) + list(tail)] + [_cells(row, _SOLUTION_KEYS + tail, _fmt_full, "") for row in rows]
+    return "".join(",".join(cells) + "\n" for cells in lines)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -232,27 +192,19 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_solve(args) -> int:
     spec = _load_spec(args)
     cfg = SolverConfig(
-        alpha=args.alpha,
-        mu=args.mu,
-        lm_nu=args.lm_nu,
-        schedule=args.schedule,
-        seed=args.seed,
-        tol_r=args.tol,
-        eps=args.eps,
-        c1=args.c1,
-        c2=args.c2,
-        k_max=args.kmax,
+        **{name: getattr(args, name) for _, name, _, _ in CONFIG_FLAGS},
         mode=args.mode,
         smoothing=SMOOTHING_NAMES[args.smoothing],
     )
     report = solve(spec, cfg)
-    rows = _stage_rows(spec, report)
+    rows = _stage_rows(spec, report, args.no_timing)
     if args.format == "table":
-        text = _render_table(spec, rows, args.no_timing)
+        text = _render_table(spec, rows)
     elif args.format == "csv":
-        text = _render_csv(spec, rows, args.no_timing)
+        text = _render_csv(spec, rows)
     else:
-        text = _render_json(spec, rows, report, args.no_timing)
+        final = {key: rows[-1][key] for key in ("x", "u", "F_at_mean", "aloc", "theta")}
+        text = json.dumps({"mode": report.mode, "stages": rows, "final": final}, indent=2) + "\n"
     _emit(text, args.out)
     return 2 if report.stages[-1].termination == "k_max" else 0
 
@@ -274,8 +226,6 @@ def _cmd_check(args) -> int:
     x = np.array(values[:k])
     u = np.array(values[k:])
     mean_omega = spec.mean_omega()
-    dims = ConeDims(k, l)
-    point = ConePoint(x, u)
     ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, args.samples, args.seed))
 
     # a point at which a figure overflows is refused before anything is printed
@@ -288,8 +238,8 @@ def _cmd_check(args) -> int:
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} is not finite at --point {args.point}")
         y, v = f_mean[:k], f_mean[k:]
-        cls = classify_complementarity(dims, x, u, y, v)
-        in_l, in_m = in_L(dims, point), in_M(dims, ConePoint(y, v))
+        cls = classify_complementarity(spec.dims, x, u, y, v)
+        in_l, in_m = in_L(spec.dims, ConePoint(x, u)), in_M(spec.dims, ConePoint(y, v))
 
     print(f"point (x, u): in_L = {in_l}")
     print(f"F at mean draw as (y, v): in_M = {in_m}")
@@ -311,7 +261,7 @@ def main(argv=None) -> int:
         if args.command == "example":
             return _cmd_example(args)
         return _cmd_check(args)
-    except (ProblemParseError, ProblemValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # the problem's parse and validation errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

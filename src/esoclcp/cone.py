@@ -116,9 +116,6 @@ def _case_residuals(
 
     out["I"] = {"u_norm": nu, "v_norm": nv, **_orthant_residuals(x, y)}
 
-    # u = 0, v != 0 is encoded as a requirement that ||v|| exceed tol; the
-    # violation stored is how far ||v|| falls short of being nonzero, which the
-    # matcher turns into the condition nv > tol.
     out["II"] = {
         "u_norm": nu,
         "tail_short": float(max(0.0, nv - np.sum(y))),
@@ -141,7 +138,7 @@ def _case_residuals(
             **_orthant_residuals(shifted, y),
         }
     else:
-        out["IV"] = {"parallel": float("inf"), "tail": float("inf"), "x_neg": float("inf"), "y_neg": float("inf"), "pairing": float("inf")}
+        out["IV"] = dict.fromkeys(("parallel", "tail", "x_neg", "y_neg", "pairing"), float("inf"))
     return out
 
 
@@ -178,39 +175,13 @@ def classify_complementarity(
 
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
-    u_zero = nu <= tol
-    v_zero = nv <= tol
     res = _case_residuals(x, u, y, v)
-
-    def orthant_ok(r: dict[str, float]) -> bool:
-        return r["x_neg"] <= tol and r["y_neg"] <= tol and r["pairing"] <= tol
-
-    if u_zero and v_zero and orthant_ok(res["I"]):
-        return CompCase("I", None, res["I"])
-    if u_zero and not v_zero and res["II"]["tail_short"] <= tol and orthant_ok(res["II"]):
-        return CompCase("II", None, res["II"])
-    if not u_zero and v_zero and res["III"]["cone_gap"] <= tol and orthant_ok(res["III"]):
-        return CompCase("III", None, res["III"])
-    if (
-        not u_zero
-        and not v_zero
-        and res["IV"]["parallel"] <= tol
-        and res["IV"]["tail"] <= tol
-        and orthant_ok(res["IV"])
-    ):
-        return CompCase("IV", nv / nu, res["IV"])
-
-    # no match: report the case with the smallest worst violation
-    def worst(name: str) -> float:
-        vals = [val for key, val in res[name].items() if key not in ("u_norm", "v_norm")]
-        # zero-requirements on u/v participate for the cases that demand them
-        if name in ("I", "II"):
-            vals.append(res[name]["u_norm"])
-        if name == "I":
-            vals.append(res[name]["v_norm"])
-        if name == "III":
-            vals.append(res[name]["v_norm"])
-        return max(vals)
-
-    best = min(CASE_ORDER, key=lambda name: (worst(name), CASE_ORDER.index(name)))
+    # each case's residuals are exactly the conditions it needs <= tol; the
+    # cases with u or v nonzero also need that norm above tol
+    nonzero = {"I": (), "II": (nv,), "III": (nu,), "IV": (nu, nv)}
+    for name in CASE_ORDER:
+        if all(val <= tol for val in res[name].values()) and all(n > tol for n in nonzero[name]):
+            return CompCase(name, nv / nu if name == "IV" else None, res[name])
+    # no match: report the case with the smallest worst violation, first on ties
+    best = min(CASE_ORDER, key=lambda name: max(res[name].values()))
     return CompCase(CASE_NONE, None, res[best])

@@ -192,38 +192,8 @@ def load_problem(text) -> ProblemSpec:
     omega_dim = doc["omega_dim"]
     if not isinstance(omega_dim, int) or isinstance(omega_dim, bool):
         raise ProblemParseError("omega_dim must be an integer")
-
-    t_entries = []
-    if not isinstance(doc["T_perturb"], list):
-        raise ProblemParseError("T_perturb must be an array")
-    for i, item in enumerate(doc["T_perturb"]):
-        if not isinstance(item, dict):
-            raise ProblemParseError(f"T_perturb[{i}] must be an object")
-        _require_keys(item, _T_ENTRY_KEYS, f"T_perturb[{i}]")
-        t_entries.append(
-            PerturbEntry(
-                _as_index(item["row"], f"T_perturb[{i}].row"),
-                _as_index(item["col"], f"T_perturb[{i}].col"),
-                _as_number(item["coeff"], f"T_perturb[{i}].coeff"),
-                _as_index(item["omega"], f"T_perturb[{i}].omega"),
-            )
-        )
-
-    r_entries = []
-    if not isinstance(doc["r_perturb"], list):
-        raise ProblemParseError("r_perturb must be an array")
-    for i, item in enumerate(doc["r_perturb"]):
-        if not isinstance(item, dict):
-            raise ProblemParseError(f"r_perturb[{i}] must be an object")
-        _require_keys(item, _R_ENTRY_KEYS, f"r_perturb[{i}]")
-        r_entries.append(
-            PerturbEntry(
-                _as_index(item["row"], f"r_perturb[{i}].row"),
-                None,
-                _as_number(item["coeff"], f"r_perturb[{i}].coeff"),
-                _as_index(item["omega"], f"r_perturb[{i}].omega"),
-            )
-        )
+    t_entries = _entries(doc, "T_perturb", _T_ENTRY_KEYS)
+    r_entries = _entries(doc, "r_perturb", _R_ENTRY_KEYS)
 
     dist_doc = doc["distribution"]
     if not isinstance(dist_doc, dict):
@@ -241,19 +211,41 @@ def load_problem(text) -> ProblemSpec:
     )
     base = {}
     for name in ("T_base", "r_base"):
+        cells = _as_numbers(doc[name], name)
         try:
-            base[name] = np.asarray(doc[name], dtype=float)
-        except (TypeError, ValueError) as exc:
+            base[name] = np.asarray(cells, dtype=float)
+        except ValueError as exc:  # rows of different lengths
             raise ProblemParseError(f"{name} must be an array of numbers: {exc}") from exc
     return ProblemSpec(
         dims=dims,
         omega_dim=omega_dim,
         T_base=base["T_base"],
         r_base=base["r_base"],
-        T_perturb=tuple(t_entries),
-        r_perturb=tuple(r_entries),
+        T_perturb=t_entries,
+        r_perturb=r_entries,
         distribution=dist,
     )
+
+
+def _entries(doc: dict, name: str, keys: set[str]) -> tuple[PerturbEntry, ...]:
+    # T_perturb or r_perturb; an r_perturb entry has no "col"
+    if not isinstance(doc[name], list):
+        raise ProblemParseError(f"{name} must be an array")
+    entries = []
+    for i, item in enumerate(doc[name]):
+        where = f"{name}[{i}]"
+        if not isinstance(item, dict):
+            raise ProblemParseError(f"{where} must be an object")
+        _require_keys(item, keys, where)
+        entries.append(
+            PerturbEntry(
+                _as_index(item["row"], f"{where}.row"),
+                _as_index(item["col"], f"{where}.col") if "col" in keys else None,
+                _as_number(item["coeff"], f"{where}.coeff"),
+                _as_index(item["omega"], f"{where}.omega"),
+            )
+        )
+    return tuple(entries)
 
 
 def _as_index(value, where: str) -> int:
@@ -266,6 +258,14 @@ def _as_number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ProblemParseError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+def _as_numbers(value, where: str):
+    # a number or a nested array of them, each cell checked like a scalar field;
+    # a cell's name is spelled out only when the cell is not a JSON number
+    if not isinstance(value, list):
+        return _as_number(value, where)
+    return [float(v) if type(v) in (int, float) else _as_numbers(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
 def _require_keys(doc: dict, keys: set[str], where: str) -> None:

@@ -1,13 +1,15 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from esoclcp.cli import main
+from esoclcp.cli import CONFIG_FLAGS, SMOOTHING_NAMES, main
 from esoclcp.problem import builtin_example, load_problem, serialize_problem
+from esoclcp.solver import MODES, SolverConfig
 
 from conftest import case_iv_instance
 
@@ -83,6 +85,88 @@ def test_solve_json_document(capsys):
         assert s["termination"] in ("grad_tol", "k_max", "outer_eps")
         assert len(s["x"]) == 3 and len(s["u"]) == 2 and len(s["F_at_mean"]) == 5
     assert set(doc["final"]) == {"x", "u", "F_at_mean", "aloc", "theta"}
+
+
+def test_table_and_csv_cells_render_the_json_numbers(capsys):
+    # the three formats render one list of stage rows: each CSV cell is the
+    # repr and each table cell the .6g of the number in the JSON row
+    argv = ["solve", "--builtin", *FAST, "--no-timing", "--seed", "7", "--format"]
+    out = {}
+    for fmt in ("table", "csv", "json"):
+        rc, out[fmt], _ = run(capsys, argv + [fmt])
+        assert rc == 2
+    doc = json.loads(out["json"])
+    stages = doc["stages"]
+    assert doc["final"] == {key: stages[-1][key] for key in ("x", "u", "F_at_mean", "aloc", "theta")}
+
+    def solution(s):
+        return [s["j"], s["N"], *s["x"], *s["u"], *s["F_at_mean"]]
+
+    def shown(v, fmt):
+        return str(v) if isinstance(v, int) else fmt(v)
+
+    csv_rows = [line.split(",") for line in out["csv"].splitlines()[1:]]
+    assert csv_rows == [
+        [shown(v, repr) for v in solution(s)] + ["", repr(s["aloc"]), repr(s["theta"])] for s in stages
+    ]
+    solutions, performance = out["table"].split("\n\n")
+    assert [line.split() for line in solutions.splitlines()[2:]] == [
+        [shown(v, "{:.6g}".format) for v in solution(s)] for s in stages
+    ]
+    assert [line.split() for line in performance.splitlines()[2:]] == [
+        [str(s["j"]), str(s["N"]), "-", f"{s['aloc']:.6g}", f"{s['theta']:.6g}", str(s["inner_iters"]), s["termination"]]
+        for s in stages
+    ]
+
+
+def test_solve_flag_defaults_are_the_solver_config_defaults(capsys):
+    defaults = SolverConfig()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    options = " ".join(capsys.readouterr().out.split("options:")[1].split())
+    shown = {"mode": defaults.mode, "smoothing": "chks"}
+    assert SMOOTHING_NAMES["chks"] is defaults.smoothing
+    assert "--mode {" + ",".join(MODES) + "}" in options
+    for flag, name, _, _ in CONFIG_FLAGS:
+        value = getattr(defaults, name)
+        shown[flag[2:]] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    for flag, text in shown.items():
+        assert re.search(rf"--{flag} \S+ [^()]*\(default {re.escape(text)}\)", options), flag
+
+
+def test_each_solve_flag_sets_its_solver_config_field(monkeypatch, capsys):
+    import esoclcp.cli as cli_mod
+
+    seen = []
+
+    def stop(spec, cfg):
+        seen.append(cfg)
+        raise ValueError("stopped before solving")
+
+    monkeypatch.setattr(cli_mod, "solve", stop)
+    rc, _, _ = run(capsys, ["solve", "--builtin"])
+    assert rc == 1 and seen[-1] == SolverConfig()
+    flags = {
+        "--alpha": ("alpha", "0.1", 0.1),
+        "--mu": ("mu", "0.002", 0.002),
+        "--lm-nu": ("lm_nu", "3e-5", 3e-5),
+        "--schedule": ("schedule", "3,40", (3, 40)),
+        "--seed": ("seed", "9", 9),
+        "--tol": ("tol_r", "1e-3", 1e-3),
+        "--eps": ("eps", "0.25", 0.25),
+        "--c1": ("c1", "0.01", 0.01),
+        "--c2": ("c2", "0.5", 0.5),
+        "--kmax": ("k_max", "7", 7),
+        "--mode": ("mode", "erm", "erm"),
+        "--smoothing": ("smoothing", "nn", SMOOTHING_NAMES["nn"]),
+    }
+    assert {flag for flag, *_ in CONFIG_FLAGS} < set(flags)
+    rc, _, _ = run(capsys, ["solve", "--builtin"] + [a for flag, (_, text, _) in flags.items() for a in (flag, text)])
+    assert rc == 1
+    for flag, (name, _, value) in flags.items():
+        assert getattr(seen[-1], name) == value, flag
+        assert value != getattr(SolverConfig(), name), flag
 
 
 def test_solve_problem_file_equals_builtin(tmp_path, capsys):

@@ -180,6 +180,11 @@ def _edited(edit):
         ("T_base", lambda d: d.update(T_base="abc")),
         ("r_base", lambda d: d.update(r_base={})),
         ("r_base", lambda d: d.update(r_base=[1, 2, {"a": 1}, 4, 5])),
+        ("T_base[0][0]", lambda d: d["T_base"][0].__setitem__(0, "41")),
+        ("T_base[1][2]", lambda d: d["T_base"][1].__setitem__(2, None)),
+        ("T_base[4][4]", lambda d: d["T_base"][4].__setitem__(4, False)),
+        ("r_base[1]", lambda d: d["r_base"].__setitem__(1, True)),
+        ("r_base[0]", lambda d: d["r_base"].__setitem__(0, "-26")),
     ],
 )
 def test_load_names_the_field_that_is_not_a_number(where, edit):
@@ -191,9 +196,12 @@ def test_load_accepts_integer_numbers():
     def edit(doc):
         doc["distribution"].update(mean=0, std=2)
         doc["T_perturb"][0]["coeff"] = 3
+        doc.update(T_base=[list(row) for row in T_ROWS], r_base=list(R_BASE))
 
     spec = load_problem(_edited(edit))
     assert spec.distribution.std == 2.0 and type(spec.distribution.std) is float
+    assert spec.T_base.dtype == float and np.array_equal(spec.T_base, np.array(T_ROWS, dtype=float))
+    assert spec.r_base.dtype == float and np.array_equal(spec.r_base, np.array(R_BASE, dtype=float))
     assert spec.T_perturb[0].coeff == 3.0 and type(spec.T_perturb[0].coeff) is float
 
 

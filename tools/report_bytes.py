@@ -1,0 +1,89 @@
+"""Fingerprints of esoclcp's deterministic reports, so that "same bytes" is a diff.
+
+Run from the root of a checkout:
+
+    python3 tools/report_bytes.py [--src DIR] --seed 7 --seed 11 > bytes.txt
+
+esoclcp is imported from DIR (default ./src), in this process, on one BLAS
+thread.  One line `name rc sha256` is printed per report, where sha256 is
+that of the report's stdout and rc the CLI's exit code:
+
+  <workload>/seed<S>/op<i>/<format>  every operation perfbench/workloads.py
+                                     builds for run seed S, in each of the
+                                     formats table, csv and json
+  builtin/seed<S>/<format>           a default `solve --builtin --seed S`,
+                                     S in 7, 42 and 1234
+  check/<point>                      `check --builtin --point <point>`
+
+Every solve runs with --no-timing.  Run the script once per tree with the
+same seeds and diff the two outputs.  perfbench/ is imported, not changed.
+"""
+
+from __future__ import annotations
+
+import os
+
+# before numpy is imported: the last bits of a solve depend on the BLAS threads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FORMATS = ("table", "csv", "json")
+BUILTIN_SEEDS = (7, 42, 1234)
+# the README's point and two more; the nearest complementarity cases are II, I and IV
+CHECK_POINTS = ("1.5,0.3,1.1,0.1,-0.25", "1,2,3,0,0", "4,4,4,0.001,0")
+
+
+def reports(cli, workloads, seeds, workdir: str):
+    """(name, argv) for every report, in a fixed order."""
+    for seed in seeds:
+        for name, workload in workloads.WORKLOADS.items():
+            inputs = workload.build(cli, seed, workdir)
+            for i, op in enumerate(workload.ops(inputs, seed)):
+                argv = workload.argv(op.inp, op.solver_seed)
+                for fmt in FORMATS:
+                    argv[argv.index("--format") + 1] = fmt
+                    yield f"{name}/seed{seed}/op{i}/{fmt}", list(argv)
+    for seed in BUILTIN_SEEDS:
+        for fmt in FORMATS:
+            yield f"builtin/seed{seed}/{fmt}", ["solve", "--builtin", "--seed", str(seed), "--format", fmt, "--no-timing"]
+    for point in CHECK_POINTS:
+        yield f"check/{point}", ["check", "--builtin", "--point", point]
+
+
+def run(cli, argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description="sha256 of every deterministic esoclcp report")
+    p.add_argument("--seed", type=int, action="append", required=True, help="perfbench run seed; repeat for more")
+    p.add_argument("--src", default=os.path.join(os.getcwd(), "src"), help="directory esoclcp is imported from")
+    args = p.parse_args(argv)
+    src = os.path.abspath(args.src)
+    sys.dont_write_bytecode = True  # leave no cache files in perfbench/ or in DIR
+    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    import esoclcp.cli as cli
+    import workloads
+
+    if os.path.dirname(os.path.abspath(cli.__file__)) != os.path.join(src, "esoclcp"):
+        print(f"error: imported esoclcp from {cli.__file__}, not from {src}", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, report_argv in reports(cli, workloads, args.seed, workdir):
+            print(name, *run(cli, report_argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
