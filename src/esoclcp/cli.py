@@ -264,6 +264,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # the problem's parse and validation errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

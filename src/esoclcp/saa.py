@@ -263,8 +263,16 @@ class SampleEvaluator:
         self.W_bar = self.W.mean(axis=1)
         self.M = (self.W @ self.W.T) / n
         self._K_abs = (np.abs(K) * np.sqrt(np.diag(self.M))[:, None]).reshape(-1, m + 2)
-        # sample mean of T, reused by every mean-Jacobian call
+        # sample mean of T; then what weighted_merit_grad and
+        # mean_jacobian_residual read at every point, built once: W^T, K's
+        # FB-row blocks and gradient columns, T_bar's head rows and the column
+        # sums of its first k rows
         self.T_bar = np.einsum("ioj,o->ij", K[:m, :, :m], self.W_bar)
+        self._WT = self.W.T
+        self._K_fb = K[:k, :, :m]
+        self._K_grad = self.K[: m * d1, : m + 1]
+        self._T_head = self.T_bar[k:]
+        self._T_colsum = self.T_bar[:k].sum(axis=0)
 
     def __getattr__(self, name: str):
         # only reached for attributes not set yet: the dense blocks
@@ -376,7 +384,9 @@ class SampleEvaluator:
             work = np.empty((m, n))
         r = res.T
         da, db = fb
-        w = np.broadcast_to(np.asarray(w, dtype=float), (n,))
+        w = np.asarray(w, dtype=float)
+        if w.shape != (n,):
+            w = np.broadcast_to(w, (n,))
 
         wfb, wh = work[:k], work[k:]
         np.multiply(r[:k], w, out=wfb)
@@ -396,7 +406,7 @@ class SampleEvaluator:
         wfb *= db
         wfb += p.u @ wh
         wh *= p.t
-        g += (work @ self.W.T).reshape(-1) @ self.K[: m * self.W.shape[0], : m + 1]
+        g += (work @ self._WT).reshape(-1) @ self._K_grad
         return g / n
 
     def mean_jacobian_residual(
@@ -419,21 +429,21 @@ class SampleEvaluator:
         if fb is None:
             fb = self._fb_coeffs(p, f)
         da, db = fb
-        t_bar = self.T_bar
         jbar = np.zeros((self.dim, self.dim))
+        diag = jbar.ravel()[:: self.dim + 1]
         # FB rows D_b [A | B]: sum_j (D_b)_j T_j = sum_o (D_b W^T)_o T_o, then
-        # the head block t [C | D] + u e^T [A | B] + s1 [0 | I]
-        blocks = self.K.reshape(m + 1, -1, m + 2)[:k, :, :m]
-        jbar[:k, :m] = np.einsum("io,ioj->ij", db @ self.W.T, blocks) / n
-        jbar[k:m, :m] = p.t * t_bar[k:] + np.outer(p.u, t_bar[:k].sum(axis=0))
-        jbar[np.arange(k, m), np.arange(k, m)] += float(f[m].mean())
+        # the head block t [C | D] + u e^T [A | B] + s1 [0 | I]; each mean is
+        # np.mean's sum and division, without its wrapper
+        jbar[:k, :m] = np.einsum("io,ioj->ij", db @ self._WT, self._K_fb) / n
+        jbar[k:m, :m] = p.t * self._T_head + p.u[:, None] * self._T_colsum
+        diag[k:m] += float(np.add.reduce(f[m])) / n
         # the t column: row sums of the x_m columns (see weighted_merit_grad)
-        jbar[:m, m] = jbar[:m, :k].sum(axis=1)
-        jbar[k:m, m] += f[k:m].mean(axis=1)
-        jbar[np.arange(k), np.arange(k)] += da.mean(axis=1)
+        jbar[:m, m] = np.add.reduce(jbar[:m, :k], 1)
+        jbar[k:m, m] += np.add.reduce(f[k:m], 1) / n
+        diag[:k] += np.add.reduce(da, 1) / n
         jbar[m, k:m] = -2.0 * p.u
         jbar[m, m] = 2.0 * p.t
-        return jbar, res.mean(axis=0)
+        return jbar, np.add.reduce(res, 0) / n
 
 
 class RayBound:

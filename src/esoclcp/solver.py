@@ -44,6 +44,12 @@ DEFAULT_SCHEDULE = (10, 100, 1000, 10000)
 # mu, and theta_star brackets a Theta about mu / sqrt(alpha) above the losses,
 # whose square overflows from mu ~ 1e153 on
 MU_MAX = 1e100
+# the smallest: theta_star's h' sums 2 mu^2 / r^3, r >= 2 mu, which overflows
+# where a loss sits at Theta from mu ~ 1e-103 on, and 4 mu^2 underflows to 0
+# from mu ~ 1e-162 on, where p'(0) becomes 0 / 0.  Well above that, a mu
+# below theta_star's tolerance on Theta still leaves the tail weights a step
+# whose sum misses alpha N; grad refuses those
+MU_MIN = 1e-100
 
 # a trial point is screened out when its empirical CVaR exceeds the line
 # search's bar by more than this share of (|bar| + |bound| + mu) / alpha, a
@@ -82,6 +88,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.mu > MU_MAX:
             raise ValueError(f"mu must be at most {MU_MAX:g}, got {self.mu:g}")
+        if self.mu < MU_MIN:
+            raise ValueError(f"mu must be at least {MU_MIN:g}, got {self.mu:g}")
         schedule = tuple(int(n) for n in self.schedule)
         if len(schedule) < 1 or schedule[0] < 1 or any(
             b <= a for a, b in zip(schedule, schedule[1:])
@@ -144,12 +152,13 @@ def stage_samples(spec: ProblemSpec, cfg: SolverConfig, j: int) -> np.ndarray:
     return draw_samples(spec.distribution, spec.omega_dim, cfg.schedule[j - 1], stage_seed(cfg.seed, j))
 
 
-def _lm_from_means(a_bar: np.ndarray, f_bar: np.ndarray, lm_nu: float) -> np.ndarray:
-    # damped Gauss-Newton direction from the sample-mean Jacobian and residual;
-    # non-finite means are refused before the products, which would warn
+def _lm_from_means(a_bar: np.ndarray, f_bar: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    # damped Gauss-Newton direction from the sample-mean Jacobian and residual,
+    # with damping = lm_nu I (a stage builds it once); non-finite means are
+    # refused before the products, which would warn
     if not (np.isfinite(a_bar).all() and np.isfinite(f_bar).all()):
         raise np.linalg.LinAlgError("mean Jacobian or residual is not finite")
-    gram = a_bar.T @ a_bar + lm_nu * np.eye(a_bar.shape[1])
+    gram = a_bar.T @ a_bar + damping
     rhs = -(a_bar.T @ f_bar)
     # the Cholesky factorization is the SPD test; numpy has no triangular
     # solve, and one LU solve of the small system costs less than two.
@@ -159,7 +168,7 @@ def _lm_from_means(a_bar: np.ndarray, f_bar: np.ndarray, lm_nu: float) -> np.nda
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"damped normal equations not SPD: {exc}") from exc
     d = np.linalg.solve(gram, rhs)
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise np.linalg.LinAlgError("damped normal equations produced non-finite step")
     return d
 
@@ -258,6 +267,14 @@ class _StageProblem:
         self._thetas = np.empty(n)
         self._fb = np.empty((2, ev.k, n))
         self._work = np.empty((ev.dim - 1, n))
+        # what grad and direction pass the kernels at every point: the
+        # residuals as (N, rows), lm_nu I, and the unit weights of modes ev
+        # and erm as the stride-0 view weighted_merit_grad makes of 1.0 (its
+        # w @ r[m] then runs numpy's own dot loop; contiguous ones would go to
+        # BLAS and round differently)
+        self._res_T = self._res.T
+        self._unit = np.broadcast_to(1.0, (n,))
+        self._damping = cfg.lm_nu * np.eye(ev.dim)
         self._held: _PointEval | None = None  # whose data _f, _res and _thetas hold
         self._fb_of: _PointEval | None = None  # whose FB coefficients _fb holds
 
@@ -294,34 +311,44 @@ class _StageProblem:
             if np.isfinite(thetas).all():
                 theta = theta_star(thetas, cfg.alpha, cfg.mu, cfg.smoothing)
                 shifted = smooth_plus(thetas - theta, cfg.mu, cfg.smoothing)
-                # x.sum() / x.size is np.mean's sum and division, without its wrapper
-                value = theta + float(shifted.sum()) / shifted.size / cfg.alpha
+                # np.add.reduce(x) / x.size is np.mean's sum and division, without its wrapper
+                value = theta + float(np.add.reduce(shifted)) / shifted.size / cfg.alpha
             else:
                 theta, value = float("nan"), float("inf")
         else:
             theta = float("nan")
-            value = float(thetas.sum()) / thetas.size
+            value = float(np.add.reduce(thetas)) / thetas.size
         self._held = _PointEval(z, p, theta, value)
         return self._held
 
     def grad(self, e: _PointEval) -> np.ndarray:
         if e._gvec is None:
             fb = self._fb_at(e)
-            if self.cfg.mode == "cvar":
-                w = smooth_plus_deriv(self._thetas - e.theta, self.cfg.mu, self.cfg.smoothing)
-                e._gvec = self.ev.weighted_merit_grad(e.p, w, self._res.T, self._f, fb, self._work) / self.cfg.alpha
+            cfg = self.cfg
+            if cfg.mode == "cvar":
+                w = smooth_plus_deriv(self._thetas - e.theta, cfg.mu, cfg.smoothing)
+                # theta_star makes the tail weights sum to alpha N; far off
+                # it, Theta is not resolved at this mu and the gradient is
+                # not that of the objective
+                total, target = float(np.add.reduce(w)), cfg.alpha * self.ev.N
+                if not 0.5 * target <= total <= 2.0 * target:
+                    raise ValueError(
+                        f"tail weights at Theta = {e.theta:g} sum to {total:g}, not alpha N = {target:g}: "
+                        f"mu = {cfg.mu:g} is too small for theta_star to resolve Theta"
+                    )
+                e._gvec = self.ev.weighted_merit_grad(e.p, w, self._res_T, self._f, fb, self._work) / cfg.alpha
             else:
-                e._gvec = self.ev.weighted_merit_grad(e.p, 1.0, self._res.T, self._f, fb, self._work)
+                e._gvec = self.ev.weighted_merit_grad(e.p, self._unit, self._res_T, self._f, fb, self._work)
         return e._gvec
 
     def direction(self, e: _PointEval, grad: np.ndarray) -> np.ndarray:
         fb = self._fb_at(e)
         try:
-            a_bar, f_bar = self.ev.mean_jacobian_residual(e.p, self._res.T, self._f, fb)
-            d = _lm_from_means(a_bar, f_bar, self.cfg.lm_nu)
+            a_bar, f_bar = self.ev.mean_jacobian_residual(e.p, self._res_T, self._f, fb)
+            d = _lm_from_means(a_bar, f_bar, self._damping)
         except np.linalg.LinAlgError:
             return -grad
-        nd = float(np.linalg.norm(d))
+        nd = math.sqrt(float(d @ d))
         if nd == 0.0 or float(grad @ d) > -_DESCENT_R * nd:
             return -grad
         return d
@@ -355,7 +382,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
         cur = stage.eval_point(z)
         while True:
             grad = stage.grad(cur)
-            gnorm = float(np.max(np.abs(grad)))
+            gnorm = float(np.maximum.reduce(np.abs(grad)))
             if gnorm <= cfg.tol_r:
                 termination = "grad_tol"
                 break
@@ -404,7 +431,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
             )
             nxt = trial(step)
             iters += 1
-            if np.array_equal(nxt.z, z):
+            if (nxt.z == z).all():
                 # the accepted step moved z by less than one ulp, so every
                 # remaining iteration would replay this one exactly; charge
                 # them all at once without rerunning the identical search

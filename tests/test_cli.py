@@ -276,6 +276,45 @@ def test_solve_rejects_a_mu_beyond_the_limit_before_solving(capsys, smoothing):
     assert err.splitlines() == ["error: mu must be at most 1e+100, got 3e+153"]
 
 
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        ("1e-18", r"error: tail weights at Theta = \S+ sum to \S+, not alpha N = 0\.25: mu = 1e-18 is too small .*"),
+        ("1e-300", r"error: mu must be at least 1e-100, got 1e-300"),
+    ],
+    ids=["tail_weights", "below_mu_min"],
+)
+def test_solve_refuses_a_mu_too_small_for_theta_star(capsys, mu, message):
+    # a tiny mu used to end the stage on a false grad_tol (1e-18), or print a
+    # RuntimeWarning and then a nan slope (1e-300)
+    argv = ["solve", "--builtin", "--schedule", "5", "--kmax", "3", "--mu", mu, "--no-timing"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert len(err.splitlines()) == 1 and re.fullmatch(message, err.strip())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--builtin", "--schedule", "1000000000000", "--kmax", "1"],
+        ["check", "--builtin", "--point", "1,0.3,1,0.1,-0.2", "--samples", "1000000000000"],
+    ],
+    ids=["solve", "check"],
+)
+def test_a_sample_too_large_for_memory_is_one_error_line(capsys, monkeypatch, argv):
+    # numpy raises MemoryError naming the array; no real allocation is tried here
+    def refuse(dist, omega_dim, N, seed):
+        raise MemoryError(f"Unable to allocate an array with shape ({N}, {omega_dim})")
+
+    monkeypatch.setattr("esoclcp.solver.draw_samples", refuse)
+    monkeypatch.setattr("esoclcp.cli.draw_samples", refuse)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err.splitlines() == ["error: out of memory: Unable to allocate an array with shape (1000000000000, 3)"]
+
+
 def test_solve_mode_and_smoothing_flags(capsys):
     rc, out, _ = run(
         capsys,

@@ -319,6 +319,12 @@ def test_weighted_merit_grad_matches_per_draw_weighting():
         assert np.allclose(fused, naive, rtol=1e-11, atol=1e-12)
         ones = ev.weighted_merit_grad(p, 1.0)
         assert np.allclose(ones, merit_grads(ev, p).mean(axis=0), rtol=1e-11, atol=1e-12)
+        # at N = 1 the means are the one draw's J and R, so the two kernels
+        # agree on J^T R to rounding, measured on the scale |J|^T |R|
+        one = SampleEvaluator(spec, s[:1])
+        jbar, rbar = one.mean_jacobian_residual(p)
+        gap = np.abs(jbar.T @ rbar - one.weighted_merit_grad(p, 1.0))
+        assert np.all(gap <= 1e-12 * (np.abs(jbar).T @ np.abs(rbar)))
 
 
 def test_evaluator_holds_the_draws_and_realizes_dense_blocks_on_first_access():

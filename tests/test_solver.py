@@ -15,6 +15,7 @@ from esoclcp.risk import SmoothingKind, _tail_cvar, cvar_empirical, smooth_plus
 from esoclcp.saa import RayBound, SAAPoint, SampleEvaluator, draw_samples, theta_star
 from esoclcp.solver import (
     MU_MAX,
+    MU_MIN,
     SolverConfig,
     _lm_from_means,
     _StageProblem,
@@ -76,6 +77,25 @@ def test_config_accepts_mu_up_to_its_limit():
     assert SolverConfig(mu=MU_MAX).mu == MU_MAX == 1e100
 
 
+def test_config_accepts_mu_down_to_its_limit():
+    assert SolverConfig(mu=MU_MIN).mu == MU_MIN == 1e-100
+    for mu in (9.999999999999999e-101, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="mu must be at least 1e-100"):
+            SolverConfig(mu=mu)
+
+
+@pytest.mark.parametrize("mu", [1e-18, 1e-16, 1e-100])
+def test_cvar_stage_refuses_tail_weights_that_miss_alpha_n(mu):
+    # far below theta_star's tolerance on Theta the smoothed tail weights are
+    # a step: here they sum to 1.9e-11, 1.9e-7 and 0 against alpha N = 0.25;
+    # at 1e-18 the stage used to end on grad_tol after 0 iterations
+    cfg = SolverConfig(mu=mu, schedule=(5,), k_max=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"tail weights at Theta = .* mu = {mu:g} is too small"):
+            solve(builtin_example(), cfg)
+
+
 def test_config_normalizes_schedule_to_int_tuple():
     cfg = SolverConfig(schedule=[np.int64(5), 50])
     assert cfg.schedule == (5, 50)
@@ -115,7 +135,8 @@ def test_stage_samples_ev_mode_is_single_mean_draw():
 
 
 def _gauss_newton(spec, s, p, nu):
-    return _lm_from_means(*SampleEvaluator(spec, s).mean_jacobian_residual(p), nu)
+    ev = SampleEvaluator(spec, s)
+    return _lm_from_means(*ev.mean_jacobian_residual(p), nu * np.eye(ev.dim))
 
 
 def test_gauss_newton_direction_zero_at_exact_solution():
@@ -155,10 +176,10 @@ def test_unsolvable_normal_equations_fall_back_to_steepest_descent(monkeypatch, 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):
-                _lm_from_means(a_bar, np.ones(6), nu)
-            stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1)), cfg)
+                _lm_from_means(a_bar, np.ones(6), nu * np.eye(6))
+            ev = SampleEvaluator(spec, stage_samples(spec, cfg, 1))
+            stage = _StageProblem(ev, SimpleNamespace(**{**vars(cfg), "lm_nu": nu}))
             monkeypatch.setattr(stage.ev, "mean_jacobian_residual", lambda *args, a_bar=a_bar: (a_bar, np.ones(6)))
-            monkeypatch.setattr(stage, "cfg", SimpleNamespace(**{**vars(cfg), "lm_nu": nu}))
             e = stage.eval_point(default_start(spec).as_vector())
             grad = stage.grad(e)
             assert np.array_equal(stage.direction(e, grad), -grad)
@@ -166,7 +187,7 @@ def test_unsolvable_normal_equations_fall_back_to_steepest_descent(monkeypatch, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError):
-            _lm_from_means(np.eye(6), np.array([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]), nu)
+            _lm_from_means(np.eye(6), np.array([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]), nu * np.eye(6))
 
 
 def test_gauss_newton_direction_huge_damping_aligns_with_steepest_descent():

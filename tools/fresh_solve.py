@@ -14,12 +14,15 @@ the child's `import esoclcp.cli` time (import_s) and the solve's own time
 (solve_s) separately, the child's own peak RSS (peak_rss_mb, from
 resource.getrusage RUSAGE_SELF in the child: RUSAGE_CHILDREN here would
 report the largest child so far), the child's minor page faults (from
-RUSAGE_CHILDREN, so every allocation the allocator had to map counts), each
-stage's sample size, termination, inner iterations, SampleEvaluator.residuals
-calls, line-search values asked for (StageResult.trials) and how many of
-those a lower bound answered (StageResult.screened; both null for a source
-tree older than those fields), the total residuals calls and the solve
-time per such call, and src_lines, the line count of DIR/esoclcp/*.py.
+RUSAGE_CHILDREN, so every allocation the allocator had to map counts), one
+list per stage, the total residuals calls and the solve time per such call,
+and src_lines, the line count of DIR/esoclcp/*.py.  A stage's list holds, in
+this order: its sample size, termination, inner iterations,
+SampleEvaluator.residuals calls, line-search values asked for
+(StageResult.trials), how many of those a lower bound answered
+(StageResult.screened), its wall time in seconds (StageResult.wall_time) and
+that time per inner iteration in microseconds (null for 0 iterations);
+trials and screened are null for a source tree older than those fields.
 
 The benchmark in perfbench/ cannot see the allocator's share of this time:
 its reference kernel allocates multi-megabyte temporaries between solves,
@@ -64,7 +67,7 @@ def new_stage(*args, **kwargs):
 
 def kept(*args, **kwargs):
     report = solve(*args, **kwargs)
-    stages.extend({k: getattr(r, k, None) for k in ("trials", "screened")} for r in report.stages)
+    stages.extend({k: getattr(r, k, None) for k in ("trials", "screened", "wall_time")} for r in report.stages)
     return report
 
 SampleEvaluator.residuals = counted
@@ -107,7 +110,16 @@ def run_seed(src: str, seed: int, schedule: str | None = None) -> dict:
         "peak_rss_mb": child["peak_rss_mb"],
         "minor_faults": after.ru_minflt - before.ru_minflt,
         "stages": [
-            [s["N"], s["termination"], s["inner_iters"], c["residuals_calls"], c["trials"], c["screened"]]
+            [
+                s["N"],
+                s["termination"],
+                s["inner_iters"],
+                c["residuals_calls"],
+                c["trials"],
+                c["screened"],
+                c["wall_time"],
+                1e6 * c["wall_time"] / s["inner_iters"] if s["inner_iters"] else None,
+            ]
             for s, c in zip(report["stages"], child["stages"])
         ],
         "residuals_calls": child["residuals_calls"],
