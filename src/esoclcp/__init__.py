@@ -5,7 +5,7 @@ from .merit import merit_theta
 from .problem import ProblemSpec, builtin_example, load_problem
 from .risk import cvar_empirical, var_empirical
 from .saa import theta_star
-from .solver import SolveReport, SolverConfig, solve, wolfe_search
+from .solver import SolverConfig, StageResult, solve, wolfe_search
 
 __version__ = "0.1.0"
 
@@ -18,8 +18,8 @@ __all__ = [
     "cvar_empirical",
     "var_empirical",
     "theta_star",
-    "SolveReport",
     "SolverConfig",
+    "StageResult",
     "solve",
     "wolfe_search",
 ]

@@ -18,10 +18,10 @@ from .problem import (
     load_problem,
     serialize_problem,
 )
-from .reformulate import init_from_lcp, recover_lcp_point
+from .reformulate import init_from_lcp
 from .risk import SmoothingKind
 from .saa import SampleEvaluator, draw_samples
-from .solver import MODES, SolveReport, SolverConfig, aloc, solve
+from .solver import MODES, SolverConfig, StageResult, aloc, solve
 
 SMOOTHING_NAMES = {
     "chks": SmoothingKind.CHKS,
@@ -122,28 +122,24 @@ def _fmt_full(v) -> str:
     return repr(float(v))
 
 
-def _stage_rows(spec: ProblemSpec, report: SolveReport, no_timing: bool) -> list[dict]:
+def _stage_rows(stages: list[StageResult], no_timing: bool) -> list[dict]:
     """Each stage's object of the JSON report; the table and the CSV render the same rows."""
-    rows = []
-    mean_omega = spec.mean_omega()
-    for stage in report.stages:
-        pt = recover_lcp_point(stage.point.p)
-        rows.append(
-            {
-                "j": stage.j,
-                "N": stage.N,
-                "x": pt.x.tolist(),
-                "u": pt.u.tolist(),
-                "F_at_mean": f_eval(spec, mean_omega, pt.x, pt.u).tolist(),
-                "time_s": None if no_timing else stage.wall_time,
-                "aloc": stage.aloc,
-                "theta": stage.point.Theta,
-                "grad_inf_norm": stage.grad_inf_norm,
-                "inner_iters": stage.inner_iters,
-                "termination": stage.termination,
-            }
-        )
-    return rows
+    return [
+        {
+            "j": stage.j,
+            "N": stage.N,
+            "x": stage.x.tolist(),
+            "u": stage.u.tolist(),
+            "F_at_mean": stage.F_at_mean.tolist(),
+            "time_s": None if no_timing else stage.wall_time,
+            "aloc": stage.aloc,
+            "theta": stage.theta,
+            "grad_inf_norm": stage.grad_inf_norm,
+            "inner_iters": stage.inner_iters,
+            "termination": stage.termination,
+        }
+        for stage in stages
+    ]
 
 
 def _head(spec: ProblemSpec) -> list[str]:
@@ -196,17 +192,17 @@ def _cmd_solve(args) -> int:
         mode=args.mode,
         smoothing=SMOOTHING_NAMES[args.smoothing],
     )
-    report = solve(spec, cfg)
-    rows = _stage_rows(spec, report, args.no_timing)
+    stages = solve(spec, cfg)
+    rows = _stage_rows(stages, args.no_timing)
     if args.format == "table":
         text = _render_table(spec, rows)
     elif args.format == "csv":
         text = _render_csv(spec, rows)
     else:
         final = {key: rows[-1][key] for key in ("x", "u", "F_at_mean", "aloc", "theta")}
-        text = json.dumps({"mode": report.mode, "stages": rows, "final": final}, indent=2) + "\n"
+        text = json.dumps({"mode": cfg.mode, "stages": rows, "final": final}, indent=2) + "\n"
     _emit(text, args.out)
-    return 2 if report.stages[-1].termination == "k_max" else 0
+    return 2 if stages[-1].termination == "k_max" else 0
 
 
 def _cmd_example(args) -> int:
@@ -221,6 +217,8 @@ def _cmd_check(args) -> int:
         values = [float(v) for v in args.point.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad --point {args.point!r}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ValueError(f"--point must be finite, got {args.point!r}")
     if len(values) != k + l:
         raise ValueError(f"--point needs {k + l} numbers for k={k}, l={l}, got {len(values)}")
     x = np.array(values[:k])

@@ -37,7 +37,6 @@ those once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,19 +146,6 @@ def ndtri(y) -> np.ndarray:
     v -= 0.5
     out[tail] = np.copysign(x0, v, out=x0)  # negative in the lower tail
     return out.reshape(y.shape)
-
-
-@dataclass(eq=False)
-class SAAPoint:
-    """A spatial point plus the tail threshold Theta."""
-
-    p: MixPoint
-    Theta: float
-
-    def __post_init__(self) -> None:
-        self.Theta = float(self.Theta)
-        if not np.isfinite(self.Theta):
-            raise ValueError("Theta must be finite")
 
 
 def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> np.ndarray:

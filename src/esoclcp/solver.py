@@ -25,18 +25,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConePoint
 from .problem import ProblemSpec, f_eval, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
 from .reformulate import MixPoint, recover_lcp_point
 from .risk import SmoothingKind, _tail_cvar, smooth_plus, smooth_plus_deriv
-from .saa import RayBound, SAAPoint, SampleEvaluator, draw_samples, theta_star
+from .saa import RayBound, SampleEvaluator, draw_samples, theta_star
 
 MODES = ("cvar", "ev", "erm")
-TERMINATIONS = ("grad_tol", "k_max", "outer_eps")
 
 DEFAULT_SCHEDULE = (10, 100, 1000, 10000)
 
@@ -110,31 +108,22 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class StageResult:
-    """Outcome of one stage's inner loop."""
+    """Outcome of one stage: its solution, in both coordinate systems, and how the inner loop ended."""
 
     j: int
     N: int
-    point: SAAPoint
+    point: MixPoint  # the stage's solution (x_m, u, t)
+    theta: float  # the tail threshold Theta at point
+    x: np.ndarray  # point recovered to the cone variables (x, u)
+    u: np.ndarray
+    F_at_mean: np.ndarray  # F(x, u) at the mean draw
+    aloc: float  # average loss of complementarity over the stage's own sample
     grad_inf_norm: float
     inner_iters: int
     termination: str
     wall_time: float
-    aloc: float  # average loss of complementarity over the stage's own sample
     trials: int = 0  # line-search values asked for, cache hits aside
     screened: int = 0  # of those, the ones a lower bound answered
-
-
-@dataclass(eq=False)
-class SolveReport:
-    """Everything the staged solve produced."""
-
-    stages: list[StageResult] = field(default_factory=list)
-    final_mix: SAAPoint | None = None
-    recovered: ConePoint | None = None
-    F_at_mean: np.ndarray | None = None
-    aloc: float = float("nan")
-    theta_threshold: float = float("nan")
-    mode: str = "cvar"
 
 
 def stage_seed(seed: int, j: int) -> int:
@@ -354,8 +343,8 @@ class _StageProblem:
         return d
 
 
-def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -> SolveReport:
-    """Run the staged solve and assemble the report.
+def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -> list[StageResult]:
+    """Run the staged solve and return each stage's result.
 
     Stages run over the sample schedule (a single mean-draw stage in mode
     ev), warm-starting each stage at the previous stage's solution.  The
@@ -365,12 +354,13 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
     if start is None:
         z = default_start(spec).as_vector()
     else:
-        if start.p.x_m.shape != (spec.dims.k,) or start.p.u.shape != (spec.dims.l,):
+        if start.x_m.shape != (spec.dims.k,) or start.u.shape != (spec.dims.l,):
             raise ValueError("start point does not match the problem dimensions")
-        z = start.p.as_vector()
+        z = start.as_vector()
 
-    report = SolveReport(mode=cfg.mode)
+    results: list[StageResult] = []
     stage_count = 1 if cfg.mode == "ev" else len(cfg.schedule)
+    mean_omega = spec.mean_omega()
     prev_z: np.ndarray | None = None
 
     for j in range(1, stage_count + 1):
@@ -443,27 +433,25 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: SAAPoint | None = None) -
         wall = time.perf_counter() - t0
 
         if cfg.mode == "cvar":
-            theta = cur.theta
+            theta = float(cur.theta)
         else:
             theta = float(theta_star(stage.losses(cur), cfg.alpha, cfg.mu, cfg.smoothing))
-        point = SAAPoint(MixPoint.from_vector(z, spec.dims.k, spec.dims.l), theta)
-        pt = recover_lcp_point(point.p)
-        result = StageResult(j, ev.N, point, gnorm, iters, termination, wall, aloc(ev, pt.x, pt.u), trials, screened)
-        report.stages.append(result)
+        if not math.isfinite(theta):
+            raise ValueError("Theta must be finite")
+        point = MixPoint.from_vector(z, spec.dims.k, spec.dims.l)
+        pt = recover_lcp_point(point)
+        f_mean, loss = f_eval(spec, mean_omega, pt.x, pt.u), aloc(ev, pt.x, pt.u)
+        result = StageResult(
+            j, ev.N, point, theta, pt.x, pt.u, f_mean, loss, gnorm, iters, termination, wall, trials, screened
+        )
+        results.append(result)
 
         if prev_z is not None and float(np.linalg.norm(z - prev_z)) < cfg.eps:
             result.termination = "outer_eps"
-            prev_z = z
             break
         prev_z = z
 
-    final_stage = report.stages[-1]
-    report.final_mix = final_stage.point
-    report.recovered = recover_lcp_point(final_stage.point.p)
-    report.F_at_mean = f_eval(spec, spec.mean_omega(), report.recovered.x, report.recovered.u)
-    report.aloc = final_stage.aloc
-    report.theta_threshold = final_stage.point.Theta
-    return report
+    return results
 
 
 def aloc(ev: SampleEvaluator, x, u) -> float:

@@ -22,7 +22,7 @@ from esoclcp.risk import (
     smooth_plus,
     var_empirical,
 )
-from esoclcp.saa import SAAPoint, SampleEvaluator, draw_samples, theta_star
+from esoclcp.saa import SampleEvaluator, draw_samples, theta_star
 from esoclcp.solver import SolverConfig, solve
 
 from conftest import case_iv_instance, random_spec, tail_gradient, tail_objective
@@ -45,20 +45,20 @@ def test_01_builtin_experiment_bands():
     for seed in SEEDS:
         cfg = SolverConfig(alpha=0.05, schedule=FULL_SCHEDULE, seed=seed)
         t0 = time.perf_counter()
-        rep = solve(spec, cfg)
+        final = solve(spec, cfg)[-1]
         wall = time.perf_counter() - t0
-        xu = np.concatenate([rep.recovered.x, rep.recovered.u])
+        xu = np.concatenate([final.x, final.u])
         dev_xu = float(np.max(np.abs(xu - EXPECTED_XU)))
-        dev_f = float(np.max(np.abs(rep.F_at_mean - EXPECTED_F)))
+        dev_f = float(np.max(np.abs(final.F_at_mean - EXPECTED_F)))
         ok = (
             dev_xu <= 0.05
             and dev_f <= 0.3
-            and 0.9 <= rep.aloc <= 1.3
-            and 0.07 <= rep.theta_threshold <= 0.11
+            and 0.9 <= final.aloc <= 1.3
+            and 0.07 <= final.theta <= 0.11
         )
         lines.append(
             f"seed {seed}: dev_xu={dev_xu:.3f} (tol 0.05), dev_F={dev_f:.3f} (tol 0.3), "
-            f"aloc={rep.aloc:.4f} (band [0.9, 1.3]), theta={rep.theta_threshold:.4f} "
+            f"aloc={final.aloc:.4f} (band [0.9, 1.3]), theta={final.theta:.4f} "
             f"(band [0.07, 0.11]), wall={wall:.0f}s -> {'pass' if ok else 'fail'}"
         )
         if ok and winner is None:
@@ -80,14 +80,14 @@ def test_02_crafted_case_iv_solve():
     rng = np.random.default_rng(12)
     exact = init_from_lcp(x, u).as_vector()
     z0 = exact + rng.uniform(-0.02, 0.02, size=exact.size)
-    start = SAAPoint(MixPoint.from_vector(z0, 3, 2), 0.0)
+    start = MixPoint.from_vector(z0, 3, 2)
     t0 = time.perf_counter()
-    rep = solve(spec, SolverConfig(mode="ev", tol_r=1e-8), start)
+    final = solve(spec, SolverConfig(mode="ev", tol_r=1e-8), start)[-1]
     wall = time.perf_counter() - t0
-    merit = merit_theta(spec, spec.mean_omega(), rep.final_mix.p)
-    F = rep.F_at_mean
+    merit = merit_theta(spec, spec.mean_omega(), final.point)
+    F = final.F_at_mean
     cls = classify_complementarity(
-        spec.dims, rep.recovered.x, rep.recovered.u, F[:3], F[3:], tol=1e-4
+        spec.dims, final.x, final.u, F[:3], F[3:], tol=1e-4
     )
     print(
         f"crafted case-IV solve: merit={merit:.3e} (tol 1e-10), case={cls.case}, "

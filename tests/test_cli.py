@@ -9,7 +9,7 @@ import pytest
 
 from esoclcp.cli import CONFIG_FLAGS, SMOOTHING_NAMES, main
 from esoclcp.problem import builtin_example, load_problem, serialize_problem
-from esoclcp.solver import MODES, SolverConfig
+from esoclcp.solver import MODES, SolverConfig, solve
 
 from conftest import case_iv_instance
 
@@ -85,6 +85,24 @@ def test_solve_json_document(capsys):
         assert s["termination"] in ("grad_tol", "k_max", "outer_eps")
         assert len(s["x"]) == 3 and len(s["u"]) == 2 and len(s["F_at_mean"]) == 5
     assert set(doc["final"]) == {"x", "u", "F_at_mean", "aloc", "theta"}
+
+
+@pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
+def test_solve_json_rows_are_the_stage_results(capsys, mode):
+    # each JSON row carries its stage's fields bit for bit, and the mode is the config's
+    argv = ["solve", "--builtin", *FAST, "--mode", mode, "--seed", "7", "--format", "json", "--no-timing"]
+    rc, out, _ = run(capsys, argv)
+    doc = json.loads(out)
+    stages = solve(builtin_example(), SolverConfig(mode=mode, schedule=(5, 10), k_max=5, seed=7))
+    assert rc == (2 if stages[-1].termination == "k_max" else 0)
+    assert doc["mode"] == mode
+    assert len(doc["stages"]) == len(stages)
+    for row, stage in zip(doc["stages"], stages):
+        assert (row["j"], row["N"]) == (stage.j, stage.N)
+        for key in ("x", "u", "F_at_mean", "aloc", "theta"):
+            got = np.asarray(row[key], dtype=float)
+            assert got.tobytes() == np.asarray(getattr(stage, key), dtype=float).tobytes(), key
+        assert (row["inner_iters"], row["termination"]) == (stage.inner_iters, stage.termination)
 
 
 def test_table_and_csv_cells_render_the_json_numbers(capsys):
@@ -383,6 +401,15 @@ def test_check_refuses_a_point_whose_figures_overflow(capsys, point):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("point", ["nan,1,1,0,0", "inf,1,1,0,0", "1,1,1,nan,0", "1,1,1,0,inf"])
+def test_check_refuses_a_non_finite_point(capsys, point):
+    rc, out, err = run(capsys, ["check", "--builtin", "--point", point])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--point" in err and "mix point" not in err
 
 
 def test_solve_imports_no_scipy():

@@ -7,7 +7,7 @@ from esoclcp.cone import ConeDims
 from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec, f_eval, realize_batch
 from esoclcp.reformulate import MixPoint, init_from_lcp
 from esoclcp.risk import SmoothingKind, cvar_empirical, smooth_plus, smooth_plus_deriv
-from esoclcp.saa import SAAPoint, SampleEvaluator, draw_samples, ndtri, theta_star
+from esoclcp.saa import SampleEvaluator, draw_samples, ndtri, theta_star
 from esoclcp.solver import SolverConfig, _StageProblem
 
 from conftest import case_iv_instance, random_spec, tail_gradient, tail_objective
@@ -89,12 +89,6 @@ def test_ndtri_edges_are_infinite_without_warnings():
     assert got[0] == -np.inf and got[1] == np.inf and got[2] == 0.0
     assert np.all(np.isnan(got[3:]))
     assert ndtri(np.array([[0.025], [0.975]])).shape == (2, 1)
-
-
-def test_saa_point_requires_finite_theta():
-    p = MixPoint(np.zeros(3), np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        SAAPoint(p, float("nan"))
 
 
 def test_objective_min_over_theta_is_cvar():

@@ -12,7 +12,7 @@ from esoclcp.merit import merit_theta
 from esoclcp.problem import builtin_example, realize_batch
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
 from esoclcp.risk import SmoothingKind, _tail_cvar, cvar_empirical, smooth_plus
-from esoclcp.saa import RayBound, SAAPoint, SampleEvaluator, draw_samples, theta_star
+from esoclcp.saa import RayBound, SampleEvaluator, draw_samples, theta_star
 from esoclcp.solver import (
     MU_MAX,
     MU_MIN,
@@ -283,24 +283,24 @@ def test_solve_ev_mode_reaches_case_iv_solution():
     rng = np.random.default_rng(77)
     exact = init_from_lcp(x, u).as_vector()
     z0 = exact + rng.uniform(-0.02, 0.02, size=exact.size)
-    start = SAAPoint(MixPoint.from_vector(z0, 3, 2), 0.0)
+    start = MixPoint.from_vector(z0, 3, 2)
     cfg = SolverConfig(mode="ev", tol_r=1e-8)
     t0 = time.perf_counter()
-    rep = solve(spec, cfg, start)
+    stages = solve(spec, cfg, start)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    assert len(rep.stages) == 1
-    assert rep.stages[0].N == 1
-    assert rep.stages[0].termination == "grad_tol"
-    p = rep.final_mix.p
+    assert len(stages) == 1
+    assert stages[0].N == 1
+    assert stages[0].termination == "grad_tol"
+    p = stages[-1].point
     assert merit_theta(spec, spec.mean_omega(), p) <= 1e-10
-    F = rep.F_at_mean
+    F = stages[-1].F_at_mean
     got = classify_complementarity(
-        spec.dims, rep.recovered.x, rep.recovered.u, F[:3], F[3:], tol=1e-4
+        spec.dims, stages[-1].x, stages[-1].u, F[:3], F[3:], tol=1e-4
     )
     assert got.case == "IV"
-    assert np.allclose(rep.recovered.x, x, atol=1e-4)
-    assert np.allclose(rep.recovered.u, u, atol=1e-4)
+    assert np.allclose(stages[-1].x, x, atol=1e-4)
+    assert np.allclose(stages[-1].u, u, atol=1e-4)
 
 
 def test_solve_is_deterministic():
@@ -308,24 +308,23 @@ def test_solve_is_deterministic():
     cfg = SolverConfig(schedule=(5, 12), k_max=25, seed=123)
     a = solve(spec, cfg)
     b = solve(spec, cfg)
-    assert np.array_equal(a.recovered.x, b.recovered.x)
-    assert np.array_equal(a.recovered.u, b.recovered.u)
-    assert np.array_equal(a.F_at_mean, b.F_at_mean)
-    assert a.aloc == b.aloc
-    assert a.theta_threshold == b.theta_threshold
-    for ra, rb in zip(a.stages, b.stages):
+    assert np.array_equal(a[-1].x, b[-1].x)
+    assert np.array_equal(a[-1].u, b[-1].u)
+    assert np.array_equal(a[-1].F_at_mean, b[-1].F_at_mean)
+    assert a[-1].aloc == b[-1].aloc
+    assert a[-1].theta == b[-1].theta
+    for ra, rb in zip(a, b):
         assert (ra.inner_iters, ra.termination) == (rb.inner_iters, rb.termination)
-        assert np.array_equal(ra.point.p.as_vector(), rb.point.p.as_vector())
+        assert np.array_equal(ra.point.as_vector(), rb.point.as_vector())
 
 
 def test_solve_theta_matches_reoptimized_threshold():
     spec = random_spec(np.random.default_rng(21))
     cfg = SolverConfig(schedule=(6, 15), k_max=30, seed=9)
-    rep = solve(spec, cfg)
-    final = rep.stages[-1]
+    final = solve(spec, cfg)[-1]
     ev = SampleEvaluator(spec, stage_samples(spec, cfg, final.j))
-    th = theta_star(ev.thetas(rep.final_mix.p), cfg.alpha, cfg.mu, cfg.smoothing)
-    assert rep.theta_threshold == pytest.approx(th, abs=1e-8)
+    th = theta_star(ev.thetas(final.point), cfg.alpha, cfg.mu, cfg.smoothing)
+    assert final.theta == pytest.approx(th, abs=1e-8)
 
 
 def test_solve_outer_eps_stops_schedule_early():
@@ -333,39 +332,49 @@ def test_solve_outer_eps_stops_schedule_early():
     # the solution finishes stage one immediately and stage two lands on the
     # same point, triggering the between-stage displacement stop
     spec, x, u, _, _ = case_iv_instance()
-    start = SAAPoint(init_from_lcp(x, u), 0.0)
+    start = init_from_lcp(x, u)
     cfg = SolverConfig(schedule=(1, 2, 3), eps=1e-6)
-    rep = solve(spec, cfg, start)
-    assert len(rep.stages) == 2
-    assert rep.stages[0].termination == "grad_tol"
-    assert rep.stages[0].inner_iters == 0
-    assert rep.stages[1].termination == "outer_eps"
+    stages = solve(spec, cfg, start)
+    assert len(stages) == 2
+    assert stages[0].termination == "grad_tol"
+    assert stages[0].inner_iters == 0
+    assert stages[1].termination == "outer_eps"
 
 
 def test_solve_kmax_termination_is_reported():
     spec = random_spec(np.random.default_rng(31))
     cfg = SolverConfig(schedule=(8,), k_max=2)
-    rep = solve(spec, cfg)
-    assert rep.stages[0].termination == "k_max"
-    assert rep.stages[0].inner_iters == 2
+    stages = solve(spec, cfg)
+    assert stages[0].termination == "k_max"
+    assert stages[0].inner_iters == 2
 
 
 def test_solve_erm_mode_runs():
     spec = random_spec(np.random.default_rng(41))
     cfg = SolverConfig(mode="erm", schedule=(5, 10), k_max=30)
-    rep = solve(spec, cfg)
-    assert rep.mode == "erm"
-    assert [r.N for r in rep.stages] == [5, 10]
-    assert np.all(np.isfinite(rep.final_mix.p.as_vector()))
-    assert np.isfinite(rep.theta_threshold)
-    assert np.isfinite(rep.aloc)
+    stages = solve(spec, cfg)
+    assert [r.N for r in stages] == [5, 10]
+    assert np.all(np.isfinite(stages[-1].point.as_vector()))
+    assert np.isfinite(stages[-1].theta)
+    assert np.isfinite(stages[-1].aloc)
 
 
 def test_solve_rejects_mismatched_start():
     spec = random_spec(np.random.default_rng(51), k=3, l=2)
-    wrong = SAAPoint(MixPoint(np.zeros(2), np.zeros(2), 0.0), 0.0)
+    wrong = MixPoint(np.zeros(2), np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         solve(spec, SolverConfig(schedule=(3,)), wrong)
+
+
+def test_solve_refuses_a_non_finite_theta(monkeypatch):
+    # the Theta a stage records must be finite; in mode erm it is the one
+    # theta_star call per stage
+    import esoclcp.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "theta_star", lambda *args: float("nan"))
+    spec = random_spec(np.random.default_rng(61))
+    with pytest.raises(ValueError, match="Theta must be finite"):
+        solve(spec, SolverConfig(mode="erm", schedule=(5,), k_max=3))
 
 
 def test_accepted_steps_never_increase_objective(monkeypatch):
@@ -381,21 +390,19 @@ def test_accepted_steps_never_increase_objective(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "wolfe_search", spy)
     spec, _, _, _, _ = case_iv_instance()
-    rep = solve(spec, SolverConfig(mode="ev", k_max=60))
+    stages = solve(spec, SolverConfig(mode="ev", k_max=60))
     assert seen
     for f0, fs in seen:
         assert fs <= f0 + 1e-9 * (1.0 + abs(f0))
-    assert rep.stages[0].inner_iters == len(seen) or rep.stages[0].termination != "grad_tol"
+    assert stages[0].inner_iters == len(seen) or stages[0].termination != "grad_tol"
 
 
 def test_stage_aloc_is_over_the_stage_sample():
     spec = builtin_example()
     cfg = SolverConfig(schedule=(5, 10), k_max=5)
-    rep = solve(spec, cfg)
-    for stage in rep.stages:
-        pt = recover_lcp_point(stage.point.p)
+    for stage in solve(spec, cfg):
+        pt = recover_lcp_point(stage.point)
         assert stage.aloc == aloc(SampleEvaluator(spec, stage_samples(spec, cfg, stage.j)), pt.x, pt.u)
-    assert rep.aloc == rep.stages[-1].aloc
 
 
 @pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
@@ -411,12 +418,12 @@ def test_solve_builds_one_evaluator_per_stage(monkeypatch, mode):
 
     monkeypatch.setattr(SampleEvaluator, "__init__", spy)
     spec = builtin_example()
-    rep = solve(spec, SolverConfig(mode=mode, schedule=(5, 10), k_max=5))
+    stages = solve(spec, SolverConfig(mode=mode, schedule=(5, 10), k_max=5))
     monkeypatch.undo()
-    assert len(built) == len(rep.stages) == (1 if mode == "ev" else 2)
-    for ev, stage in zip(built, rep.stages):
+    assert len(built) == len(stages) == (1 if mode == "ev" else 2)
+    for ev, stage in zip(built, stages):
         assert ev.N == stage.N
-        pt = recover_lcp_point(stage.point.p)
+        pt = recover_lcp_point(stage.point)
         assert stage.aloc == aloc(ev, pt.x, pt.u)
 
 
@@ -486,9 +493,9 @@ def test_solve_realizes_no_sample(monkeypatch, mode):
 
     monkeypatch.setattr(solver_mod, "realize_batch", refuse)
     monkeypatch.setattr(saa_mod, "realize_batch", refuse)
-    rep = solve(builtin_example(), SolverConfig(mode=mode, schedule=(50, 200), k_max=5))
-    assert len(rep.stages) == (1 if mode == "ev" else 2)
-    assert all(np.isfinite(stage.aloc) for stage in rep.stages)
+    stages = solve(builtin_example(), SolverConfig(mode=mode, schedule=(50, 200), k_max=5))
+    assert len(stages) == (1 if mode == "ev" else 2)
+    assert all(np.isfinite(stage.aloc) for stage in stages)
 
 
 def test_aloc_memory_grows_with_the_draws_not_with_m_squared():
@@ -752,15 +759,15 @@ def _screens_off(monkeypatch):
 
 
 def _assert_reports_equal(a, b):
-    assert len(a.stages) == len(b.stages)
-    for ra, rb in zip(a.stages, b.stages):
-        assert np.array_equal(ra.point.p.as_vector(), rb.point.p.as_vector())
-        assert ra.point.Theta == rb.point.Theta
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert np.array_equal(ra.point.as_vector(), rb.point.as_vector())
+        assert ra.theta == rb.theta
         assert (ra.inner_iters, ra.termination) == (rb.inner_iters, rb.termination)
         assert ra.grad_inf_norm == rb.grad_inf_norm
         assert ra.aloc == rb.aloc
-    assert np.array_equal(a.F_at_mean, b.F_at_mean)
-    assert (a.aloc, a.theta_threshold) == (b.aloc, b.theta_threshold)
+    assert np.array_equal(a[-1].F_at_mean, b[-1].F_at_mean)
+    assert (a[-1].aloc, a[-1].theta) == (b[-1].aloc, b[-1].theta)
 
 
 _MODE_KINDS = [pytest.param("cvar", kind, id=str(kind)) for kind in SmoothingKind] + [
@@ -795,9 +802,9 @@ def test_screen_leaves_the_report_unchanged(monkeypatch, mode, kind):
         assert all(e.exact for _, _, _, e in evals) and not rays
         _assert_reports_equal(screened, exact)
         # the same line-search values were asked for, in the same searches
-        assert [r.trials for r in screened.stages] == [r.trials for r in exact.stages]
-        assert all(r.screened > 0 for r in screened.stages)
-        assert all(r.screened == 0 for r in exact.stages)
+        assert [r.trials for r in screened] == [r.trials for r in exact]
+        assert all(r.screened > 0 for r in screened)
+        assert all(r.screened == 0 for r in exact)
 
 
 def _one_trial(orig, f, g, c1, c2):
@@ -830,15 +837,15 @@ def test_fallback_step_is_evaluated_exactly(monkeypatch, search):
     evals, rays = _kept_points_checked(monkeypatch)
     spec = builtin_example()
     cfg = SolverConfig(schedule=(1000,), k_max=4, seed=7)
-    rep = solve(spec, cfg)
+    stages = solve(spec, cfg)
     # some search's unit step was screened, by the ray bound or the CVaR
     assert any(s == 1.0 for _, s, _, _ in rays) or any(not e.exact for _, _, _, e in evals)
     # the stage's start, and at least one returned step evaluated again
     # without a bar; the spies saw every gradient and direction at exact points
     assert len([e for _, _, bar, e in evals if bar is None]) >= 2
-    stage = rep.stages[0]
+    stage = stages[0]
     ev = SampleEvaluator(spec, stage_samples(spec, cfg, 1))
-    assert stage.point.Theta == theta_star(ev.thetas(stage.point.p), cfg.alpha, cfg.mu, cfg.smoothing)
+    assert stage.theta == theta_star(ev.thetas(stage.point), cfg.alpha, cfg.mu, cfg.smoothing)
 
 
 @pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
@@ -861,23 +868,23 @@ def test_stage_counts_line_search_values_and_screened_ones(monkeypatch, capsys, 
     with monkeypatch.context() as m:
         m.setattr(solver_mod, "wolfe_search", spy)
         evals, rays = _kept_points_checked(m)
-        rep = solve(spec, cfg)
+        stages = solve(spec, cfg)
     # each search asks for f(0), the point it starts from, and then distinct
     # steps, none of them cached yet
-    trials = sum(r.trials for r in rep.stages)
+    trials = sum(r.trials for r in stages)
     assert trials == len([s for s in asked if s != 0.0]) > 0
-    assert sum(r.screened for r in rep.stages) == len(rays) + len([e for *_, e in evals if not e.exact])
-    assert 0 < sum(r.screened for r in rep.stages) < trials
+    assert sum(r.screened for r in stages) == len(rays) + len([e for *_, e in evals if not e.exact])
+    assert 0 < sum(r.screened for r in stages) < trials
 
     # the counts appear in no report format
     argv = ["solve", "--builtin", "--mode", mode, "--schedule", "100,1000", "--kmax", "8", "--no-timing"]
     orig_solve = cli_mod.solve
 
     def relabelled(*args, **kwargs):
-        report = orig_solve(*args, **kwargs)
-        for stage in report.stages:
+        stages = orig_solve(*args, **kwargs)
+        for stage in stages:
             stage.trials, stage.screened = 10**9, -1
-        return report
+        return stages
 
     for fmt in ("table", "csv", "json"):
         assert cli_mod.main(argv + ["--format", fmt]) in (0, 2)

@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 tools/fresh_solve.py --seed 7 --seed 42 --seed 1234 [--src DIR] [--schedule LIST]
+    python3 tools/fresh_solve.py --seed 7 --seed 42 --seed 1234 [--src DIR] [--schedule LIST] [--repeat R]
 
 Each seed runs in a new interpreter that imports esoclcp from DIR (default
 ./src), pinned to one BLAS thread, and calls
@@ -23,6 +23,14 @@ SampleEvaluator.residuals calls, line-search values asked for
 (StageResult.screened), its wall time in seconds (StageResult.wall_time) and
 that time per inner iteration in microseconds (null for 0 iterations);
 trials and screened are null for a source tree older than those fields.
+The stages are read off what `solve` returns: its list of StageResults, or
+the `stages` of the SolveReport an older tree returns.
+
+With --repeat R, each seed runs R times, each run in its own new
+interpreter and printing its own line, and then one summary line per seed
+gives, per stage, the median and the quartile distance (Q3 - Q1) over the R
+runs of its wall time in seconds and of its microseconds per inner
+iteration, so that a stage's spread between fresh runs can be read off.
 
 The benchmark in perfbench/ cannot see the allocator's share of this time:
 its reference kernel allocates multi-megabyte temporaries between solves,
@@ -37,6 +45,7 @@ import glob
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -66,9 +75,12 @@ def new_stage(*args, **kwargs):
     init(*args, **kwargs)
 
 def kept(*args, **kwargs):
-    report = solve(*args, **kwargs)
-    stages.extend({k: getattr(r, k, None) for k in ("trials", "screened", "wall_time")} for r in report.stages)
-    return report
+    result = solve(*args, **kwargs)
+    # a list of StageResults, or an older tree's SolveReport holding them
+    stages.extend(
+        {k: getattr(r, k, None) for k in ("trials", "screened", "wall_time")} for r in getattr(result, "stages", result)
+    )
+    return result
 
 SampleEvaluator.residuals = counted
 SampleEvaluator.__init__ = new_stage
@@ -137,14 +149,45 @@ def src_lines(src: str) -> int:
     return total
 
 
+def spread(values: list[float]) -> tuple[float, float]:
+    """(median, Q3 - Q1) of at least two values, the quartiles by the inclusive method."""
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q2, q3 - q1
+
+
+def summary(seed: int, runs: list[dict]) -> dict:
+    """Per stage, the median and quartile distance over runs of its wall time and time per iteration."""
+    stages = []
+    for i, first in enumerate(runs[0]["stages"]):
+        # every fresh run of one seed takes the same steps, only its times differ
+        if any(run["stages"][i][:6] != first[:6] for run in runs):
+            raise RuntimeError(f"seed {seed}: stage {i + 1} differs between runs")
+        wall, wall_iqr = spread([run["stages"][i][6] for run in runs])
+        per_iter = [run["stages"][i][7] for run in runs]
+        us, us_iqr = spread(per_iter) if per_iter[0] is not None else (None, None)
+        stages.append(
+            {"N": first[0], "inner_iters": first[2], "wall_time_median": wall, "wall_time_iqr": wall_iqr,
+             "us_per_iter_median": us, "us_per_iter_iqr": us_iqr}
+        )
+    return {"seed": seed, "repeat": len(runs), "stages": stages}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="fresh-process figures for esoclcp solve --builtin")
     p.add_argument("--seed", type=int, action="append", required=True, help="solver seed; repeat for more")
     p.add_argument("--src", default=os.path.join(os.getcwd(), "src"), help="directory esoclcp is imported from")
     p.add_argument("--schedule", help="comma-separated sample sizes passed to solve (default: solve's own)")
+    p.add_argument("--repeat", type=int, default=1, help="fresh runs per seed; from 2 on, a summary line per seed")
     args = p.parse_args(argv)
+    if args.repeat < 1:
+        p.error(f"--repeat must be at least 1, got {args.repeat}")
     for seed in args.seed:
-        print(json.dumps(run_seed(os.path.abspath(args.src), seed, args.schedule)), flush=True)
+        runs = []
+        for _ in range(args.repeat):
+            runs.append(run_seed(os.path.abspath(args.src), seed, args.schedule))
+            print(json.dumps(runs[-1]), flush=True)
+        if args.repeat > 1:
+            print(json.dumps(summary(seed, runs)), flush=True)
     return 0
 
 
