@@ -202,7 +202,7 @@ def _cmd_solve(args) -> int:
         final = {key: rows[-1][key] for key in ("x", "u", "F_at_mean", "aloc", "theta")}
         text = json.dumps({"mode": cfg.mode, "stages": rows, "final": final}, indent=2) + "\n"
     _emit(text, args.out)
-    return 2 if stages[-1].termination == "k_max" else 0
+    return 2 if stages[-1].termination in ("k_max", "stalled") else 0
 
 
 def _cmd_example(args) -> int:

@@ -155,17 +155,18 @@ def _tail_rank(n: int, alpha: float) -> int:
 def _tail_quantile(losses: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
     # the ceil((1 - alpha) N)-th order statistic q, found by selection, and
     # the losses ranked above it, each >= q; one rule for VaR, CVaR,
-    # theta_star's start and the solver's screen of trial points
+    # theta_star's start and the solver's screens of trial points
     rank = _tail_rank(losses.size, alpha)
     part = np.partition(losses, rank - 1)
     return float(part[rank - 1]), part[rank:]
 
 
-def _tail_cvar(losses: np.ndarray, alpha: float) -> float:
+def _tail_cvar(losses: np.ndarray, alpha: float, tail: tuple[float, np.ndarray] | None = None) -> float:
     # q + (alpha N)^{-1} sum_i [theta_i - q]_+; only the losses ranked above
-    # q can exceed it, so the sum runs over them alone.  An infinite q is
-    # returned as it is, where upper - q would warn
-    q, upper = _tail_quantile(losses, alpha)
+    # q can exceed it, so the sum runs over them alone.  tail is
+    # _tail_quantile's result for these losses, when already at hand.  An
+    # infinite q is returned as it is, where upper - q would warn
+    q, upper = _tail_quantile(losses, alpha) if tail is None else tail
     if not math.isfinite(q):
         return q
     return q + float(np.sum(upper - q)) / (alpha * losses.size)

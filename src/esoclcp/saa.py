@@ -280,19 +280,23 @@ class SampleEvaluator:
         )
         return vars(self)[name]
 
-    def _g1_v(self, p: MixPoint, out: np.ndarray | None = None) -> np.ndarray:
+    def _g1_v(self, p: MixPoint, out: np.ndarray | None = None, W: np.ndarray | None = None) -> np.ndarray:
         # one product over the draws: G1 = A x + B u + p, v = C x + D u + q,
         # x = x_m + t e, as the rows of out, (k + l + 1, N): G1 in the first
-        # k, v in the next l, e^T G1 in the last
+        # k, v in the next l, e^T G1 in the last.  W, some of self.W's
+        # columns, evaluates those draws alone, one column of out each
         k, z1 = self.k, self._z1
         z1[:k] = p.x_m
         z1[k:-2] = p.u
         z1[-2] = p.t
         coeffs = np.dot(self.K, z1, self._coeffs).reshape(self.dim, -1)
-        return np.dot(coeffs, self.W, out)
+        return np.dot(coeffs, self.W if W is None else W, out)
 
     def residuals(self, p: MixPoint, f: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-        """Stacked residuals, shape (N, k+l+1), a transposed view of out, (k+l+1, N)."""
+        """Stacked residuals, shape (N, k+l+1), a transposed view of out, (k+l+1, N).
+
+        The columns are those of f, when given.
+        """
         k, l = self.k, self.l
         m = k + l
         if f is None:
@@ -547,6 +551,7 @@ def theta_star(
     alpha: float,
     mu: float,
     kind: SmoothingKind = SmoothingKind.CHKS,
+    tail: tuple[float, np.ndarray] | None = None,
 ) -> float:
     """Unique minimizer of Theta + (alpha N)^{-1} sum [theta_j - Theta]_mu.
 
@@ -562,6 +567,11 @@ def theta_star(
     Numerical Recipes' rtsafe), until h is exactly 0 or changes sign within
     a tolerance 1e-10 (1 + |Theta|) of the returned point.  A Newton step
     below the tolerance is confirmed by one more evaluation just past it.
+
+    tail, risk._tail_quantile(losses, alpha) when the caller has already
+    selected it, spares the selection: the start reads only the order
+    statistic, its rank and the least loss ranked above it, none of which
+    depends on how the losses above it are ordered.
     """
     losses = _check_losses(losses)
     alpha = _check_alpha(alpha)
@@ -598,7 +608,7 @@ def theta_star(
                 scale * float(np.sum(smooth_plus_deriv2(s, mu, kind))),
             )
 
-    q, upper = _tail_quantile(losses, alpha)
+    q, upper = _tail_quantile(losses, alpha) if tail is None else tail
     rank = n - upper.size
     # the next order statistic; a one-rank partition and a min beat a
     # two-rank partition several times over

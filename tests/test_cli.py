@@ -94,7 +94,7 @@ def test_solve_json_rows_are_the_stage_results(capsys, mode):
     rc, out, _ = run(capsys, argv)
     doc = json.loads(out)
     stages = solve(builtin_example(), SolverConfig(mode=mode, schedule=(5, 10), k_max=5, seed=7))
-    assert rc == (2 if stages[-1].termination == "k_max" else 0)
+    assert rc == (2 if stages[-1].termination in ("k_max", "stalled") else 0)
     assert doc["mode"] == mode
     assert len(doc["stages"]) == len(stages)
     for row, stage in zip(doc["stages"], stages):
@@ -266,6 +266,9 @@ def test_solve_exit_codes_by_termination(capsys):
     # exhausting the iteration cap at the final stage is reported as 2
     rc, _, _ = run(capsys, ["solve", "--builtin", "--schedule", "2", "--kmax", "1"])
     assert rc == 2
+    # and so is a final stage whose step stopped moving the point
+    rc, out, _ = run(capsys, ["solve", "--builtin", "--schedule", "100", "--seed", "5", "--kmax", "100"])
+    assert rc == 2 and "stalled" in out
 
 
 def test_solve_bad_config_value(capsys):

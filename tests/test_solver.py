@@ -11,7 +11,7 @@ from esoclcp.cone import ConeDims, classify_complementarity
 from esoclcp.merit import merit_theta
 from esoclcp.problem import builtin_example, realize_batch
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
-from esoclcp.risk import SmoothingKind, _tail_cvar, cvar_empirical, smooth_plus
+from esoclcp.risk import SmoothingKind, _tail_cvar, _tail_quantile, _tail_rank, cvar_empirical, smooth_plus
 from esoclcp.saa import RayBound, SampleEvaluator, draw_samples, theta_star
 from esoclcp.solver import (
     MU_MAX,
@@ -349,6 +349,25 @@ def test_solve_kmax_termination_is_reported():
     assert stages[0].inner_iters == 2
 
 
+def test_stage_whose_step_stops_moving_reports_the_iterations_run(monkeypatch):
+    # at seed 5 the N = 100 stage's accepted step stops moving the point
+    # well before the cap; the stage ends there, on the line searches it ran
+    import esoclcp.solver as solver_mod
+
+    orig = solver_mod.wolfe_search
+    searches = []
+
+    def spy(*args, **kwargs):
+        searches.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "wolfe_search", spy)
+    cfg = SolverConfig(schedule=(100,), seed=5, k_max=100)
+    (stage,) = solve(builtin_example(), cfg)
+    assert stage.termination == "stalled"
+    assert stage.inner_iters == len(searches) < cfg.k_max
+
+
 def test_solve_erm_mode_runs():
     spec = random_spec(np.random.default_rng(41))
     cfg = SolverConfig(mode="erm", schedule=(5, 10), k_max=30)
@@ -676,6 +695,86 @@ def test_screen_bound_is_below_the_exact_value(kind, n):
                 assert not low.exact and low.value == bound
 
 
+@pytest.mark.parametrize("n", [7, 20, 4000])
+@pytest.mark.parametrize("kind", list(SmoothingKind))
+def test_tail_bound_is_below_the_exact_value(kind, n):
+    # the losses of the draws above the start point's VaR, at most
+    # floor(alpha N) of them, summed over alpha N, are at most the empirical
+    # CVaR at any point, so at most its value up to rounding; the screen
+    # rejects with that bound, never at a bar the exact value meets, and
+    # leaves the stage's buffers as they were
+    rng = np.random.default_rng(173)
+    for alpha in (0.05, 0.2):
+        for mu in (1e-9, 1e-4, 1e-1):
+            stage = _tied_stage(kind, alpha, mu, n)
+            tail = n - _tail_rank(n, alpha)
+            if tail == 0:
+                # N = 7 at alpha = 0.05: no draw to screen on
+                assert not stage._tail_on
+                continue
+            # a stage screens on its own from N = 1000 on; below, where the
+            # screen does not pay, the bound is checked all the same
+            assert stage._tail_on == (n >= 1000)
+            stage._tail_on = True
+            start = stage.eval_point(np.concatenate([rng.normal(size=5), [rng.uniform(0.1, 2.0)]]))
+            stage.search_from(start)
+            # the draws whose losses exceed the start's VaR, tied pairs at
+            # the VaR left out, so no more than floor(alpha N) of them
+            var, upper = _tail_quantile(stage.losses(start), alpha)
+            assert start.var == var
+            top = np.flatnonzero(stage.losses(start) > var)
+            assert top.size == np.count_nonzero(upper > var) <= tail
+            assert np.array_equal(stage._tail_W, stage.ev.W[:, top])
+            for _ in range(3):
+                z = np.concatenate([rng.normal(size=5), [rng.uniform(0.1, 2.0)]])
+                e = stage.eval_point(z)
+                losses = stage.losses(e).copy()
+                bound = stage._tail_screen(e.p, -1.0)
+                assert bound == pytest.approx(float(np.sum(losses[top])) / (alpha * n), rel=1e-12, abs=0.0)
+                assert bound - e.value <= 1e-14 * abs(e.value), (alpha, mu, bound, e.value)
+                assert stage._tail_screen(e.p, e.value) is None
+                assert stage.eval_point(z, e.value).exact
+                held = stage.eval_point(z)
+                low = stage.eval_point(z, bound - 1.0 - abs(bound))
+                assert not low.exact and low.value == bound
+                assert stage.losses(held) is stage._thetas and np.array_equal(stage._thetas, losses)
+
+
+def test_tail_screen_cuts_full_passes_at_n_10000(monkeypatch):
+    # at N = 10000 in mode cvar the tail bound rejects trials before a pass
+    # over the whole sample, so fewer such passes run, and the report and
+    # the line-search values asked for are those of a solve without it
+    passes = []
+    rejected = []
+    residuals = SampleEvaluator.residuals
+    tail_screen = _StageProblem._tail_screen
+
+    def counted(self, p, f=None, out=None):
+        passes.append(f is None or f.shape[1] == self.N)
+        return residuals(self, p, f, out)
+
+    def screen_spy(self, p, bar):
+        low = tail_screen(self, p, bar)
+        rejected.append(low is not None)
+        return low
+
+    spec = builtin_example()
+    cfg = SolverConfig(schedule=(10000,), k_max=10, seed=7)
+    runs = []
+    for screen in (True, False):
+        passes.clear()
+        rejected.clear()
+        with monkeypatch.context() as m:
+            m.setattr(SampleEvaluator, "residuals", counted)
+            m.setattr(_StageProblem, "_tail_screen", screen_spy if screen else (lambda self, p, bar: None))
+            runs.append((solve(spec, cfg), sum(passes), len(passes) - sum(passes), sum(rejected)))
+    (screened, full, tail, rejects), (exact, full_exact, tail_exact, _) = runs
+    assert rejects > 0 and tail > 0 and tail_exact == 0
+    assert full_exact - full == rejects
+    _assert_reports_equal(screened, exact)
+    assert [r.trials for r in screened] == [r.trials for r in exact]
+
+
 @pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
 def test_trial_point_whose_losses_overflow_has_the_value_inf(mode):
     spec = builtin_example()
@@ -751,11 +850,12 @@ def _kept_points_checked(monkeypatch):
 
 
 def _screens_off(monkeypatch):
-    # neither the ray bound nor the empirical CVaR answers any trial
+    # neither the ray bound, the tail bound nor the empirical CVaR answers any trial
     import esoclcp.solver as solver_mod
 
-    monkeypatch.setattr(solver_mod, "_tail_cvar", lambda losses, alpha: float("nan"))
+    monkeypatch.setattr(solver_mod, "_tail_cvar", lambda losses, alpha, tail=None: float("nan"))
     monkeypatch.setattr(RayBound, "screen", lambda self, s, bar: None)
+    monkeypatch.setattr(_StageProblem, "_tail_screen", lambda self, p, bar: None)
 
 
 def _assert_reports_equal(a, b):

@@ -2,23 +2,28 @@
 
 Run from the root of a checkout:
 
-    python3 tools/fresh_solve.py --seed 7 --seed 42 --seed 1234 [--src DIR] [--schedule LIST] [--repeat R]
+    python3 tools/fresh_solve.py --seed 7 --seed 42 --seed 1234 [--src DIR] [--schedule LIST]
+        [--alpha A] [--kmax K] [--repeat R]
 
 Each seed runs in a new interpreter that imports esoclcp from DIR (default
 ./src), pinned to one BLAS thread, and calls
 `esoclcp.cli.main(["solve", "--builtin", "--seed", S, ...])` once with the
-default iteration cap and the default schedule, or LIST (say
-10,100,1000,10000,100000, the acceptance schedule).  Per seed, one JSON line
+default schedule, tail level and iteration cap, or with LIST (say
+10,100,1000,10000,100000, the acceptance schedule), A and K.  Per seed, one JSON line
 reports the child's wall time (interpreter start-up and import included),
 the child's `import esoclcp.cli` time (import_s) and the solve's own time
 (solve_s) separately, the child's own peak RSS (peak_rss_mb, from
 resource.getrusage RUSAGE_SELF in the child: RUSAGE_CHILDREN here would
 report the largest child so far), the child's minor page faults (from
 RUSAGE_CHILDREN, so every allocation the allocator had to map counts), one
-list per stage, the total residuals calls and the solve time per such call,
-and src_lines, the line count of DIR/esoclcp/*.py.  A stage's list holds, in
-this order: its sample size, termination, inner iterations,
-SampleEvaluator.residuals calls, line-search values asked for
+list per stage, the total passes over the whole sample and over a subset of
+it, the solve time per whole-sample pass, and src_lines, the line count of
+DIR/esoclcp/*.py.  A pass is one SampleEvaluator.residuals call: over the
+whole sample when it is given no G1 array or one with a column per draw,
+over a subset (the draws of the mode-cvar tail bound) when given fewer
+columns.  A stage's list holds, in this order: its sample size,
+termination, inner iterations, whole-sample passes, subset passes,
+line-search values asked for
 (StageResult.trials), how many of those a lower bound answered
 (StageResult.screened), its wall time in seconds (StageResult.wall_time) and
 that time per inner iteration in microseconds (null for 0 iterations);
@@ -58,20 +63,21 @@ import esoclcp.cli as cli
 import_s = time.perf_counter() - t_import
 from esoclcp.saa import SampleEvaluator
 
-# residuals calls per evaluator, and so per stage; the stages' line-search
-# counts from the report the CLI renders, where the tree has them
+# [whole-sample, subset] residuals calls per evaluator, and so per stage;
+# the stages' line-search counts from the report the CLI renders, where the
+# tree has them
 calls = []
 residuals = SampleEvaluator.residuals
 init = SampleEvaluator.__init__
 solve = cli.solve
 stages = []
 
-def counted(*args, **kwargs):
-    calls[-1] += 1
-    return residuals(*args, **kwargs)
+def counted(ev, p, f=None, *args, **kwargs):
+    calls[-1][f is not None and f.shape[1] < ev.N] += 1
+    return residuals(ev, p, f, *args, **kwargs)
 
 def new_stage(*args, **kwargs):
-    calls.append(0)
+    calls.append([0, 0])
     init(*args, **kwargs)
 
 def kept(*args, **kwargs):
@@ -90,21 +96,24 @@ rc = cli.main(sys.argv[1:])
 solve_s = time.perf_counter() - t0
 # every stage's evaluator computes residuals; skip those that compute none,
 # such as the second evaluator per stage that older trees built for aloc
-for stage, n in zip(stages, [n for n in calls if n]):
-    stage["residuals_calls"] = n
+for stage, n in zip(stages, [n for n in calls if n[0]]):
+    stage["full_passes"], stage["tail_passes"] = n
 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": solve_s, "peak_rss_mb": peak_rss_mb,
-                  "residuals_calls": sum(calls), "stages": stages}))
+                  "full_passes": sum(n[0] for n in calls), "tail_passes": sum(n[1] for n in calls),
+                  "stages": stages}))
 """
 
 
-def run_seed(src: str, seed: int, schedule: str | None = None) -> dict:
+def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None = None,
+             kmax: int | None = None) -> dict:
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         report_path = os.path.join(tmp, "report.json")
         argv = ["solve", "--builtin", "--seed", str(seed), "--format", "json", "--no-timing", "--out", report_path]
-        if schedule is not None:
-            argv += ["--schedule", schedule]
+        for flag, value in (("--schedule", schedule), ("--alpha", alpha), ("--kmax", kmax)):
+            if value is not None:
+                argv += [flag, str(value)]
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         t0 = time.perf_counter()
         done = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True, check=True)
@@ -126,7 +135,8 @@ def run_seed(src: str, seed: int, schedule: str | None = None) -> dict:
                 s["N"],
                 s["termination"],
                 s["inner_iters"],
-                c["residuals_calls"],
+                c["full_passes"],
+                c["tail_passes"],
                 c["trials"],
                 c["screened"],
                 c["wall_time"],
@@ -134,8 +144,9 @@ def run_seed(src: str, seed: int, schedule: str | None = None) -> dict:
             ]
             for s, c in zip(report["stages"], child["stages"])
         ],
-        "residuals_calls": child["residuals_calls"],
-        "solve_s_per_residuals_call": child["solve_s"] / max(child["residuals_calls"], 1),
+        "full_passes": child["full_passes"],
+        "tail_passes": child["tail_passes"],
+        "solve_s_per_full_pass": child["solve_s"] / max(child["full_passes"], 1),
         "src_lines": src_lines(src),
     }
 
@@ -160,10 +171,10 @@ def summary(seed: int, runs: list[dict]) -> dict:
     stages = []
     for i, first in enumerate(runs[0]["stages"]):
         # every fresh run of one seed takes the same steps, only its times differ
-        if any(run["stages"][i][:6] != first[:6] for run in runs):
+        if any(run["stages"][i][:7] != first[:7] for run in runs):
             raise RuntimeError(f"seed {seed}: stage {i + 1} differs between runs")
-        wall, wall_iqr = spread([run["stages"][i][6] for run in runs])
-        per_iter = [run["stages"][i][7] for run in runs]
+        wall, wall_iqr = spread([run["stages"][i][7] for run in runs])
+        per_iter = [run["stages"][i][8] for run in runs]
         us, us_iqr = spread(per_iter) if per_iter[0] is not None else (None, None)
         stages.append(
             {"N": first[0], "inner_iters": first[2], "wall_time_median": wall, "wall_time_iqr": wall_iqr,
@@ -177,6 +188,8 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, action="append", required=True, help="solver seed; repeat for more")
     p.add_argument("--src", default=os.path.join(os.getcwd(), "src"), help="directory esoclcp is imported from")
     p.add_argument("--schedule", help="comma-separated sample sizes passed to solve (default: solve's own)")
+    p.add_argument("--alpha", help="tail level passed to solve (default: solve's own)")
+    p.add_argument("--kmax", type=int, help="inner iteration cap passed to solve (default: solve's own)")
     p.add_argument("--repeat", type=int, default=1, help="fresh runs per seed; from 2 on, a summary line per seed")
     args = p.parse_args(argv)
     if args.repeat < 1:
@@ -184,7 +197,7 @@ def main(argv=None) -> int:
     for seed in args.seed:
         runs = []
         for _ in range(args.repeat):
-            runs.append(run_seed(os.path.abspath(args.src), seed, args.schedule))
+            runs.append(run_seed(os.path.abspath(args.src), seed, args.schedule, args.alpha, args.kmax))
             print(json.dumps(runs[-1]), flush=True)
         if args.repeat > 1:
             print(json.dumps(summary(seed, runs)), flush=True)
