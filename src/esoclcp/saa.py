@@ -292,10 +292,27 @@ class SampleEvaluator:
         coeffs = np.dot(self.K, z1, self._coeffs).reshape(self.dim, -1)
         return np.dot(coeffs, self.W if W is None else W, out)
 
-    def residuals(self, p: MixPoint, f: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    def _fb_rows(self, p: MixPoint, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the k Fischer-Burmeister rows sqrt(x_m^2 + G1^2) - x_m - G1 of the
+        # residual into out[:k], which is returned; one column per column of f
+        g1 = f[: self.k]
+        xm = p.x_m[:, None]
+        fb = out[: self.k]
+        np.multiply(g1, g1, out=fb)
+        fb += xm * xm
+        np.sqrt(fb, out=fb)
+        fb -= g1
+        fb -= xm
+        return fb
+
+    def residuals(
+        self, p: MixPoint, f: np.ndarray | None = None, out: np.ndarray | None = None, head_only: bool = False
+    ) -> np.ndarray:
         """Stacked residuals, shape (N, k+l+1), a transposed view of out, (k+l+1, N).
 
-        The columns are those of f, when given.
+        The columns are those of f, when given.  head_only: out's first k
+        rows already hold the FB rows at p and f (_fb_rows), so only the
+        head and norm rows are filled.
         """
         k, l = self.k, self.l
         m = k + l
@@ -303,14 +320,8 @@ class SampleEvaluator:
             f = self._g1_v(p)
         if out is None:
             out = np.empty((self.dim, self.N))
-        g1 = f[:k]
-        xm = p.x_m[:, None]
-        fb = out[:k]
-        np.multiply(g1, g1, out=fb)
-        fb += xm * xm
-        np.sqrt(fb, out=fb)
-        fb -= g1
-        fb -= xm
+        if not head_only:
+            self._fb_rows(p, f, out)
         # t (C x + D u + q) + u e^T (A x + B u + p) is [t I | u] times the rows (v, e^T G1)
         head = np.multiply(self._eye, p.t, self._head)
         head[:, l] = p.u
@@ -524,6 +535,14 @@ class RayBound:
                 acc += phi * phi
         return 0.5 * acc
 
+    def floor(self, s: float, bar: float) -> float:
+        """The head and norm rows' share of the bound at step s, less the margin.
+
+        Their half mean square is the quartic exactly, so this is at most
+        their share of the mean merit at s, rounding included.
+        """
+        return self._quartic(s) - self.margin(s, bar)
+
     def margin(self, s: float, bar: float) -> float:
         """How far the bound must exceed bar before screen answers."""
         z0, z1, a0, a1 = self._scale
@@ -571,14 +590,19 @@ def theta_star(
     tail, risk._tail_quantile(losses, alpha) when the caller has already
     selected it, spares the selection: the start reads only the order
     statistic, its rank and the least loss ranked above it, none of which
-    depends on how the losses above it are ordered.
+    depends on how the losses above it are ordered.  A caller that passes
+    tail has also checked the losses (a nonempty 1-d float array, all
+    finite), so they are not checked again.
     """
-    losses = _check_losses(losses)
+    losses = _check_losses(losses) if tail is None else losses
     alpha = _check_alpha(alpha)
     mu = _check_mu(mu, positive=True)
     kind = SmoothingKind(kind)
     n = losses.size
     scale = 1.0 / (alpha * n)
+    # h(Theta) leaves theta_j - Theta in b1; dh() is h' at the Theta h was
+    # last called at, computed only where Newton's method reads it
+    b1 = np.empty_like(losses)
 
     if kind is SmoothingKind.CHKS or kind is SmoothingKind.AUTO_SCALING_IP:
         # inline p' = (1 + s / r) / 2 and p'' = 2 mu^2 / r^3, r = sqrt(s^2 + 4 mu^2),
@@ -586,27 +610,28 @@ def theta_star(
         # innermost loop of every objective evaluation
         four_mu2 = 4.0 * mu * mu
         base = 1.0 - 0.5 * n * scale
-        b1 = np.empty_like(losses)
         b2 = np.empty_like(losses)
 
-        def h(theta: float) -> tuple[float, float]:
+        def h(theta: float) -> float:
             np.subtract(losses, theta, out=b1)
             np.multiply(b1, b1, out=b2)
             np.add(b2, four_mu2, out=b2)
             np.sqrt(b2, out=b2)
-            np.divide(1.0, b2, out=b2)
-            value = base - 0.5 * scale * float(b1 @ b2)
+            np.divide(1.0, b2, out=b2)  # 1 / r, which dh reads
+            return base - 0.5 * scale * float(b1 @ b2)
+
+        def dh() -> float:
             np.multiply(b2, b2, out=b1)
-            return value, 0.5 * four_mu2 * scale * float(b1 @ b2)
+            return 0.5 * four_mu2 * scale * float(b1 @ b2)
 
     else:
 
-        def h(theta: float) -> tuple[float, float]:
-            s = losses - theta
-            return (
-                1.0 - scale * float(np.sum(smooth_plus_deriv(s, mu, kind))),
-                scale * float(np.sum(smooth_plus_deriv2(s, mu, kind))),
-            )
+        def h(theta: float) -> float:
+            np.subtract(losses, theta, out=b1)
+            return 1.0 - scale * float(np.sum(smooth_plus_deriv(b1, mu, kind)))
+
+        def dh() -> float:
+            return scale * float(np.sum(smooth_plus_deriv2(b1, mu, kind)))
 
     q, upper = _tail_quantile(losses, alpha) if tail is None else tail
     rank = n - upper.size
@@ -618,19 +643,20 @@ def theta_star(
     # that is 0 the root sits where the two neighbours' tails balance, near
     # the middle of the gap, and otherwise within a few widths of q
     x = q if rank - (1.0 - alpha) * n > 1e-9 else 0.5 * (q + q_next)
-    f, df = h(x)
+    f = h(x)
     if f == 0.0:
         return x
+    df = dh()
     # h rises from 1 - 1/alpha < 0 to 1 > 0; the bracket's far end, on the
     # side the root is, is pushed out until h changes sign there, each miss
     # moving the near end in
     if f < 0.0:
         lo, hi, step = x, q_next + pad, pad
-        while h(hi)[0] < 0.0:
+        while h(hi) < 0.0:
             lo, hi, step = hi, hi + step, 2.0 * step
     else:
         lo, hi, step = q - pad, x, pad
-        while h(lo)[0] > 0.0:
+        while h(lo) > 0.0:
             lo, hi, step = lo - step, lo, 2.0 * step
 
     dx = dx_old = hi - lo
@@ -644,7 +670,8 @@ def theta_star(
             x = lo + dx
         tol = 1e-10 * (1.0 + abs(x))
         if abs(dx) > tol:
-            f, df = h(x)
+            f = h(x)
+            df = dh()
         elif not newton:
             return x
         else:
@@ -652,10 +679,10 @@ def theta_star(
             # tolerance past x; in the slowly varying tails of p' it has not,
             # so the search goes on from there
             probe = x - math.copysign(0.5 * tol, dx)
-            f_probe, df_probe = h(probe)
+            f_probe = h(probe)
             if (f_probe >= 0.0) if f < 0.0 else (f_probe <= 0.0):
                 return x
-            x, f, df = probe, f_probe, df_probe
+            x, f, df = probe, f_probe, dh()
         if f == 0.0:
             return x
         if f < 0.0:

@@ -13,14 +13,17 @@ loop minimizes the reduced function min_Theta Nhat(z, Theta).
 Most line-search trials exist only to be rejected.  A trial whose lower
 bound already fails the sufficient-decrease test is rejected on the bound:
 saa.RayBound's closed form along the search ray, before any pass over the
-draws, in every mode; then, in mode cvar, the losses of the draws whose
-losses at the search's start point exceed its VaR, at most floor(alpha N)
-of them, summed over alpha N, before a pass over the rest; then the
-empirical CVaR, before theta_star.  Bounds answer only rejections, by a
-margin above their rounding, and every point kept is evaluated exactly, so
-the steps taken are those of exact evaluation.  Stages stop on a small gradient or an iteration
-cap, or when a step no longer moves the point (stalled); the schedule stops
-early when consecutive stage solutions agree within eps.
+draws, in every mode.  Then, in modes erm and ev with N > 1, the FB rows'
+half mean square over the draws plus that closed form's share for the
+other rows, before those rows and the losses are formed; in mode cvar,
+the losses of the draws whose losses at the search's start point exceed
+its VaR, at most floor(alpha N) of them, summed over alpha N, before a
+pass over the rest, then the empirical CVaR, before theta_star.  Bounds
+answer only rejections, by a margin above their rounding, and every point
+kept is evaluated exactly, so the steps taken are those of exact
+evaluation.  Stages stop on a small gradient or an iteration cap, or when
+a step no longer moves the point (stalled); the schedule stops early when
+consecutive stage solutions agree within eps.
 """
 
 from __future__ import annotations
@@ -257,14 +260,21 @@ class _StageProblem:
     gives its CVaR, theta_star's start and its VaR.  Modes ev and erm
     average the merit directly.  In every mode the value is at least the
     mean merit, which saa.RayBound bounds along a search ray; solve asks
-    that bound before eval_point.  A trial point whose losses are not all
-    finite has the value inf in every mode.
+    that bound before eval_point.  In modes erm and ev over N > 1 draws
+    solve also hands eval_point the ray's floor for the head and norm rows
+    (RayBound.floor), and eval_point fills G1 and the FB rows and returns
+    half their mean square plus that floor as an inexact value when it
+    exceeds the bar; otherwise it finishes the other rows and the losses in
+    the same buffers.  At N = 1 the ray bound is the mean merit itself, so
+    that screen is skipped.  A trial point whose losses are not all finite
+    has the value inf in every mode.
 
     The per-draw arrays of one point, G1 and v, the residuals, the losses
     and, once grad or direction asks, the FB coefficients, live in (rows, N)
     buffers allocated once per stage and filled in place; the tail draws
     have buffers of their own, allocated once per search, so a trial the
-    tail bound rejects leaves the others as they were.  They hold the point
+    tail bound rejects leaves the others as they were; one the FB rows
+    reject leaves them holding no point.  They hold the point
     evaluated last; grad and direction asked about an older point (the line
     search's fallback to its best step) evaluate it again.
     """
@@ -295,10 +305,14 @@ class _StageProblem:
         tail = n - _tail_rank(n, cfg.alpha)
         self._tail_on = cfg.mode == "cvar" and n >= _TAIL_MIN_N and 1 <= tail <= _TAIL_SHARE_MAX * n
         self._tail_W: np.ndarray | None = None
+        # whether trials are screened on their FB rows
+        self._fb_on = cfg.mode != "cvar" and n > 1
 
-    def _fill(self, p: MixPoint) -> np.ndarray:
-        self.ev._g1_v(p, self._f)
-        res = self.ev.residuals(p, self._f, self._res)
+    def _fill(self, p: MixPoint, head_only: bool = False) -> np.ndarray:
+        # head_only: G1, v and the FB rows at p are in the buffers already
+        if not head_only:
+            self.ev._g1_v(p, self._f)
+        res = self.ev.residuals(p, self._f, self._res, head_only)
         return self.ev.thetas(p, res, self._thetas)
 
     def search_from(self, e: _PointEval) -> None:
@@ -339,15 +353,25 @@ class _StageProblem:
             self._fb_of = e
         return self._fb
 
-    def eval_point(self, z: np.ndarray, bar: float | None = None) -> _PointEval:
+    def eval_point(self, z: np.ndarray, bar: float | None = None, floor: float | None = None) -> _PointEval:
         p = MixPoint.from_vector(z, self.k, self.l)
         cfg = self.cfg
         if bar is not None and self._tail_W is not None:
             bound = self._tail_screen(p, bar)
             if bound is not None:
                 return _PointEval(z, p, float("nan"), bound, exact=False)
-        thetas = self._fill(p)
         self._held = None
+        head_only = floor is not None and self._fb_on
+        if head_only:
+            ev = self.ev
+            ev._g1_v(p, self._f)
+            fb = ev._fb_rows(p, self._f, self._res)
+            # the terms are squares, so vdot's rounding is a tiny share of
+            # the sum, far inside the margin floor already takes off
+            bound = 0.5 * float(np.vdot(fb, fb)) / ev.N + floor
+            if bound > bar and math.isfinite(bound):
+                return _PointEval(z, p, float("nan"), bound, exact=False)
+        thetas = self._fill(p, head_only)
         var = None
         if cfg.mode == "cvar":
             tail = _tail_quantile(thetas, cfg.alpha)
@@ -444,12 +468,14 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
             cache: dict[float, _PointEval] = {0.0: cur}
             ray = RayBound(ev, z, d)
 
-            def trial(s: float, bar: float | None = None, z=z, d=d, cache=cache) -> _PointEval:
+            def trial(
+                s: float, bar: float | None = None, floor: float | None = None, z=z, d=d, cache=cache
+            ) -> _PointEval:
                 # only exact points are kept, so the gradient and the step
                 # returned are never taken at a screened one
                 e = cache.get(s)
                 if e is None:
-                    e = stage.eval_point(z + s * d, bar)
+                    e = stage.eval_point(z + s * d, bar, floor)
                     if e.exact:
                         cache[s] = e
                 return e
@@ -458,8 +484,9 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
                 # the floats wolfe_search forms: f(0), g(0) and the bar
                 # f(0) + c1 s g(0); a value is screened when a bound of it
                 # already fails the bar, by the ray bound before any pass over
-                # the draws, or in cvar by the tail bound before a pass over
-                # all of them or by the empirical CVaR after one
+                # the draws, in erm and ev by the FB rows plus the ray's floor
+                # for the rest, or in cvar by the tail bound before a pass
+                # over all of them or by the empirical CVaR after one
                 nonlocal trials, screened
                 e = cache.get(s)
                 if e is not None:
@@ -468,7 +495,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
                 bar = f0 + cfg.c1 * s * g0
                 low = ray.screen(s, bar)
                 if low is None:
-                    e = trial(s, bar)
+                    e = trial(s, bar, ray.floor(s, bar))
                     if e.exact:
                         return e.value
                     low = e.value

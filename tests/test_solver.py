@@ -749,9 +749,9 @@ def test_tail_screen_cuts_full_passes_at_n_10000(monkeypatch):
     residuals = SampleEvaluator.residuals
     tail_screen = _StageProblem._tail_screen
 
-    def counted(self, p, f=None, out=None):
+    def counted(self, p, f=None, *args, **kwargs):
         passes.append(f is None or f.shape[1] == self.N)
-        return residuals(self, p, f, out)
+        return residuals(self, p, f, *args, **kwargs)
 
     def screen_spy(self, p, bar):
         low = tail_screen(self, p, bar)
@@ -813,9 +813,9 @@ def _kept_points_checked(monkeypatch):
         calls.append(1)
         return orig_theta_star(*args, **kwargs)
 
-    def eval_spy(self, z, bar=None):
+    def eval_spy(self, z, bar=None, floor=None):
         before = len(calls)
-        e = orig_eval(self, z, bar)
+        e = orig_eval(self, z, bar, floor)
         assert len(calls) - before == (1 if e.exact and self.cfg.mode == "cvar" else 0)
         assert e.exact or (bar is not None and e.value > bar)
         evals.append((self, z, bar, e))
@@ -850,11 +850,14 @@ def _kept_points_checked(monkeypatch):
 
 
 def _screens_off(monkeypatch):
-    # neither the ray bound, the tail bound nor the empirical CVaR answers any trial
+    # neither the ray bound, the FB rows, the tail bound nor the empirical
+    # CVaR answers any trial: without the ray's floor, eval_point forms every
+    # row of the residual before it compares
     import esoclcp.solver as solver_mod
 
     monkeypatch.setattr(solver_mod, "_tail_cvar", lambda losses, alpha, tail=None: float("nan"))
     monkeypatch.setattr(RayBound, "screen", lambda self, s, bar: None)
+    monkeypatch.setattr(RayBound, "floor", lambda self, s, bar: None)
     monkeypatch.setattr(_StageProblem, "_tail_screen", lambda self, p, bar: None)
 
 
@@ -884,7 +887,10 @@ def test_screen_leaves_the_report_unchanged(monkeypatch, mode, kind):
             evals, rays = _kept_points_checked(m)
             screened = solve(spec, cfg)
         assert rays
-        assert any(not e.exact for _, _, _, e in evals) == (mode == "cvar")
+        # every stage but mode ev's single one (N = 1, where the ray bound
+        # is the exact merit and the FB rows screen nothing) returns some
+        # inexact evaluations: cvar's tail or CVaR bounds, erm's FB rows
+        assert any(not e.exact for _, _, _, e in evals) == (mode != "ev")
         # each screened trial would have failed the test it was screened for
         for stage, z, bar, e in evals:
             if not e.exact:
@@ -1050,3 +1056,71 @@ def test_ray_bound_that_overflows_screens_nothing():
         assert RayBound(ev, z, 1e300 * d).screen(1.0, -1.0) is None
         assert RayBound(ev, z + 1e160, d).screen(1.0, -1.0) is None
         assert RayBound(ev, z, d).screen(1e100, -1.0) is None
+
+
+@pytest.mark.parametrize("n", [1, 7, 20, 4000])
+@pytest.mark.parametrize("mode", ["erm", "ev"])
+def test_fb_row_bound_is_below_the_exact_value(mode, n):
+    # half the FB rows' mean square plus the ray's floor for the head and
+    # norm rows is at most the mean merit, so eval_point never rejects at a
+    # bar the exact value meets; a rejection leaves the buffers holding no
+    # point, and the losses of the point held before are formed again.  At
+    # N = 1 the ray bound is the exact merit, and the FB rows screen nothing
+    rng = np.random.default_rng(179)
+    for spec, draws, z, d in _ray_instances(n, rng):
+        cfg = SolverConfig(mode=mode, schedule=(n,), seed=5)
+        stage = _StageProblem(SampleEvaluator(spec, draws), cfg)
+        ray = RayBound(stage.ev, z, d)
+        for s in np.logspace(-12, 6, 10):
+            e = stage.eval_point(z + s * d)
+            losses = stage.losses(e).copy()
+            floor = ray.floor(s, e.value)
+            low = stage.eval_point(z + s * d, -np.inf, floor)
+            if n == 1:
+                assert low.exact and low.value == e.value
+                continue
+            if not low.exact:
+                fb = stage._res[: stage.k]
+                assert low.value == 0.5 * float(np.vdot(fb, fb)) / n + floor
+                assert low.value <= e.value, (s, low.value, e.value)
+                assert stage._held is None
+                assert np.array_equal(stage.losses(e), losses)
+            assert stage.eval_point(z + s * d, e.value, floor).exact
+
+
+def test_fb_row_screen_cuts_full_passes_in_an_erm_stage(monkeypatch):
+    # at N = 5000 in mode erm the FB rows reject trials before the rest of
+    # a pass over the sample, so fewer whole passes run, and the report and
+    # the line-search values asked for are those of a solve without the screen
+    passes = []
+    rejected = []
+    residuals = SampleEvaluator.residuals
+    orig_eval = _StageProblem.eval_point
+
+    def counted(self, p, f=None, *args, **kwargs):
+        passes.append(1)
+        return residuals(self, p, f, *args, **kwargs)
+
+    def eval_spy(self, z, bar=None, floor=None):
+        e = orig_eval(self, z, bar, floor)
+        rejected.append(not e.exact)
+        return e
+
+    spec = builtin_example()
+    cfg = SolverConfig(schedule=(5000,), k_max=10, seed=7, mode="erm")
+    runs = []
+    for screen in (True, False):
+        passes.clear()
+        rejected.clear()
+        with monkeypatch.context() as m:
+            m.setattr(SampleEvaluator, "residuals", counted)
+            m.setattr(_StageProblem, "eval_point", eval_spy)
+            if not screen:
+                m.setattr(RayBound, "floor", lambda self, s, bar: None)
+            runs.append((solve(spec, cfg), len(passes), sum(rejected)))
+    (screened, full, rejects), (exact, full_exact, none) = runs
+    assert rejects > 0 and none == 0
+    assert full_exact - full == rejects
+    _assert_reports_equal(screened, exact)
+    assert [r.trials for r in screened] == [r.trials for r in exact]
+    assert screened[0].screened - exact[0].screened == rejects

@@ -3,33 +3,37 @@
 Run from the root of a checkout:
 
     python3 tools/fresh_solve.py --seed 7 --seed 42 --seed 1234 [--src DIR] [--schedule LIST]
-        [--alpha A] [--kmax K] [--repeat R]
+        [--alpha A] [--kmax K] [--mode MODE] [--repeat R]
 
 Each seed runs in a new interpreter that imports esoclcp from DIR (default
-./src), pinned to one BLAS thread, and calls
-`esoclcp.cli.main(["solve", "--builtin", "--seed", S, ...])` once with the
-default schedule, tail level and iteration cap, or with LIST (say
-10,100,1000,10000,100000, the acceptance schedule), A and K.  Per seed, one JSON line
-reports the child's wall time (interpreter start-up and import included),
-the child's `import esoclcp.cli` time (import_s) and the solve's own time
+./src), pinned to one BLAS thread, and calls `esoclcp.cli.main(["solve",
+"--builtin", "--seed", S, ...])` once with the default schedule, tail
+level, iteration cap and mode, or with LIST (say 10,100,1000,10000,100000,
+the acceptance schedule), A, K and MODE.  Per seed, one JSON line reports
+the child's wall time (interpreter start-up and import included), the
+child's `import esoclcp.cli` time (import_s) and the solve's own time
 (solve_s) separately, the child's own peak RSS (peak_rss_mb, from
 resource.getrusage RUSAGE_SELF in the child: RUSAGE_CHILDREN here would
 report the largest child so far), the child's minor page faults (from
 RUSAGE_CHILDREN, so every allocation the allocator had to map counts), one
-list per stage, the total passes over the whole sample and over a subset of
-it, the solve time per whole-sample pass, and src_lines, the line count of
-DIR/esoclcp/*.py.  A pass is one SampleEvaluator.residuals call: over the
+list per stage, the total passes of each of three kinds, the solve time per
+whole-sample pass, and src_lines, the line count of DIR/esoclcp/*.py.  A
+whole-sample or subset pass is one SampleEvaluator.residuals call: over the
 whole sample when it is given no G1 array or one with a column per draw,
 over a subset (the draws of the mode-cvar tail bound) when given fewer
-columns.  A stage's list holds, in this order: its sample size,
-termination, inner iterations, whole-sample passes, subset passes,
-line-search values asked for
-(StageResult.trials), how many of those a lower bound answered
-(StageResult.screened), its wall time in seconds (StageResult.wall_time) and
-that time per inner iteration in microseconds (null for 0 iterations);
-trials and screened are null for a source tree older than those fields.
-The stages are read off what `solve` returns: its list of StageResults, or
-the `stages` of the SolveReport an older tree returns.
+columns.  An FB-row pass is one SampleEvaluator._fb_rows call that is not
+part of a residuals call: the FB rows of a mode erm or ev trial, formed
+over the whole sample to screen it; a trial they do not reject goes on to a
+whole-sample pass that forms the other rows (a tree older than that screen
+makes none).  A stage's list holds, in this order: its sample size,
+termination, inner iterations, whole-sample passes, subset passes, FB-row
+passes, line-search values asked for (StageResult.trials), how many of
+those a lower bound answered (StageResult.screened), its wall time in
+seconds (StageResult.wall_time) and that time per inner iteration in
+microseconds (null for 0 iterations); trials and screened are null for a
+source tree older than those fields.  The stages are read off what `solve`
+returns: its list of StageResults, or the `stages` of the SolveReport an
+older tree returns.
 
 With --repeat R, each seed runs R times, each run in its own new
 interpreter and printing its own line, and then one summary line per seed
@@ -63,21 +67,32 @@ import esoclcp.cli as cli
 import_s = time.perf_counter() - t_import
 from esoclcp.saa import SampleEvaluator
 
-# [whole-sample, subset] residuals calls per evaluator, and so per stage;
-# the stages' line-search counts from the report the CLI renders, where the
-# tree has them
+# [whole-sample, subset] residuals calls and _fb_rows calls outside them
+# per evaluator, and so per stage; the stages' line-search counts from the
+# report the CLI renders, where the tree has them
 calls = []
 residuals = SampleEvaluator.residuals
+fb_rows = getattr(SampleEvaluator, "_fb_rows", None)
 init = SampleEvaluator.__init__
 solve = cli.solve
 stages = []
+inside = []
 
 def counted(ev, p, f=None, *args, **kwargs):
     calls[-1][f is not None and f.shape[1] < ev.N] += 1
-    return residuals(ev, p, f, *args, **kwargs)
+    inside.append(True)
+    try:
+        return residuals(ev, p, f, *args, **kwargs)
+    finally:
+        inside.pop()
+
+def counted_fb(*args, **kwargs):
+    if not inside:
+        calls[-1][2] += 1
+    return fb_rows(*args, **kwargs)
 
 def new_stage(*args, **kwargs):
-    calls.append([0, 0])
+    calls.append([0, 0, 0])
     init(*args, **kwargs)
 
 def kept(*args, **kwargs):
@@ -89,6 +104,8 @@ def kept(*args, **kwargs):
     return result
 
 SampleEvaluator.residuals = counted
+if fb_rows is not None:
+    SampleEvaluator._fb_rows = counted_fb
 SampleEvaluator.__init__ = new_stage
 cli.solve = kept
 t0 = time.perf_counter()
@@ -97,21 +114,21 @@ solve_s = time.perf_counter() - t0
 # every stage's evaluator computes residuals; skip those that compute none,
 # such as the second evaluator per stage that older trees built for aloc
 for stage, n in zip(stages, [n for n in calls if n[0]]):
-    stage["full_passes"], stage["tail_passes"] = n
+    stage["full_passes"], stage["tail_passes"], stage["fb_passes"] = n
 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": solve_s, "peak_rss_mb": peak_rss_mb,
                   "full_passes": sum(n[0] for n in calls), "tail_passes": sum(n[1] for n in calls),
-                  "stages": stages}))
+                  "fb_passes": sum(n[2] for n in calls), "stages": stages}))
 """
 
 
 def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None = None,
-             kmax: int | None = None) -> dict:
+             kmax: int | None = None, mode: str | None = None) -> dict:
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         report_path = os.path.join(tmp, "report.json")
         argv = ["solve", "--builtin", "--seed", str(seed), "--format", "json", "--no-timing", "--out", report_path]
-        for flag, value in (("--schedule", schedule), ("--alpha", alpha), ("--kmax", kmax)):
+        for flag, value in (("--schedule", schedule), ("--alpha", alpha), ("--kmax", kmax), ("--mode", mode)):
             if value is not None:
                 argv += [flag, str(value)]
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -137,6 +154,7 @@ def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None
                 s["inner_iters"],
                 c["full_passes"],
                 c["tail_passes"],
+                c["fb_passes"],
                 c["trials"],
                 c["screened"],
                 c["wall_time"],
@@ -146,6 +164,7 @@ def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None
         ],
         "full_passes": child["full_passes"],
         "tail_passes": child["tail_passes"],
+        "fb_passes": child["fb_passes"],
         "solve_s_per_full_pass": child["solve_s"] / max(child["full_passes"], 1),
         "src_lines": src_lines(src),
     }
@@ -171,10 +190,10 @@ def summary(seed: int, runs: list[dict]) -> dict:
     stages = []
     for i, first in enumerate(runs[0]["stages"]):
         # every fresh run of one seed takes the same steps, only its times differ
-        if any(run["stages"][i][:7] != first[:7] for run in runs):
+        if any(run["stages"][i][:8] != first[:8] for run in runs):
             raise RuntimeError(f"seed {seed}: stage {i + 1} differs between runs")
-        wall, wall_iqr = spread([run["stages"][i][7] for run in runs])
-        per_iter = [run["stages"][i][8] for run in runs]
+        wall, wall_iqr = spread([run["stages"][i][8] for run in runs])
+        per_iter = [run["stages"][i][9] for run in runs]
         us, us_iqr = spread(per_iter) if per_iter[0] is not None else (None, None)
         stages.append(
             {"N": first[0], "inner_iters": first[2], "wall_time_median": wall, "wall_time_iqr": wall_iqr,
@@ -190,6 +209,7 @@ def main(argv=None) -> int:
     p.add_argument("--schedule", help="comma-separated sample sizes passed to solve (default: solve's own)")
     p.add_argument("--alpha", help="tail level passed to solve (default: solve's own)")
     p.add_argument("--kmax", type=int, help="inner iteration cap passed to solve (default: solve's own)")
+    p.add_argument("--mode", help="solve mode passed to solve (default: solve's own)")
     p.add_argument("--repeat", type=int, default=1, help="fresh runs per seed; from 2 on, a summary line per seed")
     args = p.parse_args(argv)
     if args.repeat < 1:
@@ -197,7 +217,7 @@ def main(argv=None) -> int:
     for seed in args.seed:
         runs = []
         for _ in range(args.repeat):
-            runs.append(run_seed(os.path.abspath(args.src), seed, args.schedule, args.alpha, args.kmax))
+            runs.append(run_seed(os.path.abspath(args.src), seed, args.schedule, args.alpha, args.kmax, args.mode))
             print(json.dumps(runs[-1]), flush=True)
         if args.repeat > 1:
             print(json.dumps(summary(seed, runs)), flush=True)

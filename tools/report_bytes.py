@@ -13,6 +13,9 @@ that of the report's stdout and rc the CLI's exit code:
                                      formats table, csv and json
   builtin/seed<S>/<format>           a default `solve --builtin --seed S`,
                                      S in 7, 42 and 1234
+  builtin-erm/seed<S>/<format>       the same in mode erm, `solve --builtin
+                                     --mode erm --seed S`, stages N = 10 to
+                                     10000
   check/<point>                      `check --builtin --point <point>`
 
 Every solve runs with --no-timing.  Run the script once per tree with the
@@ -51,9 +54,11 @@ def reports(cli, workloads, seeds, workdir: str):
                 for fmt in FORMATS:
                     argv[argv.index("--format") + 1] = fmt
                     yield f"{name}/seed{seed}/op{i}/{fmt}", list(argv)
-    for seed in BUILTIN_SEEDS:
-        for fmt in FORMATS:
-            yield f"builtin/seed{seed}/{fmt}", ["solve", "--builtin", "--seed", str(seed), "--format", fmt, "--no-timing"]
+    for name, mode in (("builtin", []), ("builtin-erm", ["--mode", "erm"])):
+        for seed in BUILTIN_SEEDS:
+            for fmt in FORMATS:
+                argv = ["solve", "--builtin", *mode, "--seed", str(seed), "--format", fmt, "--no-timing"]
+                yield f"{name}/seed{seed}/{fmt}", argv
     for point in CHECK_POINTS:
         yield f"check/{point}", ["check", "--builtin", "--point", point]
 
