@@ -10,20 +10,15 @@ Theta is re-optimized from scratch by saa.theta_star at every point the line
 search may accept, with no state carried between trial points, so the inner
 loop minimizes the reduced function min_Theta Nhat(z, Theta).
 
-Most line-search trials exist only to be rejected.  A trial whose lower
-bound already fails the sufficient-decrease test is rejected on the bound:
-saa.RayBound's closed form along the search ray, before any pass over the
-draws, in every mode.  Then, in modes erm and ev with N > 1, the FB rows'
-half mean square over the draws plus that closed form's share for the
-other rows, before those rows and the losses are formed; in mode cvar,
-the losses of the draws whose losses at the search's start point exceed
-its VaR, at most floor(alpha N) of them, summed over alpha N, before a
-pass over the rest, then the empirical CVaR, before theta_star.  Bounds
-answer only rejections, by a margin above their rounding, and every point
-kept is evaluated exactly, so the steps taken are those of exact
-evaluation.  Stages stop on a small gradient or an iteration cap, or when
-a step no longer moves the point (stalled); the schedule stops early when
-consecutive stage solutions agree within eps.
+Most line-search trials exist only to be rejected, so _StageProblem.search
+answers a trial from a lower bound of its value when that bound already
+fails the sufficient-decrease test: a closed form along the search ray in
+every mode, then the FB rows (erm, ev) or the tail draws and the empirical
+CVaR (cvar); its docstring gives the cascade.  Bounds answer only
+rejections and every point kept is evaluated exactly, so the steps taken
+are those of exact evaluation.  Stages stop on a small gradient or an
+iteration cap, or when a step no longer moves the point (stalled); the
+schedule stops early when consecutive stage solutions agree within eps.
 """
 
 from __future__ import annotations
@@ -187,14 +182,15 @@ def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9, s_init: float = 1.0, m
     f(s) <= f(0) + c1 s g(0) and g(s) >= c2 g(0).  The slope at zero must be
     negative.  After max_evals trial steps the best sufficient-decrease step
     seen is returned (pure backtracking fallback); if none was seen, the
-    last, tiny bisected step is returned.  max_evals must be at least 1.
+    last, tiny bisected step is returned.  s_init must be finite and
+    positive, max_evals an integer of at least 1.
     """
     if not 0.0 < c1 < c2 < 1.0:
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
-    if not s_init > 0:
-        raise ValueError(f"s_init must be > 0, got {s_init}")
-    if not max_evals >= 1:
-        raise ValueError(f"max_evals must be >= 1, got {max_evals}")
+    if not (math.isfinite(s_init) and s_init > 0):
+        raise ValueError(f"s_init must be finite and > 0, got {s_init}")
+    if not (isinstance(max_evals, (int, np.integer)) and max_evals >= 1):
+        raise ValueError(f"max_evals must be an integer >= 1, got {max_evals!r}")
     g0 = float(g(0.0))
     if not g0 < 0.0:
         raise ValueError(f"slope at zero must be negative, got {g0}")
@@ -226,18 +222,16 @@ def default_start(spec: ProblemSpec) -> MixPoint:
 
 
 class _PointEval:
-    # one point of the inner loop: its value, and its gradient once asked for;
-    # its per-draw data are in the stage's buffers while it is held there.
-    # A screened trial point is not exact: its value is only a lower bound.
-    # var is an exact cvar point's empirical VaR, where its losses are finite
-    __slots__ = ("z", "p", "theta", "value", "exact", "var", "_gvec")
+    # one exact point of the inner loop: its value, and its gradient once
+    # asked for; its per-draw data are in the stage's buffers while it is
+    # held there; var is the empirical VaR of a cvar point with finite losses
+    __slots__ = ("z", "p", "theta", "value", "var", "_gvec")
 
-    def __init__(self, z, p, theta, value, exact=True, var=None):
+    def __init__(self, z, p, theta, value, var=None):
         self.z = z
         self.p = p
         self.theta = theta
         self.value = value
-        self.exact = exact
         self.var = var
         self._gvec = None
 
@@ -248,33 +242,17 @@ class _StageProblem:
     In mode cvar the tail threshold is re-optimized at every point the line
     search may accept, so it runs on the reduced function
     min_Theta Nhat(z, Theta); its gradient is the spatial gradient at the
-    minimizing Theta.  Since every smoothing satisfies p_mu(t) >= [t]_+,
-    that function is at least the empirical CVaR of the losses, and that
-    CVaR, the losses being >= 0, at least the sum of any at most
-    floor(alpha N) of them over alpha N (Rockafellar & Uryasev 2000).
-    eval_point, given the line search's sufficient-decrease bar, returns the
-    first of those two bounds that exceeds the bar as an inexact value: the
-    sum over the draws search_from took from the search's start point, those
-    whose losses exceed its VaR, before the pass over the whole sample, then
-    the empirical CVaR, before theta_star.  One selection of a point's losses
-    gives its CVaR, theta_star's start and its VaR.  Modes ev and erm
-    average the merit directly.  In every mode the value is at least the
-    mean merit, which saa.RayBound bounds along a search ray; solve asks
-    that bound before eval_point.  In modes erm and ev over N > 1 draws
-    solve also hands eval_point the ray's floor for the head and norm rows
-    (RayBound.floor), and eval_point fills G1 and the FB rows and returns
-    half their mean square plus that floor as an inexact value when it
-    exceeds the bar; otherwise it finishes the other rows and the losses in
-    the same buffers.  At N = 1 the ray bound is the mean merit itself, so
-    that screen is skipped.  A trial point whose losses are not all finite
-    has the value inf in every mode.
+    minimizing Theta.  Modes ev and erm average the merit directly.  A
+    point whose losses are not all finite has the value inf in every mode.
+    search runs one line search, and rejects most of its trials on lower
+    bounds of their value (its docstring gives the cascade); eval_point
+    evaluates one point exactly, or, given a bar and a bound to try, returns
+    that bound as a float when it exceeds the bar.
 
     The per-draw arrays of one point, G1 and v, the residuals, the losses
     and, once grad or direction asks, the FB coefficients, live in (rows, N)
-    buffers allocated once per stage and filled in place; the tail draws
-    have buffers of their own, allocated once per search, so a trial the
-    tail bound rejects leaves the others as they were; one the FB rows
-    reject leaves them holding no point.  They hold the point
+    buffers allocated once per stage and filled in place; a screened trial
+    fills them too, and leaves them holding no point.  They hold the point
     evaluated last; grad and direction asked about an older point (the line
     search's fallback to its best step) evaluate it again.
     """
@@ -300,13 +278,16 @@ class _StageProblem:
         self._damping = cfg.lm_nu * np.eye(ev.dim)
         self._held: _PointEval | None = None  # whose data _f, _res and _thetas hold
         self._fb_of: _PointEval | None = None  # whose FB coefficients _fb holds
-        # whether the stage screens on tail draws, and their columns of W
-        # once search_from has taken them
+        # which screens search tries: the tail draws' in mode cvar, the FB
+        # rows' in modes erm and ev, where at N = 1 the ray bound is the
+        # mean merit itself
         tail = n - _tail_rank(n, cfg.alpha)
         self._tail_on = cfg.mode == "cvar" and n >= _TAIL_MIN_N and 1 <= tail <= _TAIL_SHARE_MAX * n
-        self._tail_W: np.ndarray | None = None
-        # whether trials are screened on their FB rows
         self._fb_on = cfg.mode != "cvar" and n > 1
+        # line-search values asked for, cache hits aside, and how many of
+        # them a lower bound answered
+        self.trials = 0
+        self.screened = 0
 
     def _fill(self, p: MixPoint, head_only: bool = False) -> np.ndarray:
         # head_only: G1, v and the FB rows at p are in the buffers already
@@ -315,28 +296,28 @@ class _StageProblem:
         res = self.ev.residuals(p, self._f, self._res, head_only)
         return self.ev.thetas(p, res, self._thetas)
 
-    def search_from(self, e: _PointEval) -> None:
-        """Take the draws whose losses at e exceed its VaR, at most floor(alpha N), for the tail bound."""
+    def _tail_draws(self, e: _PointEval) -> np.ndarray | None:
+        # the columns of W of the draws whose losses at e exceed its VaR, at
+        # most floor(alpha N) of them, where the stage screens on them
         if self._tail_on and e.var is not None:
-            top = np.flatnonzero(self.losses(e) > e.var)
-            self._tail_W = self.ev.W[:, top]
-            self._tail_f = np.empty((self.ev.dim, top.size))
-            self._tail_res = np.empty_like(self._tail_f)
-            self._tail_thetas = np.empty(top.size)
+            return self.ev.W[:, np.flatnonzero(self.losses(e) > e.var)]
+        return None
 
     def _rejects(self, bound: float, bar: float) -> bool:
         cfg = self.cfg
         margin = _SCREEN_RTOL * (abs(bar) + abs(bound) + cfg.mu) / cfg.alpha
         return math.isfinite(bound) and bound > bar + margin
 
-    def _tail_screen(self, p: MixPoint, bar: float) -> float | None:
-        # the tail draws' losses at p, summed over alpha N, if that bound
-        # fails bar by the margin, else None; the residuals and losses are
-        # those of the one evaluation path, on the tail draws' columns
-        ev, f = self.ev, self._tail_f
-        ev._g1_v(p, f, self._tail_W)
-        res = ev.residuals(p, f, self._tail_res)
-        bound = float(np.add.reduce(ev.thetas(p, res, self._tail_thetas))) / (self.cfg.alpha * ev.N)
+    def _tail_screen(self, p: MixPoint, bar: float, W: np.ndarray) -> float | None:
+        # the losses at p of the draws whose columns of W are given, summed
+        # over alpha N, if that bound fails bar by the margin, else None;
+        # the residuals and losses are those of the one evaluation path, in
+        # contiguous prefixes of the stage's buffers
+        ev, n = self.ev, W.shape[1]
+        f, res = (b.reshape(-1)[: ev.dim * n].reshape(ev.dim, n) for b in (self._f, self._res))
+        ev._g1_v(p, f, W)
+        res = ev.residuals(p, f, res)
+        bound = float(np.add.reduce(ev.thetas(p, res, self._thetas[:n]))) / (self.cfg.alpha * ev.N)
         return bound if self._rejects(bound, bar) else None
 
     def losses(self, e: _PointEval) -> np.ndarray:
@@ -353,15 +334,22 @@ class _StageProblem:
             self._fb_of = e
         return self._fb
 
-    def eval_point(self, z: np.ndarray, bar: float | None = None, floor: float | None = None) -> _PointEval:
+    def eval_point(
+        self, z: np.ndarray, bar: float | None = None, floor: float | None = None, tail_W: np.ndarray | None = None
+    ) -> _PointEval | float:
+        """The exact point at z or, given the bar, the first bound to try that exceeds it.
+
+        floor asks for the FB-row bound (search's step 2), tail_W for the
+        tail draws' (step 3); mode cvar tries the empirical CVaR (step 4).
+        """
         p = MixPoint.from_vector(z, self.k, self.l)
         cfg = self.cfg
-        if bar is not None and self._tail_W is not None:
-            bound = self._tail_screen(p, bar)
-            if bound is not None:
-                return _PointEval(z, p, float("nan"), bound, exact=False)
         self._held = None
-        head_only = floor is not None and self._fb_on
+        if tail_W is not None:
+            bound = self._tail_screen(p, bar, tail_W)
+            if bound is not None:
+                return bound
+        head_only = floor is not None
         if head_only:
             ev = self.ev
             ev._g1_v(p, self._f)
@@ -370,7 +358,7 @@ class _StageProblem:
             # the sum, far inside the margin floor already takes off
             bound = 0.5 * float(np.vdot(fb, fb)) / ev.N + floor
             if bound > bar and math.isfinite(bound):
-                return _PointEval(z, p, float("nan"), bound, exact=False)
+                return bound
         thetas = self._fill(p, head_only)
         var = None
         if cfg.mode == "cvar":
@@ -378,7 +366,7 @@ class _StageProblem:
             if bar is not None:
                 bound = _tail_cvar(thetas, cfg.alpha, tail)
                 if self._rejects(bound, bar):
-                    return _PointEval(z, p, float("nan"), bound, exact=False)
+                    return bound
             if np.isfinite(thetas).all():
                 theta = theta_star(thetas, cfg.alpha, cfg.mu, cfg.smoothing, tail)
                 var = tail[0]
@@ -393,6 +381,59 @@ class _StageProblem:
             value = float(np.add.reduce(thetas)) / thetas.size
         self._held = _PointEval(z, p, theta, value, var=var)
         return self._held
+
+    def search(self, cur: _PointEval, d: np.ndarray, slope: float) -> _PointEval:
+        """The point wolfe_search accepts along d from cur; slope is grad(cur) @ d.
+
+        Most trials exist only to be rejected.  Each value asked for has the
+        bar f(0) + c1 s g(0), from the floats wolfe_search forms, and the
+        first of these lower bounds that exceeds it answers in its place:
+          1. saa.RayBound's closed form for the mean merit, which every
+             mode's value is at least, before any pass over the draws;
+          2. erm and ev over N > 1 draws: half the FB rows' mean square plus
+             RayBound.floor for the other rows, before those and the losses;
+          3. cvar from N = _TAIL_MIN_N on, while floor(alpha N) is at most
+             _TAIL_SHARE_MAX N: the losses of the draws whose losses at cur
+             exceed its VaR, summed over alpha N, before a pass over the
+             rest; the losses being >= 0, that is at most the empirical
+             CVaR (Rockafellar & Uryasev 2000);
+          4. cvar: the empirical CVaR, before theta_star; p_mu(t) >= [t]_+
+             for every smoothing, so min_Theta Nhat is at least that CVaR.
+             One selection of the losses gives it, theta_star's start and
+             the VaR.
+        Bounds answer only rejections, by a margin above their rounding,
+        and only exact points are kept, so the steps are those of exact
+        evaluation.  trials counts the values asked for, screened those a bound answered.
+        """
+        z, cfg = cur.z, self.cfg
+        tail_W = self._tail_draws(cur)
+        ray = RayBound(self.ev, z, d)
+        cache: dict[float, _PointEval] = {0.0: cur}
+
+        def point(s: float) -> _PointEval:
+            e = cache.get(s)
+            if e is None:
+                e = cache[s] = self.eval_point(z + s * d)
+            return e
+
+        def value(s: float) -> float:
+            e = cache.get(s)
+            if e is not None:
+                return e.value
+            self.trials += 1
+            bar = cur.value + cfg.c1 * s * slope
+            low = ray.screen(s, bar)
+            if low is None:
+                floor = ray.floor(s, bar) if self._fb_on else None
+                e = self.eval_point(z + s * d, bar, floor, tail_W)
+                if not isinstance(e, float):
+                    cache[s] = e
+                    return e.value
+                low = e
+            self.screened += 1
+            return low
+
+        return point(wolfe_search(value, lambda s: float(self.grad(point(s)) @ d), cfg.c1, cfg.c2))
 
     def grad(self, e: _PointEval) -> np.ndarray:
         if e._gvec is None:
@@ -451,7 +492,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
         ev = SampleEvaluator(spec, stage_samples(spec, cfg, j))
         stage = _StageProblem(ev, cfg)
         t0 = time.perf_counter()
-        iters = trials = screened = 0
+        iters = 0
         termination = "k_max"
         cur = stage.eval_point(z)
         while True:
@@ -464,51 +505,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
                 termination = "k_max"
                 break
             d = stage.direction(cur, grad)
-            stage.search_from(cur)
-            cache: dict[float, _PointEval] = {0.0: cur}
-            ray = RayBound(ev, z, d)
-
-            def trial(
-                s: float, bar: float | None = None, floor: float | None = None, z=z, d=d, cache=cache
-            ) -> _PointEval:
-                # only exact points are kept, so the gradient and the step
-                # returned are never taken at a screened one
-                e = cache.get(s)
-                if e is None:
-                    e = stage.eval_point(z + s * d, bar, floor)
-                    if e.exact:
-                        cache[s] = e
-                return e
-
-            def value(s: float, f0=cur.value, g0=float(grad @ d), ray=ray, cache=cache) -> float:
-                # the floats wolfe_search forms: f(0), g(0) and the bar
-                # f(0) + c1 s g(0); a value is screened when a bound of it
-                # already fails the bar, by the ray bound before any pass over
-                # the draws, in erm and ev by the FB rows plus the ray's floor
-                # for the rest, or in cvar by the tail bound before a pass
-                # over all of them or by the empirical CVaR after one
-                nonlocal trials, screened
-                e = cache.get(s)
-                if e is not None:
-                    return e.value
-                trials += 1
-                bar = f0 + cfg.c1 * s * g0
-                low = ray.screen(s, bar)
-                if low is None:
-                    e = trial(s, bar, ray.floor(s, bar))
-                    if e.exact:
-                        return e.value
-                    low = e.value
-                screened += 1
-                return low
-
-            step = wolfe_search(
-                value,
-                lambda s, d=d: float(stage.grad(trial(s)) @ d),
-                cfg.c1,
-                cfg.c2,
-            )
-            nxt = trial(step)
+            nxt = stage.search(cur, d, float(grad @ d))
             iters += 1
             if (nxt.z == z).all():
                 # the accepted step moved z by less than one ulp, so every
@@ -530,7 +527,8 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
         pt = recover_lcp_point(point)
         f_mean, loss = f_eval(spec, mean_omega, pt.x, pt.u), aloc(ev, pt.x, pt.u)
         result = StageResult(
-            j, ev.N, point, theta, pt.x, pt.u, f_mean, loss, gnorm, iters, termination, wall, trials, screened
+            j, ev.N, point, theta, pt.x, pt.u, f_mean, loss, gnorm, iters, termination, wall,
+            stage.trials, stage.screened
         )
         results.append(result)
 

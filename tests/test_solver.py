@@ -18,6 +18,7 @@ from esoclcp.solver import (
     MU_MIN,
     SolverConfig,
     _lm_from_means,
+    _PointEval,
     _StageProblem,
     aloc,
     default_start,
@@ -219,11 +220,15 @@ def test_wolfe_rejects_uphill_start():
         wolfe_search(lambda s: 0.0, lambda s: 0.0)
     with pytest.raises(ValueError):
         wolfe_search(lambda s: -s, lambda s: -1.0, s_init=0.0)
+    # an infinite first step would be returned as the step
+    with pytest.raises(ValueError, match="s_init"):
+        wolfe_search(lambda s: -s, lambda s: -1.0, s_init=float("inf"))
 
 
-@pytest.mark.parametrize("max_evals", [0, -1])
+@pytest.mark.parametrize("max_evals", [0, -1, 2.5])
 def test_wolfe_refuses_a_search_that_may_evaluate_no_step(max_evals):
-    # with no trial allowed the search would return s_init unevaluated
+    # with no trial allowed the search would return s_init unevaluated; a
+    # count that is not an integer is refused before any trial too
     calls = []
 
     def f(s):
@@ -546,6 +551,11 @@ def _wide_stage(mode, n):
     return _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1)), cfg)
 
 
+def _exact(e):
+    # eval_point returns an exact point, or a screened trial's bound as a float
+    return isinstance(e, _PointEval)
+
+
 @pytest.mark.parametrize("mode", ["cvar", "erm"])
 def test_stage_answers_for_an_older_point_as_a_fresh_stage_does(mode):
     rng = np.random.default_rng(139)
@@ -561,7 +571,7 @@ def test_stage_answers_for_an_older_point_as_a_fresh_stage_does(mode):
     # buffers and, in cvar, is screened out (erm ignores the bar)
     stage.direction(b, stage.grad(b))
     c = stage.eval_point(za + 0.5 * (zb - za), -1.0)
-    assert c.exact == (mode != "cvar")
+    assert _exact(c) == (mode != "cvar")
     assert np.array_equal(stage.losses(b), fresh.losses(fresh.eval_point(zb)))
     ga = stage.grad(a)
     assert np.array_equal(ga, fresh.grad(a0))
@@ -690,9 +700,9 @@ def test_screen_bound_is_below_the_exact_value(kind, n):
                 # the two agree to an ulp or two, either way
                 assert bound - e.value <= 1e-14 * abs(e.value), (alpha, mu, bound, e.value)
                 assert bound == cvar_empirical(stage.losses(e), alpha)
-                assert stage.eval_point(z, e.value).exact
+                assert _exact(stage.eval_point(z, e.value))
                 low = stage.eval_point(z, bound - 1.0 - abs(bound))
-                assert not low.exact and low.value == bound
+                assert not _exact(low) and low == bound
 
 
 @pytest.mark.parametrize("n", [7, 20, 4000])
@@ -701,8 +711,9 @@ def test_tail_bound_is_below_the_exact_value(kind, n):
     # the losses of the draws above the start point's VaR, at most
     # floor(alpha N) of them, summed over alpha N, are at most the empirical
     # CVaR at any point, so at most its value up to rounding; the screen
-    # rejects with that bound, never at a bar the exact value meets, and
-    # leaves the stage's buffers as they were
+    # rejects with that bound, never at a bar the exact value meets; a
+    # rejection leaves the buffers holding no point, and the losses of the
+    # point held before are formed again
     rng = np.random.default_rng(173)
     for alpha in (0.05, 0.2):
         for mu in (1e-9, 1e-4, 1e-1):
@@ -717,27 +728,28 @@ def test_tail_bound_is_below_the_exact_value(kind, n):
             assert stage._tail_on == (n >= 1000)
             stage._tail_on = True
             start = stage.eval_point(np.concatenate([rng.normal(size=5), [rng.uniform(0.1, 2.0)]]))
-            stage.search_from(start)
+            W = stage._tail_draws(start)
             # the draws whose losses exceed the start's VaR, tied pairs at
             # the VaR left out, so no more than floor(alpha N) of them
             var, upper = _tail_quantile(stage.losses(start), alpha)
             assert start.var == var
             top = np.flatnonzero(stage.losses(start) > var)
             assert top.size == np.count_nonzero(upper > var) <= tail
-            assert np.array_equal(stage._tail_W, stage.ev.W[:, top])
+            assert np.array_equal(W, stage.ev.W[:, top])
             for _ in range(3):
                 z = np.concatenate([rng.normal(size=5), [rng.uniform(0.1, 2.0)]])
                 e = stage.eval_point(z)
                 losses = stage.losses(e).copy()
-                bound = stage._tail_screen(e.p, -1.0)
+                bound = stage._tail_screen(e.p, -1.0, W)
                 assert bound == pytest.approx(float(np.sum(losses[top])) / (alpha * n), rel=1e-12, abs=0.0)
                 assert bound - e.value <= 1e-14 * abs(e.value), (alpha, mu, bound, e.value)
-                assert stage._tail_screen(e.p, e.value) is None
-                assert stage.eval_point(z, e.value).exact
+                assert stage._tail_screen(e.p, e.value, W) is None
+                assert _exact(stage.eval_point(z, e.value, tail_W=W))
                 held = stage.eval_point(z)
-                low = stage.eval_point(z, bound - 1.0 - abs(bound))
-                assert not low.exact and low.value == bound
-                assert stage.losses(held) is stage._thetas and np.array_equal(stage._thetas, losses)
+                low = stage.eval_point(z, bound - 1.0 - abs(bound), tail_W=W)
+                assert not _exact(low) and low == bound
+                assert stage._held is None
+                assert np.array_equal(stage.losses(held), losses)
 
 
 def test_tail_screen_cuts_full_passes_at_n_10000(monkeypatch):
@@ -753,8 +765,8 @@ def test_tail_screen_cuts_full_passes_at_n_10000(monkeypatch):
         passes.append(f is None or f.shape[1] == self.N)
         return residuals(self, p, f, *args, **kwargs)
 
-    def screen_spy(self, p, bar):
-        low = tail_screen(self, p, bar)
+    def screen_spy(self, p, bar, W):
+        low = tail_screen(self, p, bar, W)
         rejected.append(low is not None)
         return low
 
@@ -766,7 +778,7 @@ def test_tail_screen_cuts_full_passes_at_n_10000(monkeypatch):
         rejected.clear()
         with monkeypatch.context() as m:
             m.setattr(SampleEvaluator, "residuals", counted)
-            m.setattr(_StageProblem, "_tail_screen", screen_spy if screen else (lambda self, p, bar: None))
+            m.setattr(_StageProblem, "_tail_screen", screen_spy if screen else (lambda self, p, bar, W: None))
             runs.append((solve(spec, cfg), sum(passes), len(passes) - sum(passes), sum(rejected)))
     (screened, full, tail, rejects), (exact, full_exact, tail_exact, _) = runs
     assert rejects > 0 and tail > 0 and tail_exact == 0
@@ -787,9 +799,9 @@ def test_trial_point_whose_losses_overflow_has_the_value_inf(mode):
         assert not np.isfinite(stage.losses(e)).any()
         screened = stage.eval_point(z, 1.0)
         losses = stage.losses(e)
-    assert e.value == np.inf and e.exact
+    assert e.value == np.inf and _exact(e)
     # a non-finite bound falls through to the exact path
-    assert screened.value == np.inf and screened.exact
+    assert _exact(screened) and screened.value == np.inf
     with pytest.raises(ValueError, match="losses must be finite"):
         theta_star(losses, cfg.alpha, cfg.mu)
 
@@ -813,20 +825,20 @@ def _kept_points_checked(monkeypatch):
         calls.append(1)
         return orig_theta_star(*args, **kwargs)
 
-    def eval_spy(self, z, bar=None, floor=None):
+    def eval_spy(self, z, bar=None, floor=None, tail_W=None):
         before = len(calls)
-        e = orig_eval(self, z, bar, floor)
-        assert len(calls) - before == (1 if e.exact and self.cfg.mode == "cvar" else 0)
-        assert e.exact or (bar is not None and e.value > bar)
+        e = orig_eval(self, z, bar, floor, tail_W)
+        assert len(calls) - before == (1 if _exact(e) and self.cfg.mode == "cvar" else 0)
+        assert _exact(e) or (bar is not None and e > bar)
         evals.append((self, z, bar, e))
         return e
 
     def grad_spy(self, e):
-        assert e.exact
+        assert _exact(e)
         return orig_grad(self, e)
 
     def direction_spy(self, e, grad):
-        assert e.exact
+        assert _exact(e)
         return orig_direction(self, e, grad)
 
     class RaySpy(RayBound):
@@ -858,7 +870,7 @@ def _screens_off(monkeypatch):
     monkeypatch.setattr(solver_mod, "_tail_cvar", lambda losses, alpha, tail=None: float("nan"))
     monkeypatch.setattr(RayBound, "screen", lambda self, s, bar: None)
     monkeypatch.setattr(RayBound, "floor", lambda self, s, bar: None)
-    monkeypatch.setattr(_StageProblem, "_tail_screen", lambda self, p, bar: None)
+    monkeypatch.setattr(_StageProblem, "_tail_screen", lambda self, p, bar, W: None)
 
 
 def _assert_reports_equal(a, b):
@@ -890,10 +902,10 @@ def test_screen_leaves_the_report_unchanged(monkeypatch, mode, kind):
         # every stage but mode ev's single one (N = 1, where the ray bound
         # is the exact merit and the FB rows screen nothing) returns some
         # inexact evaluations: cvar's tail or CVaR bounds, erm's FB rows
-        assert any(not e.exact for _, _, _, e in evals) == (mode != "ev")
+        assert any(not _exact(e) for _, _, _, e in evals) == (mode != "ev")
         # each screened trial would have failed the test it was screened for
         for stage, z, bar, e in evals:
-            if not e.exact:
+            if not _exact(e):
                 assert stage.eval_point(z).value > bar
         for ray, s, bar, _ in rays:
             # the bar is the one wolfe_search forms, f(0) + c1 s g(0)
@@ -905,7 +917,7 @@ def test_screen_leaves_the_report_unchanged(monkeypatch, mode, kind):
             _screens_off(m)
             evals, rays = _kept_points_checked(m)
             exact = solve(spec, cfg)
-        assert all(e.exact for _, _, _, e in evals) and not rays
+        assert all(_exact(e) for _, _, _, e in evals) and not rays
         _assert_reports_equal(screened, exact)
         # the same line-search values were asked for, in the same searches
         assert [r.trials for r in screened] == [r.trials for r in exact]
@@ -945,7 +957,7 @@ def test_fallback_step_is_evaluated_exactly(monkeypatch, search):
     cfg = SolverConfig(schedule=(1000,), k_max=4, seed=7)
     stages = solve(spec, cfg)
     # some search's unit step was screened, by the ray bound or the CVaR
-    assert any(s == 1.0 for _, s, _, _ in rays) or any(not e.exact for _, _, _, e in evals)
+    assert any(s == 1.0 for _, s, _, _ in rays) or any(not _exact(e) for _, _, _, e in evals)
     # the stage's start, and at least one returned step evaluated again
     # without a bar; the spies saw every gradient and direction at exact points
     assert len([e for _, _, bar, e in evals if bar is None]) >= 2
@@ -979,7 +991,7 @@ def test_stage_counts_line_search_values_and_screened_ones(monkeypatch, capsys, 
     # steps, none of them cached yet
     trials = sum(r.trials for r in stages)
     assert trials == len([s for s in asked if s != 0.0]) > 0
-    assert sum(r.screened for r in stages) == len(rays) + len([e for *_, e in evals if not e.exact])
+    assert sum(r.screened for r in stages) == len(rays) + len([e for *_, e in evals if not _exact(e)])
     assert 0 < sum(r.screened for r in stages) < trials
 
     # the counts appear in no report format
@@ -1065,7 +1077,8 @@ def test_fb_row_bound_is_below_the_exact_value(mode, n):
     # norm rows is at most the mean merit, so eval_point never rejects at a
     # bar the exact value meets; a rejection leaves the buffers holding no
     # point, and the losses of the point held before are formed again.  At
-    # N = 1 the ray bound is the exact merit, and the FB rows screen nothing
+    # N = 1 the ray bound is the exact merit, and the stage does not screen
+    # on the FB rows
     rng = np.random.default_rng(179)
     for spec, draws, z, d in _ray_instances(n, rng):
         cfg = SolverConfig(mode=mode, schedule=(n,), seed=5)
@@ -1075,17 +1088,17 @@ def test_fb_row_bound_is_below_the_exact_value(mode, n):
             e = stage.eval_point(z + s * d)
             losses = stage.losses(e).copy()
             floor = ray.floor(s, e.value)
-            low = stage.eval_point(z + s * d, -np.inf, floor)
             if n == 1:
-                assert low.exact and low.value == e.value
+                assert not stage._fb_on
                 continue
-            if not low.exact:
+            low = stage.eval_point(z + s * d, -np.inf, floor)
+            if not _exact(low):
                 fb = stage._res[: stage.k]
-                assert low.value == 0.5 * float(np.vdot(fb, fb)) / n + floor
-                assert low.value <= e.value, (s, low.value, e.value)
+                assert low == 0.5 * float(np.vdot(fb, fb)) / n + floor
+                assert low <= e.value, (s, low, e.value)
                 assert stage._held is None
                 assert np.array_equal(stage.losses(e), losses)
-            assert stage.eval_point(z + s * d, e.value, floor).exact
+            assert _exact(stage.eval_point(z + s * d, e.value, floor))
 
 
 def test_fb_row_screen_cuts_full_passes_in_an_erm_stage(monkeypatch):
@@ -1101,9 +1114,9 @@ def test_fb_row_screen_cuts_full_passes_in_an_erm_stage(monkeypatch):
         passes.append(1)
         return residuals(self, p, f, *args, **kwargs)
 
-    def eval_spy(self, z, bar=None, floor=None):
-        e = orig_eval(self, z, bar, floor)
-        rejected.append(not e.exact)
+    def eval_spy(self, z, *args):
+        e = orig_eval(self, z, *args)
+        rejected.append(not _exact(e))
         return e
 
     spec = builtin_example()

@@ -16,6 +16,9 @@ that of the report's stdout and rc the CLI's exit code:
   builtin-erm/seed<S>/<format>       the same in mode erm, `solve --builtin
                                      --mode erm --seed S`, stages N = 10 to
                                      10000
+  builtin-<kind>/seed7/json          `solve --builtin --smoothing <kind>
+                                     --seed 7`, kind in nn, ip and asip
+                                     (chks is the default above)
   check/<point>                      `check --builtin --point <point>`
 
 Every solve runs with --no-timing.  Run the script once per tree with the
@@ -40,6 +43,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FORMATS = ("table", "csv", "json")
 BUILTIN_SEEDS = (7, 42, 1234)
+# the smoothing kinds besides the default chks, each solved once
+SMOOTHING_KINDS = ("nn", "ip", "asip")
 # the README's point and two more; the nearest complementarity cases are II, I and IV
 CHECK_POINTS = ("1.5,0.3,1.1,0.1,-0.25", "1,2,3,0,0", "4,4,4,0.001,0")
 
@@ -59,6 +64,9 @@ def reports(cli, workloads, seeds, workdir: str):
             for fmt in FORMATS:
                 argv = ["solve", "--builtin", *mode, "--seed", str(seed), "--format", fmt, "--no-timing"]
                 yield f"{name}/seed{seed}/{fmt}", argv
+    for kind in SMOOTHING_KINDS:
+        argv = ["solve", "--builtin", "--smoothing", kind, "--seed", "7", "--format", "json", "--no-timing"]
+        yield f"builtin-{kind}/seed7/json", argv
     for point in CHECK_POINTS:
         yield f"check/{point}", ["check", "--builtin", "--point", point]
 
