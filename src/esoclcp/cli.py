@@ -10,14 +10,7 @@ import numpy as np
 
 from .cone import ConePoint, classify_complementarity, in_L, in_M
 from .merit import merit_theta
-from .problem import (
-    ProblemParseError,
-    ProblemSpec,
-    builtin_example,
-    f_eval,
-    load_problem,
-    serialize_problem,
-)
+from .problem import ProblemParseError, ProblemSpec, builtin_example, load_problem, serialize_problem
 from .reformulate import init_from_lcp
 from .risk import SmoothingKind
 from .saa import SampleEvaluator, draw_samples
@@ -228,7 +221,7 @@ def _cmd_check(args) -> int:
 
     # a point at which a figure overflows is refused before anything is printed
     with np.errstate(all="ignore"):
-        f_mean = f_eval(spec, mean_omega, x, u)
+        f_mean = ev.f_values(x, u, mean_omega)
         finite_t = np.isfinite(np.linalg.norm(u))  # the shifted point's t = ||u||
         merit = merit_theta(spec, mean_omega, init_from_lcp(x, u)) if finite_t else np.inf
         loss = aloc(ev, x, u)

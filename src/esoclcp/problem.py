@@ -157,18 +157,6 @@ def _check_omega(spec: ProblemSpec, omega) -> np.ndarray:
     return omega
 
 
-def f_eval(spec: ProblemSpec, omega, x, u) -> np.ndarray:
-    """Evaluate F(x, u, w) = T(w) (x; u) + r(w); returns a length-m vector."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (spec.dims.k,):
-        raise ValueError(f"x must have length {spec.dims.k}, got shape {x.shape}")
-    if u.shape != (spec.dims.l,):
-        raise ValueError(f"u must have length {spec.dims.l}, got shape {u.shape}")
-    T, r = realize_batch(spec, _check_omega(spec, omega)[None, :])
-    return T[0] @ np.concatenate([x, u]) + r[0]
-
-
 def load_problem(text) -> ProblemSpec:
     """Parse a problem from JSON text (str or bytes).
 

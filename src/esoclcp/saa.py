@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .problem import DistributionSpec, ProblemSpec, _check_omegas, realize_batch
+from .problem import DistributionSpec, ProblemSpec, _check_omega, _check_omegas, realize_batch
 from .reformulate import MixPoint
 from .risk import (
     SmoothingKind,
@@ -173,7 +173,7 @@ _DENSE = frozenset(("A2", "B2", "C2", "D2", "p", "q"))
 class SampleEvaluator:
     """Residual, Jacobian and merit evaluation over a fixed sample.
 
-    The one implementation of G1 and G2 (see reformulate), the
+    The one implementation of F (f_values), G1 and G2 (see reformulate), the
     Fischer-Burmeister residual R and merit theta = 0.5 ||R||^2 (see merit),
     and the Jacobian of R; a single draw is the case N = 1.  The Jacobian is
     only ever assembled blockwise, as its sample mean
@@ -291,6 +291,20 @@ class SampleEvaluator:
         z1[-2] = p.t
         coeffs = np.dot(self.K, z1, self._coeffs).reshape(self.dim, -1)
         return np.dot(coeffs, self.W if W is None else W, out)
+
+    def f_values(self, x, u, omega=None) -> np.ndarray:
+        """F(x, u, w) = T(w) (x; u) + r(w) over the sample, shape (k + l, N), or at the one draw omega, (k + l,).
+
+        The rows of _g1_v at (x_m, u, t) = (x, u, 0), a view of a fresh
+        array; omega is evaluated through the column (1, omega).
+        """
+        p = MixPoint(x, u, 0.0)
+        if p.x_m.shape != (self.k,) or p.u.shape != (self.l,):
+            raise ValueError(f"x and u must have lengths {self.k} and {self.l}, got {p.x_m.size} and {p.u.size}")
+        if omega is None:
+            return self._g1_v(p)[:-1]
+        w1 = np.concatenate(([1.0], _check_omega(self.spec, omega)))[:, None]
+        return self._g1_v(p, W=w1)[:-1, 0]
 
     def _fb_rows(self, p: MixPoint, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         # the k Fischer-Burmeister rows sqrt(x_m^2 + G1^2) - x_m - G1 of the

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec, f_eval, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
+from .problem import ProblemSpec, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
 from .reformulate import MixPoint, recover_lcp_point
 from .risk import SmoothingKind, _tail_cvar, _tail_quantile, _tail_rank, smooth_plus, smooth_plus_deriv
 from .saa import RayBound, SampleEvaluator, draw_samples, theta_star
@@ -100,6 +100,8 @@ class SolverConfig:
             raise ValueError(f"mu must be at most {MU_MAX:g}, got {self.mu:g}")
         if self.mu < MU_MIN:
             raise ValueError(f"mu must be at least {MU_MIN:g}, got {self.mu:g}")
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in self.schedule):
+            raise ValueError(f"schedule entries must be integers, got {self.schedule!r}")
         schedule = tuple(int(n) for n in self.schedule)
         if len(schedule) < 1 or schedule[0] < 1 or any(
             b <= a for a, b in zip(schedule, schedule[1:])
@@ -159,16 +161,9 @@ def _lm_from_means(a_bar: np.ndarray, f_bar: np.ndarray, damping: np.ndarray) ->
     # refused before the products, which would warn
     if not (np.isfinite(a_bar).all() and np.isfinite(f_bar).all()):
         raise np.linalg.LinAlgError("mean Jacobian or residual is not finite")
-    gram = a_bar.T @ a_bar + damping
-    rhs = -(a_bar.T @ f_bar)
-    # the Cholesky factorization is the SPD test; numpy has no triangular
-    # solve, and one LU solve of the small system costs less than two.
-    # Overflow in the products can pass numpy's Cholesky; the step check ends it.
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"damped normal equations not SPD: {exc}") from exc
-    d = np.linalg.solve(gram, rhs)
+    # lm_nu > 0 makes the gram SPD wherever it is finite, so one LU solve
+    # needs no SPD test; overflow in the products ends in the step check
+    d = np.linalg.solve(a_bar.T @ a_bar + damping, -(a_bar.T @ f_bar))
     if not np.isfinite(d).all():
         raise np.linalg.LinAlgError("damped normal equations produced non-finite step")
     return d
@@ -525,7 +520,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
             raise ValueError("Theta must be finite")
         point = MixPoint.from_vector(z, spec.dims.k, spec.dims.l)
         pt = recover_lcp_point(point)
-        f_mean, loss = f_eval(spec, mean_omega, pt.x, pt.u), aloc(ev, pt.x, pt.u)
+        f_mean, loss = ev.f_values(pt.x, pt.u, mean_omega), aloc(ev, pt.x, pt.u)
         result = StageResult(
             j, ev.N, point, theta, pt.x, pt.u, f_mean, loss, gnorm, iters, termination, wall,
             stage.trials, stage.screened
@@ -543,14 +538,10 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
 def aloc(ev: SampleEvaluator, x, u) -> float:
     """Average absolute loss of complementarity over ev's sample: mean_j |<(x, u), F(x, u, w_j)>|.
 
-    F's rows are those of ev._g1_v at (x_m, u, t) = (x, u, 0): one product
-    over the draws the evaluator already holds, in O(N (m + omega_dim))
-    memory.  solve passes each stage's own evaluator.
+    F is ev.f_values: one product over the draws the evaluator already
+    holds, in O(N (m + omega_dim)) memory.  solve passes each stage's own
+    evaluator.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (ev.k,) or u.shape != (ev.l,):
-        raise ValueError("point does not match the problem dimensions")
-    f = ev._g1_v(MixPoint(x, u, 0.0))
-    vals = np.concatenate([x, u]) @ f[:-1]
+    f = ev.f_values(x, u)
+    vals = np.concatenate([x, u], dtype=float) @ f
     return float(np.mean(np.abs(vals, out=vals)))

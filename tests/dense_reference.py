@@ -1,15 +1,21 @@
-"""Per-draw dense Jacobians, merit gradients and aloc, the reference for the kernels.
+"""Per-draw dense F, Jacobians, merit gradients and aloc, the reference for the kernels.
 
 SampleEvaluator assembles the residual Jacobian only blockwise (its sample
-mean, and the weighted sum of J_j^T R_j), and solver.aloc reads F off its
-product over the draws; these build every J_j and F(x, u, w_j) in full from
-the realized T(w_j), so the kernels and central differences can be checked
-against them.
+mean, and the weighted sum of J_j^T R_j), and reads F off its product over
+the draws (f_values, which solver.aloc reads); these build every J_j and
+F(x, u, w_j) in full from the realized T(w_j), so the kernels and central
+differences can be checked against them.
 """
 
 import numpy as np
 
 from esoclcp.problem import realize_batch
+
+
+def f_eval(spec, omega, x, u):
+    """F(x, u, w) = T(w) (x; u) + r(w) at one draw, from the realized T(w) and r(w)."""
+    T, r = realize_batch(spec, np.asarray(omega, dtype=float)[None, :])
+    return T[0] @ np.concatenate([x, u]) + r[0]
 
 
 def jacobians(ev, p):

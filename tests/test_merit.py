@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from esoclcp.cone import ConeDims, classify_complementarity
-from esoclcp.problem import DistributionSpec, ProblemSpec, f_eval
+from esoclcp.problem import DistributionSpec, ProblemSpec
 from esoclcp.merit import merit_theta
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
 
 from conftest import case_iv_instance, one_draw, random_spec
-from dense_reference import jacobians, merit_grads
+from dense_reference import f_eval, jacobians, merit_grads
 
 
 def _residual(spec, omega, p):

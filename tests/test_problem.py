@@ -1,4 +1,7 @@
-"""Problem data model: file format, realization, builtin instance, F."""
+"""Problem data model: file format, realization, builtin instance, F.
+
+F is read through SampleEvaluator.f_values, at one draw or over a sample.
+"""
 
 import json
 import re
@@ -10,11 +13,11 @@ from esoclcp.problem import (
     ProblemParseError,
     ProblemValidationError,
     builtin_example,
-    f_eval,
     load_problem,
     realize_batch,
     serialize_problem,
 )
+from esoclcp.saa import SampleEvaluator
 
 T_ROWS = [
     (41, -3, -31, 18, 19),
@@ -83,16 +86,25 @@ def test_realize_batch_matches_single():
         assert np.array_equal(r_all[i], r)
 
 
+def _f_at(spec, omega, x, u):
+    # F(x, u, w) at the one draw omega, from an evaluator holding another sample
+    ev = SampleEvaluator(spec, np.ones((2, spec.omega_dim)))
+    return ev.f_values(x, u, omega)
+
+
 def test_f_eval_zero_point_gives_r():
     spec = builtin_example()
     w = np.array([0.3, -1.2, 0.5])
-    out = f_eval(spec, w, np.zeros(3), np.zeros(2))
+    out = _f_at(spec, w, np.zeros(3), np.zeros(2))
     assert np.array_equal(out, _realize(spec, w)[1])
+    # over a sample, one column per draw
+    out = SampleEvaluator(spec, np.stack([np.zeros(3), w])).f_values(np.zeros(3), np.zeros(2))
+    assert np.array_equal(out[:, 1], _realize(spec, w)[1])
 
 
 def test_f_eval_paper_solution():
     spec = builtin_example()
-    out = f_eval(spec, np.zeros(3), np.array([1.546, 0.261, 1.059]), np.array([0.124, -0.254]))
+    out = _f_at(spec, np.zeros(3), np.array([1.546, 0.261, 1.059]), np.array([0.124, -0.254]))
     expect = np.array([1.20, 28.57, -0.18, -12.62, 25.51])
     assert np.all(np.abs(out - expect) <= 0.05), out
 
@@ -105,10 +117,10 @@ def test_f_eval_is_linear_in_point():
         x1, x2 = rng.normal(size=(2, 3))
         u1, u2 = rng.normal(size=(2, 2))
         a, b = rng.normal(size=2)
-        lhs = f_eval(spec, w, a * x1 + b * x2, a * u1 + b * u2)
+        lhs = _f_at(spec, w, a * x1 + b * x2, a * u1 + b * u2)
         rhs = (
-            a * f_eval(spec, w, x1, u1)
-            + b * f_eval(spec, w, x2, u2)
+            a * _f_at(spec, w, x1, u1)
+            + b * _f_at(spec, w, x2, u2)
             - (a + b - 1) * _realize(spec, w)[1]
         )
         scale = 1 + np.max(np.abs(rhs))
@@ -213,5 +225,5 @@ def test_f_eval_identity_spec():
      "distribution": {"kind": "iid_normal", "mean": 0, "std": 1}}
     """
     spec = load_problem(text)
-    out = f_eval(spec, np.zeros(1), np.array([3.0]), np.array([4.0]))
+    out = _f_at(spec, np.zeros(1), np.array([3.0]), np.array([4.0]))
     assert np.array_equal(out, [3.0, 4.0])

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from esoclcp.cone import ConeDims
-from esoclcp.problem import DistributionSpec, ProblemSpec, builtin_example, f_eval
+from esoclcp.problem import DistributionSpec, ProblemSpec, builtin_example
 from esoclcp.merit import merit_theta
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
 
 from conftest import case_iv_instance, one_draw, random_spec
-from dense_reference import jacobians
+from dense_reference import f_eval, jacobians
 
 
 def _plain_spec(k, l, T, r):

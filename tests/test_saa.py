@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from esoclcp.cone import ConeDims
-from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec, f_eval, realize_batch
+from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec, realize_batch
 from esoclcp.reformulate import MixPoint, init_from_lcp
 from esoclcp.risk import SmoothingKind, cvar_empirical, smooth_plus, smooth_plus_deriv
 from esoclcp.saa import SampleEvaluator, draw_samples, ndtri, theta_star
 from esoclcp.solver import SolverConfig, _StageProblem
 
 from conftest import case_iv_instance, random_spec, tail_gradient, tail_objective
-from dense_reference import jacobians, merit_grads
+from dense_reference import f_eval, jacobians, merit_grads
 
 DIST = DistributionSpec(kind="iid_normal", mean=0.0, std=1.0)
 

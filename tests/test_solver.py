@@ -29,7 +29,7 @@ from esoclcp.solver import (
 )
 
 from conftest import case_iv_instance, random_spec
-from dense_reference import aloc_dense, jacobians
+from dense_reference import aloc_dense, f_eval, jacobians
 
 
 def test_config_defaults_valid():
@@ -52,6 +52,9 @@ def test_config_validation_errors():
         dict(schedule=(0, 10)),
         dict(schedule=(10, 10)),
         dict(schedule=(100, 10)),
+        dict(schedule=(10.5, 100)),
+        dict(schedule=("10", "100")),
+        dict(schedule=(True, 2)),
         dict(seed=-1),
         dict(seed=2**64),
         dict(seed="42"),
@@ -166,9 +169,9 @@ def test_gauss_newton_direction_matches_dense_normal_equations():
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("fill, nu", [(np.nan, 1e-6), (np.inf, 1e-6), (0.0, -1.0)])
+@pytest.mark.parametrize("fill, nu", [(np.nan, 1e-6), (np.inf, 1e-6), (0.0, 0.0)])
 def test_unsolvable_normal_equations_fall_back_to_steepest_descent(monkeypatch, fill, nu):
-    # a non-finite mean Jacobian, or an indefinite gram (-I), must raise
+    # a non-finite mean Jacobian, or a singular gram (no damping), must raise
     # LinAlgError, and the stage must then step along -grad, without a
     # warning; the fill beside zeros is where inf * 0 would make a product warn
     spec = builtin_example()
@@ -464,8 +467,6 @@ def test_aloc_matches_hand_computation():
         s = stage_samples(spec, SolverConfig(schedule=(4,), seed=int(rng.integers(100))), 1)
         x = rng.normal(size=3)
         u = rng.normal(size=2)
-        from esoclcp.problem import f_eval
-
         w = np.concatenate([x, u])
         want = np.mean([abs(float(w @ f_eval(spec, om, x, u))) for om in s])
         assert aloc(SampleEvaluator(spec, s), x, u) == pytest.approx(want, rel=1e-12)
@@ -474,8 +475,13 @@ def test_aloc_matches_hand_computation():
 def test_aloc_rejects_bad_shapes():
     spec = random_spec(np.random.default_rng(71), k=3, l=2)
     s = stage_samples(spec, SolverConfig(schedule=(2,)), 1)
+    ev = SampleEvaluator(spec, s)
     with pytest.raises(ValueError):
-        aloc(SampleEvaluator(spec, s), np.zeros(2), np.zeros(2))
+        aloc(ev, np.zeros(2), np.zeros(2))
+    # f_values, which aloc reads, checks the one draw it is given too
+    for omega in (np.zeros(spec.omega_dim + 1), np.full(spec.omega_dim, np.nan)):
+        with pytest.raises(ValueError):
+            ev.f_values(np.zeros(3), np.zeros(2), omega)
 
 
 def _aloc_scale(spec, s, x, u):
@@ -508,18 +514,24 @@ def test_aloc_matches_the_dense_reference():
 
 
 @pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
-def test_solve_realizes_no_sample(monkeypatch, mode):
+def test_solve_realizes_no_sample(monkeypatch, capsys, mode):
+    # F at the mean draw, aloc and every kernel read the evaluator's draws;
+    # neither a solve nor `esoclcp check` realizes T(w)
+    import esoclcp.problem as problem_mod
     import esoclcp.saa as saa_mod
     import esoclcp.solver as solver_mod
+    from esoclcp import cli
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the solve realized T(w_j) for its sample")
+        raise AssertionError("T(w) was realized")
 
-    monkeypatch.setattr(solver_mod, "realize_batch", refuse)
-    monkeypatch.setattr(saa_mod, "realize_batch", refuse)
+    for mod in (problem_mod, solver_mod, saa_mod):
+        monkeypatch.setattr(mod, "realize_batch", refuse)
     stages = solve(builtin_example(), SolverConfig(mode=mode, schedule=(50, 200), k_max=5))
     assert len(stages) == (1 if mode == "ev" else 2)
-    assert all(np.isfinite(stage.aloc) for stage in stages)
+    assert all(np.isfinite(stage.aloc) and np.isfinite(stage.F_at_mean).all() for stage in stages)
+    assert cli.main(["check", "--builtin", "--point", "1.5,0.3,1.1,0.1,-0.25", "--samples", "200"]) == 0
+    assert "aloc (N=200" in capsys.readouterr().out
 
 
 def test_aloc_memory_grows_with_the_draws_not_with_m_squared():

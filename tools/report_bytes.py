@@ -2,11 +2,13 @@
 
 Run from the root of a checkout:
 
-    python3 tools/report_bytes.py [--src DIR] --seed 7 --seed 11 > bytes.txt
+    python3 tools/report_bytes.py [--src DIR] [--dump OUT] --seed 7 --seed 11 > bytes.txt
 
 esoclcp is imported from DIR (default ./src), in this process, on one BLAS
 thread.  One line `name rc sha256` is printed per report, where sha256 is
-that of the report's stdout and rc the CLI's exit code:
+that of the report's stdout and rc the CLI's exit code.  With --dump, each
+report's stdout is also written to OUT/<name>, and the printed lines to
+OUT/index.txt, for tools/report_diff.py.  The reports:
 
   <workload>/seed<S>/op<i>/<format>  every operation perfbench/workloads.py
                                      builds for run seed S, in each of the
@@ -22,7 +24,8 @@ that of the report's stdout and rc the CLI's exit code:
   check/<point>                      `check --builtin --point <point>`
 
 Every solve runs with --no-timing.  Run the script once per tree with the
-same seeds and diff the two outputs.  perfbench/ is imported, not changed.
+same seeds and diff the two outputs, or compare two dumps field by field
+with tools/report_diff.py.  perfbench/ is imported, not changed.
 """
 
 from __future__ import annotations
@@ -72,16 +75,18 @@ def reports(cli, workloads, seeds, workdir: str):
 
 
 def run(cli, argv) -> tuple[int, str]:
+    """The CLI's exit code and stdout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
-    return rc, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return rc, out.getvalue()
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="sha256 of every deterministic esoclcp report")
     p.add_argument("--seed", type=int, action="append", required=True, help="perfbench run seed; repeat for more")
     p.add_argument("--src", default=os.path.join(os.getcwd(), "src"), help="directory esoclcp is imported from")
+    p.add_argument("--dump", metavar="OUT", help="also write each report's stdout, and OUT/index.txt, under OUT")
     args = p.parse_args(argv)
     src = os.path.abspath(args.src)
     sys.dont_write_bytecode = True  # leave no cache files in perfbench/ or in DIR
@@ -92,9 +97,20 @@ def main(argv=None) -> int:
     if os.path.dirname(os.path.abspath(cli.__file__)) != os.path.join(src, "esoclcp"):
         print(f"error: imported esoclcp from {cli.__file__}, not from {src}", file=sys.stderr)
         return 1
+    index = []
     with tempfile.TemporaryDirectory() as workdir:
         for name, report_argv in reports(cli, workloads, args.seed, workdir):
-            print(name, *run(cli, report_argv), flush=True)
+            rc, text = run(cli, report_argv)
+            index.append(f"{name} {rc} {hashlib.sha256(text.encode('utf-8')).hexdigest()}")
+            print(index[-1], flush=True)
+            if args.dump:
+                path = os.path.join(args.dump, name)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+    if args.dump:
+        with open(os.path.join(args.dump, "index.txt"), "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in index))
     return 0
 
 
