@@ -74,7 +74,11 @@ def _build_parser() -> _Parser:
         help_text = f"{text} (default {_shown(default)})"
         ps.add_argument(flag, dest=name, metavar=metavar, type=kind, default=default, help=help_text)
     smoothing = next(name for name, kind in SMOOTHING_NAMES.items() if kind is defaults.smoothing)
-    ps.add_argument("--mode", choices=MODES, default=defaults.mode, help=f"objective (default {defaults.mode})")
+    mode_help = (
+        f"objective (default {defaults.mode}); ev solves one stage at the mean draw, so it ignores --schedule and "
+        "--seed, and --alpha, --mu and --smoothing only set its reported Theta"
+    )
+    ps.add_argument("--mode", choices=MODES, default=defaults.mode, help=mode_help)
     ps.add_argument("--smoothing", choices=sorted(SMOOTHING_NAMES), default=smoothing, help=f"kind (default {smoothing})")
     ps.add_argument("--format", choices=FORMATS, default="table")
     ps.add_argument("--out", help="write the report here instead of stdout")

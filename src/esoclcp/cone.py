@@ -20,6 +20,11 @@ CASE_NONE = "none"
 CASE_ORDER = ("I", "II", "III", "IV")
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, and not a bool, which is an int to isinstance."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ConeDims:
     """Dimensions (k, l) of the cone: k ordered components, l free components."""
@@ -28,9 +33,9 @@ class ConeDims:
     l: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
+        if not (_is_int(self.k) and self.k >= 1):
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (isinstance(self.l, (int, np.integer)) and self.l >= 1):
+        if not (_is_int(self.l) and self.l >= 1):
             raise ValueError(f"l must be an integer >= 1, got {self.l!r}")
 
     @property

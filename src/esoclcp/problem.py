@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeDims
+from .cone import ConeDims, _is_int
 
 DISTRIBUTION_KINDS = ("iid_normal",)
 
@@ -79,7 +79,7 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         m = self.dims.m
-        if not (isinstance(self.omega_dim, (int, np.integer)) and self.omega_dim >= 1):
+        if not (_is_int(self.omega_dim) and self.omega_dim >= 1):
             raise ProblemValidationError(f"omega_dim must be an integer >= 1, got {self.omega_dim!r}")
         self.omega_dim = int(self.omega_dim)
         self.T_base = np.asarray(self.T_base, dtype=float)

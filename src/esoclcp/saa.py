@@ -40,6 +40,7 @@ import math
 
 import numpy as np
 
+from .cone import _is_int
 from .problem import DistributionSpec, ProblemSpec, _check_omega, _check_omegas, realize_batch
 from .reformulate import MixPoint
 from .risk import (
@@ -152,11 +153,11 @@ def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> n
     """Draw an (N, omega_dim) array of iid normals; deterministic in the seed."""
     if dist.kind != "iid_normal":
         raise ValueError(f"unsupported distribution kind {dist.kind!r}")
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
+    if not (_is_int(N) and N >= 1):
         raise ValueError(f"N must be an integer >= 1, got {N!r}")
-    if not (isinstance(omega_dim, (int, np.integer)) and omega_dim >= 1):
+    if not (_is_int(omega_dim) and omega_dim >= 1):
         raise ValueError(f"omega_dim must be an integer >= 1, got {omega_dim!r}")
-    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) <= _MAX_SEED):
+    if not (_is_int(seed) and 0 <= int(seed) <= _MAX_SEED):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     h = gen.integers(0, 2**53, size=(int(N), int(omega_dim)), dtype=np.uint64)
@@ -200,11 +201,14 @@ class SampleEvaluator:
     l = 6, N = 5000 on a 2-vCPU Xeon VM _g1_v took 1.7 ms there, against
     0.55 ms for a product over the realized matrices.
 
-    Buffers.  Every per-draw quantity is a (rows, N) array.  The kernels take
-    the arrays at the same point they would otherwise compute (f from _g1_v,
-    res, the FB coefficients fb) and arrays to fill (out, work), so a caller
-    that evaluates many points of one sample allocates those once; called
-    without them, they allocate their own.
+    Buffers.  Every per-draw quantity is a (rows, N) array.  _g1_v,
+    residuals, thetas and _fb_coeffs fill arrays the caller owns, and the
+    gradient kernels, weighted_merit_grad and mean_jacobian_residual, only
+    read the arrays at their point (f from _g1_v, res, the FB coefficients
+    fb), so a caller that evaluates many points of one sample forms those
+    once per point in buffers it allocates once.  Only the one-shot entry
+    points, f_values and _g1_v, residuals and thetas called without arrays,
+    allocate their own.
 
     The sample-last flat blocks A2, B2, C2, D2 (x @ A2 is A x as k N values)
     and the offsets p, q ((rows, N)) are realized by realize_batch on first
@@ -322,7 +326,7 @@ class SampleEvaluator:
     def residuals(
         self, p: MixPoint, f: np.ndarray | None = None, out: np.ndarray | None = None, head_only: bool = False
     ) -> np.ndarray:
-        """Stacked residuals, shape (N, k+l+1), a transposed view of out, (k+l+1, N).
+        """Stacked residuals, shape (k+l+1, N): out, filled, or a fresh array.
 
         The columns are those of f, when given.  head_only: out's first k
         rows already hold the FB rows at p and f (_fb_rows), so only the
@@ -341,25 +345,22 @@ class SampleEvaluator:
         head[:, l] = p.u
         np.dot(head, f[k:], out[k:m])
         out[m] = p.t * p.t - float(p.u @ p.u)
-        return out.T
+        return out
 
     def thetas(self, p: MixPoint, res: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-        """Merit losses 0.5 ||R_j||^2, shape (N,)."""
+        """Merit losses 0.5 ||R_j||^2, shape (N,), from the residuals res at p."""
         if res is None:
             res = self.residuals(p)
-        r = res.T
-        out = np.einsum("in,in->n", r, r, out=out)
+        out = np.einsum("in,in->n", res, res, out=out)
         out *= 0.5
         return out
 
-    def _fb_coeffs(self, p: MixPoint, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # the FB coefficients dpsi/da, dpsi/db at ((x_m)_i, (G1)_i), stacked
-        # as (2, k, N), with (-1, -1) at the origin, where a norm raised to
-        # the smallest normal float makes both ratios 0
+    def _fb_coeffs(self, p: MixPoint, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the FB coefficients dpsi/da, dpsi/db at ((x_m)_i, (G1)_i) into out,
+        # (2, k, N), which is returned, with (-1, -1) at the origin, where a
+        # norm raised to the smallest normal float makes both ratios 0
         g1 = f[: self.k]
         xm = p.x_m[:, None]
-        if out is None:
-            out = np.empty((2, self.k, self.N))
         inv, db = out
         np.multiply(g1, g1, out=inv)
         inv += xm * xm
@@ -373,40 +374,20 @@ class SampleEvaluator:
         return out
 
     def weighted_merit_grad(
-        self,
-        p: MixPoint,
-        w,
-        res: np.ndarray | None = None,
-        f: np.ndarray | None = None,
-        fb: np.ndarray | None = None,
-        work: np.ndarray | None = None,
+        self, p: MixPoint, w: np.ndarray, res: np.ndarray, f: np.ndarray, fb: np.ndarray, work: np.ndarray
     ) -> np.ndarray:
         """(1/N) sum_j w_j J_j^T R_j as one vector, no (N, dim, dim) arrays.
 
-        res, f and fb are the residuals, the _g1_v array and the FB
-        coefficients at p, computed when not given; work, (k + l, N), is
+        w, shape (N,), weighs the draws; res, f and fb are the residuals,
+        the _g1_v array and the FB coefficients at p; work, (k + l, N), is
         overwritten.
         """
-        k, l, n = self.k, self.l, self.N
-        m = k + l
-        if f is None:
-            f = self._g1_v(p)
-        if res is None:
-            res = self.residuals(p, f)
-        if fb is None:
-            fb = self._fb_coeffs(p, f)
-        if work is None:
-            work = np.empty((m, n))
-        r = res.T
+        k, m = self.k, self.dim - 1
         da, db = fb
-        w = np.asarray(w, dtype=float)
-        if w.shape != (n,):
-            w = np.broadcast_to(w, (n,))
-
         wfb, wh = work[:k], work[k:]
-        np.multiply(r[:k], w, out=wfb)
-        np.multiply(r[k:m], w, out=wh)
-        wt_sum = float(w @ r[m])
+        np.multiply(res[:k], w, out=wfb)
+        np.multiply(res[k:m], w, out=wh)
+        wt_sum = float(w @ res[m])
         g = np.empty(self.dim)
         g[:k] = np.einsum("in,in->i", wfb, da)
         g[k:m] = wh @ f[m] - 2.0 * p.u * wt_sum
@@ -422,27 +403,17 @@ class SampleEvaluator:
         wfb += p.u @ wh
         wh *= p.t
         g += (work @ self._WT).reshape(-1) @ self._K_grad
-        return g / n
+        return g / self.N
 
     def mean_jacobian_residual(
-        self,
-        p: MixPoint,
-        res: np.ndarray | None = None,
-        f: np.ndarray | None = None,
-        fb: np.ndarray | None = None,
+        self, p: MixPoint, res: np.ndarray, f: np.ndarray, fb: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sample means of the Jacobians and residuals, assembled blockwise.
 
         res, f and fb as for weighted_merit_grad.
         """
-        k, l, n = self.k, self.l, self.N
-        m = k + l
-        if f is None:
-            f = self._g1_v(p)
-        if res is None:
-            res = self.residuals(p, f)
-        if fb is None:
-            fb = self._fb_coeffs(p, f)
+        k, n = self.k, self.N
+        m = self.dim - 1
         da, db = fb
         jbar = np.zeros((self.dim, self.dim))
         diag = jbar.ravel()[:: self.dim + 1]
@@ -458,7 +429,7 @@ class SampleEvaluator:
         diag[:k] += np.add.reduce(da, 1) / n
         jbar[m, k:m] = -2.0 * p.u
         jbar[m, m] = 2.0 * p.t
-        return jbar, np.add.reduce(res, 0) / n
+        return jbar, np.add.reduce(res, 1) / n
 
 
 class RayBound:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cone import _is_int
 from .problem import ProblemSpec, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
 from .reformulate import MixPoint, recover_lcp_point
 from .risk import SmoothingKind, _tail_cvar, _tail_quantile, _tail_rank, smooth_plus, smooth_plus_deriv
@@ -100,7 +101,7 @@ class SolverConfig:
             raise ValueError(f"mu must be at most {MU_MAX:g}, got {self.mu:g}")
         if self.mu < MU_MIN:
             raise ValueError(f"mu must be at least {MU_MIN:g}, got {self.mu:g}")
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in self.schedule):
+        if not all(_is_int(n) for n in self.schedule):
             raise ValueError(f"schedule entries must be integers, got {self.schedule!r}")
         schedule = tuple(int(n) for n in self.schedule)
         if len(schedule) < 1 or schedule[0] < 1 or any(
@@ -108,13 +109,14 @@ class SolverConfig:
         ):
             raise ValueError(f"schedule must be strictly increasing positive ints, got {self.schedule}")
         object.__setattr__(self, "schedule", schedule)
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
+        if not (_is_int(self.seed) and 0 <= int(self.seed) < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-        if not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1):
+        if not (_is_int(self.k_max) and self.k_max >= 1):
             raise ValueError(f"k_max must be an integer >= 1, got {self.k_max!r}")
+        object.__setattr__(self, "k_max", int(self.k_max))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         object.__setattr__(self, "smoothing", SmoothingKind(self.smoothing))
@@ -184,7 +186,7 @@ def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9, s_init: float = 1.0, m
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
     if not (math.isfinite(s_init) and s_init > 0):
         raise ValueError(f"s_init must be finite and > 0, got {s_init}")
-    if not (isinstance(max_evals, (int, np.integer)) and max_evals >= 1):
+    if not (_is_int(max_evals) and max_evals >= 1):
         raise ValueError(f"max_evals must be an integer >= 1, got {max_evals!r}")
     g0 = float(g(0.0))
     if not g0 < 0.0:
@@ -246,10 +248,13 @@ class _StageProblem:
 
     The per-draw arrays of one point, G1 and v, the residuals, the losses
     and, once grad or direction asks, the FB coefficients, live in (rows, N)
-    buffers allocated once per stage and filled in place; a screened trial
-    fills them too, and leaves them holding no point.  They hold the point
-    evaluated last; grad and direction asked about an older point (the line
-    search's fallback to its best step) evaluate it again.
+    buffers allocated once per stage.  _fill is the one routine that forms
+    a point's G1, residuals and losses, over the whole sample or over the
+    tail screen's draws; the kernels grad and direction call only read the
+    buffers.  A screened trial fills them too, and leaves them holding no
+    point.  They hold the point evaluated last; grad and direction asked
+    about an older point (the line search's fallback to its best step)
+    evaluate it again.
     """
 
     def __init__(self, ev: SampleEvaluator, cfg: SolverConfig):
@@ -263,12 +268,11 @@ class _StageProblem:
         self._thetas = np.empty(n)
         self._fb = np.empty((2, ev.k, n))
         self._work = np.empty((ev.dim - 1, n))
-        # what grad and direction pass the kernels at every point: the
-        # residuals as (N, rows), lm_nu I, and the unit weights of modes ev
-        # and erm as the stride-0 view weighted_merit_grad makes of 1.0 (its
-        # w @ r[m] then runs numpy's own dot loop; contiguous ones would go to
-        # BLAS and round differently)
-        self._res_T = self._res.T
+        # what grad and direction pass the kernels at every point besides
+        # the buffers: lm_nu I, and the unit weights of modes ev and erm as a
+        # stride-0 view of 1.0 (weighted_merit_grad's w @ res[m] then runs
+        # numpy's own dot loop; contiguous ones would go to BLAS and round
+        # differently)
         self._unit = np.broadcast_to(1.0, (n,))
         self._damping = cfg.lm_nu * np.eye(ev.dim)
         self._held: _PointEval | None = None  # whose data _f, _res and _thetas hold
@@ -284,12 +288,29 @@ class _StageProblem:
         self.trials = 0
         self.screened = 0
 
-    def _fill(self, p: MixPoint, head_only: bool = False) -> np.ndarray:
-        # head_only: G1, v and the FB rows at p are in the buffers already
-        if not head_only:
-            self.ev._g1_v(p, self._f)
-        res = self.ev.residuals(p, self._f, self._res, head_only)
-        return self.ev.thetas(p, res, self._thetas)
+    def _fill(
+        self, p: MixPoint, W: np.ndarray | None = None, bar: float | None = None, floor: float | None = None
+    ) -> np.ndarray | float:
+        # G1 and v, the residuals and the losses at p, which are returned:
+        # over the whole sample in the stage's buffers, or over the columns
+        # of W in contiguous prefixes of them.  Given floor, the FB rows come
+        # first, and half their mean square plus floor (search's step 2) is
+        # returned in place of the losses when it exceeds bar
+        ev = self.ev
+        f, res, thetas = self._f, self._res, self._thetas
+        if W is not None:
+            n = W.shape[1]
+            f, res = (b.reshape(-1)[: len(b) * n].reshape(len(b), n) for b in (f, res))
+            thetas = thetas[:n]
+        ev._g1_v(p, f, W)
+        if floor is not None:
+            fb = ev._fb_rows(p, f, res)
+            # the terms are squares, so vdot's rounding is a tiny share of
+            # the sum, far inside the margin floor already takes off
+            bound = 0.5 * float(np.vdot(fb, fb)) / ev.N + floor
+            if bound > bar and math.isfinite(bound):
+                return bound
+        return ev.thetas(p, ev.residuals(p, f, res, floor is not None), thetas)
 
     def _tail_draws(self, e: _PointEval) -> np.ndarray | None:
         # the columns of W of the draws whose losses at e exceed its VaR, at
@@ -305,14 +326,8 @@ class _StageProblem:
 
     def _tail_screen(self, p: MixPoint, bar: float, W: np.ndarray) -> float | None:
         # the losses at p of the draws whose columns of W are given, summed
-        # over alpha N, if that bound fails bar by the margin, else None;
-        # the residuals and losses are those of the one evaluation path, in
-        # contiguous prefixes of the stage's buffers
-        ev, n = self.ev, W.shape[1]
-        f, res = (b.reshape(-1)[: ev.dim * n].reshape(ev.dim, n) for b in (self._f, self._res))
-        ev._g1_v(p, f, W)
-        res = ev.residuals(p, f, res)
-        bound = float(np.add.reduce(ev.thetas(p, res, self._thetas[:n]))) / (self.cfg.alpha * ev.N)
+        # over alpha N, if that bound fails bar by the margin, else None
+        bound = float(np.add.reduce(self._fill(p, W))) / (self.cfg.alpha * self.ev.N)
         return bound if self._rejects(bound, bar) else None
 
     def losses(self, e: _PointEval) -> np.ndarray:
@@ -344,17 +359,9 @@ class _StageProblem:
             bound = self._tail_screen(p, bar, tail_W)
             if bound is not None:
                 return bound
-        head_only = floor is not None
-        if head_only:
-            ev = self.ev
-            ev._g1_v(p, self._f)
-            fb = ev._fb_rows(p, self._f, self._res)
-            # the terms are squares, so vdot's rounding is a tiny share of
-            # the sum, far inside the margin floor already takes off
-            bound = 0.5 * float(np.vdot(fb, fb)) / ev.N + floor
-            if bound > bar and math.isfinite(bound):
-                return bound
-        thetas = self._fill(p, head_only)
+        thetas = self._fill(p, bar=bar, floor=floor)
+        if isinstance(thetas, float):
+            return thetas
         var = None
         if cfg.mode == "cvar":
             tail = _tail_quantile(thetas, cfg.alpha)
@@ -445,15 +452,15 @@ class _StageProblem:
                         f"tail weights at Theta = {e.theta:g} sum to {total:g}, not alpha N = {target:g}: "
                         f"mu = {cfg.mu:g} is too small for theta_star to resolve Theta"
                     )
-                e._gvec = self.ev.weighted_merit_grad(e.p, w, self._res_T, self._f, fb, self._work) / cfg.alpha
+                e._gvec = self.ev.weighted_merit_grad(e.p, w, self._res, self._f, fb, self._work) / cfg.alpha
             else:
-                e._gvec = self.ev.weighted_merit_grad(e.p, self._unit, self._res_T, self._f, fb, self._work)
+                e._gvec = self.ev.weighted_merit_grad(e.p, self._unit, self._res, self._f, fb, self._work)
         return e._gvec
 
     def direction(self, e: _PointEval, grad: np.ndarray) -> np.ndarray:
         fb = self._fb_at(e)
         try:
-            a_bar, f_bar = self.ev.mean_jacobian_residual(e.p, self._res_T, self._f, fb)
+            a_bar, f_bar = self.ev.mean_jacobian_residual(e.p, self._res, self._f, fb)
             d = _lm_from_means(a_bar, f_bar, self._damping)
         except np.linalg.LinAlgError:
             return -grad

@@ -7,6 +7,8 @@ from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec
 from esoclcp.risk import smooth_plus, smooth_plus_deriv
 from esoclcp.saa import SampleEvaluator
 
+from dense_reference import merit_grad
+
 
 def random_spec(rng, k=3, l=2, omega_dim=2, scale=1.0, perturbed=True):
     """A small instance with dense base data and a few affine perturbations."""
@@ -57,7 +59,7 @@ def tail_objective(ev, p, theta, alpha, mu):
 def tail_gradient(ev, p, theta, alpha, mu):
     """Gradient of tail_objective in (x_m, u, t, Theta), its spatial part from weighted_merit_grad."""
     w = smooth_plus_deriv(ev.thetas(p) - theta, mu)
-    return np.append(ev.weighted_merit_grad(p, w) / alpha, 1.0 - float(np.mean(w)) / alpha)
+    return np.append(merit_grad(ev, p, w) / alpha, 1.0 - float(np.mean(w)) / alpha)
 
 
 def case_iv_instance(rng=None):

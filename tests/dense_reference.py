@@ -4,7 +4,9 @@ SampleEvaluator assembles the residual Jacobian only blockwise (its sample
 mean, and the weighted sum of J_j^T R_j), and reads F off its product over
 the draws (f_values, which solver.aloc reads); these build every J_j and
 F(x, u, w_j) in full from the realized T(w_j), so the kernels and central
-differences can be checked against them.
+differences can be checked against them.  kernel_inputs, merit_grad and
+mean_jacobian call the gradient kernels the way a solver stage does, with
+every array formed first.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ def jacobians(ev, p):
     k, l, n = ev.k, ev.l, ev.N
     f = ev._g1_v(p)
     g1, v = f[:k].T, f[k:-1].T
-    da, db = (a.T for a in ev._fb_coeffs(p, f))
+    da, db = (a.T for a in ev._fb_coeffs(p, f, np.empty((2, k, n))))
     T, _ = realize_batch(ev.spec, ev.W[1:].T)
     # T(w_j) stored sample-last, as the evaluator's flat blocks are, which
     # fixes the order (and so the rounding) of the sums below
@@ -53,7 +55,24 @@ def jacobians(ev, p):
 
 def merit_grads(ev, p):
     """Per-draw merit gradients J_j^T R_j at p, shape (N, k+l+1)."""
-    return np.einsum("nij,ni->nj", jacobians(ev, p), ev.residuals(p))
+    return np.einsum("nij,in->nj", jacobians(ev, p), ev.residuals(p))
+
+
+def kernel_inputs(ev, p):
+    """(res, f, fb) at p: the residuals, the _g1_v rows and the FB coefficients, in fresh arrays."""
+    f = ev._g1_v(p)
+    return ev.residuals(p, f), f, ev._fb_coeffs(p, f, np.empty((2, ev.k, ev.N)))
+
+
+def merit_grad(ev, p, w):
+    """ev.weighted_merit_grad at p over kernel_inputs, w a scalar or one weight per draw."""
+    w = np.broadcast_to(np.asarray(w, dtype=float), (ev.N,))
+    return ev.weighted_merit_grad(p, w, *kernel_inputs(ev, p), np.empty((ev.dim - 1, ev.N)))
+
+
+def mean_jacobian(ev, p):
+    """ev.mean_jacobian_residual at p over kernel_inputs: the mean Jacobian and residual."""
+    return ev.mean_jacobian_residual(p, *kernel_inputs(ev, p))
 
 
 def aloc_dense(spec, draws, x, u):

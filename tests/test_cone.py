@@ -4,8 +4,37 @@ import numpy as np
 import pytest
 
 from esoclcp.cone import ConeDims, ConePoint, classify_complementarity, in_L, in_M
+from esoclcp.problem import DistributionSpec, ProblemSpec
 
 D32 = ConeDims(3, 2)
+
+
+def _spec(omega_dim):
+    return ProblemSpec(D32, omega_dim, np.eye(5), np.zeros(5), (), (), DistributionSpec("iid_normal", 0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: ConeDims(True, 2), "k"),
+        (lambda: ConeDims(3, False), "l"),
+        (lambda: ConeDims(0, 2), "k"),
+        (lambda: ConeDims(3, 2.0), "l"),
+        (lambda: _spec(True), "omega_dim"),
+        (lambda: _spec(0), "omega_dim"),
+        (lambda: _spec(1.0), "omega_dim"),
+    ],
+    ids=["k-bool", "l-bool", "k-zero", "l-float", "omega_dim-bool", "omega_dim-zero", "omega_dim-float"],
+)
+def test_dimensions_refuse_bools_and_non_integers(make, name):
+    # a bool is an int to isinstance, but not a dimension
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1"):
+        make()
+
+
+def test_dimensions_accept_numpy_integers():
+    assert ConeDims(np.int64(3), 2).m == 5
+    assert type(_spec(np.int32(2)).omega_dim) is int
 
 
 def test_in_L_examples():

@@ -18,7 +18,7 @@ from dense_reference import f_eval, jacobians, merit_grads
 
 
 def _residual(spec, omega, p):
-    return one_draw(spec, omega).residuals(p)[0]
+    return one_draw(spec, omega).residuals(p)[:, 0]
 
 
 def _jacobian(spec, omega, p):

@@ -35,7 +35,7 @@ def _g1(spec, omega, p):
 
 def _g2(spec, omega, p):
     """G2 at one draw: the equality rows of the residual, last one t^2 - ||u||^2."""
-    return one_draw(spec, omega).residuals(p)[0, spec.dims.k :]
+    return one_draw(spec, omega).residuals(p)[spec.dims.k :, 0]
 
 
 def _jacobian(spec, omega, p):
@@ -154,7 +154,7 @@ def test_jacobian_matches_finite_differences():
         ev = one_draw(spec, w)
 
         def res_of(z):
-            return ev.residuals(MixPoint(z[:k], z[k : k + l], float(z[k + l])))[0]
+            return ev.residuals(MixPoint(z[:k], z[k : k + l], float(z[k + l])))[:, 0]
 
         jac = jacobians(ev, MixPoint(z0[:k], z0[k : k + l], float(z0[k + l])))[0]
         J = _fd_jacobian(res_of, z0, k + l + 1)

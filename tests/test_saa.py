@@ -11,7 +11,7 @@ from esoclcp.saa import SampleEvaluator, draw_samples, ndtri, theta_star
 from esoclcp.solver import SolverConfig, _StageProblem
 
 from conftest import case_iv_instance, random_spec, tail_gradient, tail_objective
-from dense_reference import f_eval, jacobians, merit_grads
+from dense_reference import f_eval, jacobians, mean_jacobian, merit_grad, merit_grads
 
 DIST = DistributionSpec(kind="iid_normal", mean=0.0, std=1.0)
 
@@ -51,6 +51,10 @@ def test_draw_samples_validation():
         draw_samples(DIST, 2, 5, -1)
     with pytest.raises(ValueError):
         draw_samples(DistributionSpec(kind="iid_normal", mean=0.0, std=1.0), 2, 5, 2**64)
+    # bools are not counts or seeds
+    for args, name in (((True, 5, 1), "omega_dim"), ((2, True, 1), "N"), ((2, 5, True), "seed")):
+        with pytest.raises(ValueError, match=name):
+            draw_samples(DIST, *args)
 
 
 def _philox_uniforms(seed, n):
@@ -283,7 +287,7 @@ def test_evaluator_derivatives_match_central_differences():
             e[i] = step
             hi = MixPoint.from_vector(z + e, k, l)
             lo = MixPoint.from_vector(z - e, k, l)
-            fd_jac[:, :, i] = (ev.residuals(hi) - ev.residuals(lo)) / (2 * step)
+            fd_jac[:, :, i] = (ev.residuals(hi) - ev.residuals(lo)).T / (2 * step)
             fd_grad[:, i] = (ev.thetas(hi) - ev.thetas(lo)) / (2 * step)
         assert np.max(np.abs(jac - fd_jac) / (1.0 + np.abs(jac))) <= 1e-5
         assert np.max(np.abs(grads - fd_grad) / (1.0 + np.abs(grads))) <= 1e-5
@@ -295,9 +299,9 @@ def test_evaluator_mean_jacobian_residual():
     s = draw_samples(spec.distribution, spec.omega_dim, 9, 21)
     p = _random_point(rng, spec)
     ev = SampleEvaluator(spec, s)
-    jbar, rbar = ev.mean_jacobian_residual(p)
+    jbar, rbar = mean_jacobian(ev, p)
     assert np.allclose(jbar, jacobians(ev, p).mean(axis=0), atol=1e-13)
-    assert np.allclose(rbar, ev.residuals(p).mean(axis=0), atol=1e-13)
+    assert np.allclose(rbar, ev.residuals(p).mean(axis=1), atol=1e-13)
 
 
 def test_weighted_merit_grad_matches_per_draw_weighting():
@@ -308,16 +312,16 @@ def test_weighted_merit_grad_matches_per_draw_weighting():
         p = _random_point(rng, spec)
         ev = SampleEvaluator(spec, s)
         w = rng.uniform(0, 1, size=len(s))
-        fused = ev.weighted_merit_grad(p, w)
+        fused = merit_grad(ev, p, w)
         naive = (w[:, None] * merit_grads(ev, p)).mean(axis=0)
         assert np.allclose(fused, naive, rtol=1e-11, atol=1e-12)
-        ones = ev.weighted_merit_grad(p, 1.0)
+        ones = merit_grad(ev, p, 1.0)
         assert np.allclose(ones, merit_grads(ev, p).mean(axis=0), rtol=1e-11, atol=1e-12)
         # at N = 1 the means are the one draw's J and R, so the two kernels
         # agree on J^T R to rounding, measured on the scale |J|^T |R|
         one = SampleEvaluator(spec, s[:1])
-        jbar, rbar = one.mean_jacobian_residual(p)
-        gap = np.abs(jbar.T @ rbar - one.weighted_merit_grad(p, 1.0))
+        jbar, rbar = mean_jacobian(one, p)
+        gap = np.abs(jbar.T @ rbar - merit_grad(one, p, 1.0))
         assert np.all(gap <= 1e-12 * (np.abs(jbar).T @ np.abs(rbar)))
 
 
@@ -406,11 +410,26 @@ def test_structured_kernels_match_the_dense_reference_on_awkward_specs(case, n):
     jac = jacobians(ev, p)
     grads = merit_grads(ev, p)
     w = rng.uniform(0, 1, size=n)
-    assert np.allclose(ev.weighted_merit_grad(p, w), (w[:, None] * grads).mean(axis=0), rtol=1e-11, atol=1e-12)
-    assert np.allclose(ev.weighted_merit_grad(p, 1.0), grads.mean(axis=0), rtol=1e-11, atol=1e-12)
-    jbar, rbar = ev.mean_jacobian_residual(p)
+    assert np.allclose(merit_grad(ev, p, w), (w[:, None] * grads).mean(axis=0), rtol=1e-11, atol=1e-12)
+    assert np.allclose(merit_grad(ev, p, 1.0), grads.mean(axis=0), rtol=1e-11, atol=1e-12)
+    jbar, rbar = mean_jacobian(ev, p)
     assert np.allclose(jbar, jac.mean(axis=0), rtol=1e-12, atol=1e-12)
-    assert np.allclose(rbar, ev.residuals(p).mean(axis=0), rtol=1e-12, atol=1e-12)
+    assert np.allclose(rbar, ev.residuals(p).mean(axis=1), rtol=1e-12, atol=1e-12)
+
+
+def test_residuals_fill_and_return_the_callers_array():
+    # every per-draw array is (rows, N): residuals returns the array it
+    # fills, which thetas and the gradient kernels read as it is
+    rng = np.random.default_rng(137)
+    spec = random_spec(rng)
+    ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, 9, 23))
+    p = _random_point(rng, spec)
+    f = ev._g1_v(p)
+    out = np.empty((ev.dim, ev.N))
+    res = ev.residuals(p, f, out)
+    assert res is out and res.shape == (spec.dims.m + 1, 9)
+    assert np.array_equal(res, ev.residuals(p))
+    assert np.allclose(ev.thetas(p, res), 0.5 * (res * res).sum(axis=0), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -449,7 +468,7 @@ def test_evaluator_matches_dense_reference_on_a_wide_instance(n):
         want[j, :k] = np.hypot(p.x_m, g1) - p.x_m - g1
         want[j, k : k + l] = p.t * v + g1.sum() * p.u
         want[j, k + l] = p.t**2 - p.u @ p.u
-    res = ev.residuals(p)
+    res = ev.residuals(p).T  # want is (n, k + l + 1), one row per draw
     assert res.shape == (n, k + l + 1)
     assert np.allclose(res, want, rtol=1e-12, atol=1e-12)
     assert np.allclose(ev.thetas(p), 0.5 * (want**2).sum(axis=1), rtol=1e-12, atol=1e-12)
@@ -460,14 +479,14 @@ def test_evaluator_matches_dense_reference_on_a_wide_instance(n):
     for i in range(z.size):
         e = np.zeros_like(z)
         e[i] = step
-        fd = (ev.residuals(MixPoint.from_vector(z + e, k, l)) - ev.residuals(MixPoint.from_vector(z - e, k, l))) / (
+        fd = (ev.residuals(MixPoint.from_vector(z + e, k, l)) - ev.residuals(MixPoint.from_vector(z - e, k, l))).T / (
             2 * step
         )
         assert np.max(np.abs(jac[:, :, i] - fd) / (1.0 + np.abs(jac[:, :, i]))) <= 1e-5
 
     grads = merit_grads(ev, p)
     w = rng.uniform(0, 1, size=n)
-    assert np.allclose(ev.weighted_merit_grad(p, w), (w[:, None] * grads).mean(axis=0), rtol=1e-11, atol=1e-12)
-    jbar, rbar = ev.mean_jacobian_residual(p)
+    assert np.allclose(merit_grad(ev, p, w), (w[:, None] * grads).mean(axis=0), rtol=1e-11, atol=1e-12)
+    jbar, rbar = mean_jacobian(ev, p)
     assert np.allclose(jbar, jac.mean(axis=0), rtol=1e-12, atol=1e-12)
     assert np.allclose(rbar, want.mean(axis=0), rtol=1e-12, atol=1e-12)

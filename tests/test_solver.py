@@ -29,7 +29,7 @@ from esoclcp.solver import (
 )
 
 from conftest import case_iv_instance, random_spec
-from dense_reference import aloc_dense, f_eval, jacobians
+from dense_reference import aloc_dense, f_eval, jacobians, mean_jacobian
 
 
 def test_config_defaults_valid():
@@ -58,6 +58,7 @@ def test_config_validation_errors():
         dict(seed=-1),
         dict(seed=2**64),
         dict(seed="42"),
+        dict(seed=True),
         dict(tol_r=0.0),
         dict(eps=-1.0),
         dict(c1=0.0),
@@ -66,6 +67,7 @@ def test_config_validation_errors():
         dict(c2=1.0),
         dict(k_max=0),
         dict(k_max=2.5),
+        dict(k_max=True),
         dict(mode="saddle"),
         dict(smoothing="parabolic"),
     ]
@@ -75,6 +77,13 @@ def test_config_validation_errors():
     for kwargs in bad:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+    # a bool is refused by the name of its field, not read as 0 or 1
+    for name in ("seed", "k_max"):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: True})
+    # k_max is stored as a Python int, as seed is
+    cfg = SolverConfig(k_max=np.int64(7), seed=np.uint64(3))
+    assert type(cfg.k_max) is int and type(cfg.seed) is int
 
 
 def test_config_accepts_mu_up_to_its_limit():
@@ -140,7 +149,7 @@ def test_stage_samples_ev_mode_is_single_mean_draw():
 
 def _gauss_newton(spec, s, p, nu):
     ev = SampleEvaluator(spec, s)
-    return _lm_from_means(*ev.mean_jacobian_residual(p), nu * np.eye(ev.dim))
+    return _lm_from_means(*mean_jacobian(ev, p), nu * np.eye(ev.dim))
 
 
 def test_gauss_newton_direction_zero_at_exact_solution():
@@ -161,7 +170,7 @@ def test_gauss_newton_direction_matches_dense_normal_equations():
         nu = float(rng.uniform(1e-8, 1e-2))
         ev = SampleEvaluator(spec, s)
         a_bar = jacobians(ev, p).mean(axis=0)
-        f_bar = ev.residuals(p).mean(axis=0)
+        f_bar = ev.residuals(p).mean(axis=1)
         want = np.linalg.solve(
             a_bar.T @ a_bar + nu * np.eye(k + l + 1), -(a_bar.T @ f_bar)
         )
@@ -200,7 +209,7 @@ def test_gauss_newton_direction_huge_damping_aligns_with_steepest_descent():
     s = stage_samples(spec, SolverConfig(schedule=(5,)), 1)
     p = MixPoint(rng.normal(size=3), rng.normal(size=2), 0.7)
     ev = SampleEvaluator(spec, s)
-    sd = -(jacobians(ev, p).mean(axis=0).T @ ev.residuals(p).mean(axis=0))
+    sd = -(jacobians(ev, p).mean(axis=0).T @ ev.residuals(p).mean(axis=1))
     d = _gauss_newton(spec, s, p, 1e12)
     cosang = float(d @ sd) / (np.linalg.norm(d) * np.linalg.norm(sd))
     assert np.arccos(np.clip(cosang, -1.0, 1.0)) <= 1e-6
@@ -228,7 +237,7 @@ def test_wolfe_rejects_uphill_start():
         wolfe_search(lambda s: -s, lambda s: -1.0, s_init=float("inf"))
 
 
-@pytest.mark.parametrize("max_evals", [0, -1, 2.5])
+@pytest.mark.parametrize("max_evals", [0, -1, 2.5, True])
 def test_wolfe_refuses_a_search_that_may_evaluate_no_step(max_evals):
     # with no trial allowed the search would return s_init unevaluated; a
     # count that is not an integer is refused before any trial too

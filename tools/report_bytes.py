@@ -21,6 +21,10 @@ OUT/index.txt, for tools/report_diff.py.  The reports:
   builtin-<kind>/seed7/json          `solve --builtin --smoothing <kind>
                                      --seed 7`, kind in nn, ip and asip
                                      (chks is the default above)
+  builtin-alpha<A>/seed7/json        `solve --builtin --alpha A --schedule
+                                     1000,10000 --kmax 60 --seed 7`, A in
+                                     0.2, 0.5 and 0.9: mode cvar's tail
+                                     screen from 0.2 to 0.8, none at 0.9
   check/<point>                      `check --builtin --point <point>`
 
 Every solve runs with --no-timing.  Run the script once per tree with the
@@ -48,6 +52,8 @@ FORMATS = ("table", "csv", "json")
 BUILTIN_SEEDS = (7, 42, 1234)
 # the smoothing kinds besides the default chks, each solved once
 SMOOTHING_KINDS = ("nn", "ip", "asip")
+# the tail levels solved once each at N = 1000 and 10000
+ALPHAS = ("0.2", "0.5", "0.9")
 # the README's point and two more; the nearest complementarity cases are II, I and IV
 CHECK_POINTS = ("1.5,0.3,1.1,0.1,-0.25", "1,2,3,0,0", "4,4,4,0.001,0")
 
@@ -70,6 +76,9 @@ def reports(cli, workloads, seeds, workdir: str):
     for kind in SMOOTHING_KINDS:
         argv = ["solve", "--builtin", "--smoothing", kind, "--seed", "7", "--format", "json", "--no-timing"]
         yield f"builtin-{kind}/seed7/json", argv
+    for alpha in ALPHAS:
+        argv = ["solve", "--builtin", "--alpha", alpha, "--schedule", "1000,10000", "--kmax", "60", "--seed", "7"]
+        yield f"builtin-alpha{alpha}/seed7/json", [*argv, "--format", "json", "--no-timing"]
     for point in CHECK_POINTS:
         yield f"check/{point}", ["check", "--builtin", "--point", point]
 
