@@ -3,8 +3,7 @@
 from .cone import classify_complementarity
 from .merit import merit_theta
 from .problem import ProblemSpec, builtin_example, load_problem
-from .risk import cvar_empirical, var_empirical
-from .saa import theta_star
+from .risk import cvar_empirical, theta_star, var_empirical
 from .solver import SolverConfig, StageResult, solve, wolfe_search
 
 __version__ = "0.1.0"

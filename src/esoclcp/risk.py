@@ -11,6 +11,19 @@ same quantile, a minimizer of the piecewise-linear objective
 Smoothing replaces the kinked plus function [t]_+ = max(t, 0) by one of four
 C^1 approximations indexed by mu > 0, each convex, nondecreasing, and within
 a known envelope of the plus function; all four reduce to [t]_+ at mu = 0.
+
+The solver minimizes the smoothed conditional value-at-risk of the merit
+loss theta(z, w) over N draws:
+
+    Nhat(z, Theta) = Theta + (alpha N)^{-1} sum_j [theta(z, w_j) - Theta]_mu
+
+with gradient assembled by saa from the per-draw merit gradients J_j^T R_j
+weighted by the smoothed-plus derivative at theta_j - Theta, and
+Theta-derivative 1 - (alpha N)^{-1} sum_j p'(theta_j - Theta).  theta_star
+finds the unique root of that strictly increasing Theta-derivative by
+Newton's method with the closed-form second derivative p'', started from
+the empirical VaR and safeguarded by a bracket between neighbouring order
+statistics.
 """
 
 from __future__ import annotations
@@ -21,6 +34,17 @@ from enum import Enum
 import numpy as np
 
 _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
+
+# the largest smoothing parameter accepted: CHKS and auto-scaling IP square
+# mu, and theta_star brackets a Theta about mu / sqrt(alpha) above the losses,
+# whose square overflows from mu ~ 1e153 on
+MU_MAX = 1e100
+# the smallest: theta_star's h' sums 2 mu^2 / r^3, r >= 2 mu, which overflows
+# where a loss sits at Theta from mu ~ 1e-103 on, and 4 mu^2 underflows to 0
+# from mu ~ 1e-162 on, where p'(0) becomes 0 / 0.  Well above that, a mu
+# below theta_star's tolerance on Theta still leaves the tail weights a step
+# whose sum misses alpha N; the solver's gradient refuses those
+MU_MIN = 1e-100
 
 
 class SmoothingKind(Enum):
@@ -57,6 +81,14 @@ def _check_mu(mu: float, positive: bool) -> float:
     return mu
 
 
+def _width(mu: float, kind: SmoothingKind) -> float | None:
+    # c in the root r = sqrt(t^2 + c) that every kind but neural_network is
+    # built on; None for neural_network, whose p' is the logistic
+    if kind is SmoothingKind.NEURAL_NETWORK:
+        return None
+    return 4.0 * mu if kind is SmoothingKind.INTERIOR_POINT else 4.0 * mu * mu
+
+
 def smooth_plus(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
     """Smoothed plus function at parameter mu >= 0.
 
@@ -72,16 +104,15 @@ def smooth_plus(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
     mu = _check_mu(mu, positive=False)
     kind = SmoothingKind(kind)
     t = np.asarray(t, dtype=float)
+    c = _width(mu, kind)
     if mu == 0.0:
         out = plus_part(t)
-    elif kind is SmoothingKind.NEURAL_NETWORK:
+    elif c is None:
         out = t + mu * np.logaddexp(0.0, -t / mu)
-    elif kind is SmoothingKind.INTERIOR_POINT:
-        out = 0.5 * (t + np.sqrt(t * t + 4.0 * mu))
-    elif kind is SmoothingKind.AUTO_SCALING_IP:
-        out = 0.5 * (t + np.sqrt(t * t + 4.0 * mu * mu)) + mu
     else:
-        out = 0.5 * (t + np.sqrt(t * t + 4.0 * mu * mu))
+        out = 0.5 * (t + np.sqrt(t * t + c))
+        if kind is SmoothingKind.AUTO_SCALING_IP:
+            out += mu
     return out if out.ndim else float(out)
 
 
@@ -94,37 +125,31 @@ def smooth_plus_deriv(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
     mu = _check_mu(mu, positive=True)
     kind = SmoothingKind(kind)
     t = np.asarray(t, dtype=float)
-    if kind is SmoothingKind.NEURAL_NETWORK:
+    c = _width(mu, kind)
+    if c is None:
         out = _logistic(t / mu)
-    elif kind is SmoothingKind.INTERIOR_POINT:
-        out = 0.5 * (1.0 + t / np.sqrt(t * t + 4.0 * mu))
     else:
-        # auto_scaling_ip and chks differ by the constant mu only
-        out = 0.5 * (1.0 + t / np.sqrt(t * t + 4.0 * mu * mu))
+        out = 0.5 * (1.0 + t / np.sqrt(t * t + c))
     return out if out.ndim else float(out)
 
 
 def smooth_plus_deriv2(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
     """Exact second derivative of smooth_plus in t; requires mu > 0.
 
-    Closed forms, all positive:
-
-        neural_network   sigma (1 - sigma) / mu, sigma = 1 / (1 + exp(-t / mu))
-        interior_point   2 mu / (t^2 + 4 mu)^{3/2}
-        auto_scaling_ip  2 mu^2 / (t^2 + 4 mu^2)^{3/2}
-        chks             2 mu^2 / (t^2 + 4 mu^2)^{3/2}
-
-    Written as 2 mu^2 / r^3 rather than the equal (1 - (t / r)^2) / (2 r),
-    whose t / r rounds to +-1, and so the whole to 0, once |t| >> mu.
+    Closed forms, all positive: sigma (1 - sigma) / mu with
+    sigma = 1 / (1 + exp(-t / mu)) for neural_network, and c / (2 r^3) with
+    r = sqrt(t^2 + c) for the others, c = 4 mu (interior_point) or 4 mu^2.
+    Written so rather than as the equal (1 - (t / r)^2) / (2 r), whose t / r
+    rounds to +-1, and so the whole to 0, once |t| >> mu.
     """
     mu = _check_mu(mu, positive=True)
     kind = SmoothingKind(kind)
     t = np.asarray(t, dtype=float)
-    if kind is SmoothingKind.NEURAL_NETWORK:
+    c = _width(mu, kind)
+    if c is None:
         # sigma(-x) in place of 1 - sigma(x), which cancels to 0 for large x
         out = _logistic(t / mu) * _logistic(-t / mu) / mu
     else:
-        c = 4.0 * mu if kind is SmoothingKind.INTERIOR_POINT else 4.0 * mu * mu
         r2 = t * t + c
         out = 0.5 * c / (r2 * np.sqrt(r2))
     return out if out.ndim else float(out)
@@ -146,10 +171,16 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _rank_slack(n: int) -> float:
+    # a bound on how far the float (1 - alpha) N lies from the real product:
+    # the roundings of alpha, 1 - alpha and the product add up to 2.5 N 2^-53
+    return n * 2.0**-51
+
+
 def _tail_rank(n: int, alpha: float) -> int:
-    # ceil((1 - alpha) N), the rank of the empirical VaR; the 1e-12 keeps an
+    # ceil((1 - alpha) N), the rank of the empirical VaR; the slack keeps an
     # integral (1 - alpha) N from rounding up to the next rank
-    return min(max(math.ceil((1.0 - alpha) * n - 1e-12), 1), n)
+    return min(max(math.ceil((1.0 - alpha) * n - _rank_slack(n)), 1), n)
 
 
 def _tail_quantile(losses: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
@@ -188,3 +219,128 @@ def cvar_empirical(losses, alpha: float) -> float:
     CVaR = q + (alpha N)^{-1} sum_i [theta_i - q]_+ .
     """
     return _tail_cvar(_check_losses(losses), _check_alpha(alpha))
+
+
+def theta_star(
+    losses,
+    alpha: float,
+    mu: float,
+    kind: SmoothingKind = SmoothingKind.CHKS,
+    tail: tuple[float, np.ndarray] | None = None,
+) -> float:
+    """Unique minimizer of Theta + (alpha N)^{-1} sum [theta_j - Theta]_mu.
+
+    Solves h(Theta) = 1 - (alpha N)^{-1} sum p'(theta_j - Theta) = 0; h is
+    strictly increasing, with h' = (alpha N)^{-1} sum p''(theta_j - Theta).
+    The root lies near the ceil((1 - alpha) N)-th order statistic (the
+    empirical VaR), so the search starts there and brackets the root between
+    it and its neighbour on the side h's sign points to, padded by the
+    smoothing width (2 mu; 2 sqrt(mu) for interior_point); an end of the wrong
+    sign is pushed out geometrically, so the result never depends on that
+    guess.  Newton's method then runs inside the bracket, bisecting whenever
+    a step would leave it or shrink it too slowly (the safeguard of
+    Numerical Recipes' rtsafe), until h is exactly 0 or changes sign within
+    a tolerance 1e-10 (1 + |Theta|) of the returned point.  A Newton step
+    below the tolerance is confirmed by one more evaluation just past it.
+
+    tail, _tail_quantile(losses, alpha) when the caller has already
+    selected it, spares the selection: the start reads only the order
+    statistic, its rank and the least loss ranked above it, none of which
+    depends on how the losses above it are ordered.  A caller that passes
+    tail has also checked the losses (a nonempty 1-d float array, all
+    finite), so they are not checked again.
+    """
+    losses = _check_losses(losses) if tail is None else losses
+    alpha = _check_alpha(alpha)
+    mu = _check_mu(mu, positive=True)
+    kind = SmoothingKind(kind)
+    n = losses.size
+    scale = 1.0 / (alpha * n)
+    # h(Theta) leaves theta_j - Theta in b1; dh() is h' at the Theta h was
+    # last called at, computed only where Newton's method reads it
+    b1 = np.empty_like(losses)
+
+    c = _width(mu, kind)
+    if c is not None:
+        # inline p' = (1 + s / r) / 2 and p'' = c / (2 r^3), r = sqrt(s^2 + c), over
+        # two scratch buffers; the innermost loop of every objective evaluation
+        base = 1.0 - 0.5 * n * scale
+        b2 = np.empty_like(losses)
+
+        def h(theta: float) -> float:
+            np.subtract(losses, theta, out=b1)
+            np.multiply(b1, b1, out=b2)
+            np.add(b2, c, out=b2)
+            np.sqrt(b2, out=b2)
+            np.divide(1.0, b2, out=b2)  # 1 / r, which dh reads
+            return base - 0.5 * scale * float(b1 @ b2)
+
+        def dh() -> float:
+            np.multiply(b2, b2, out=b1)
+            return 0.5 * c * scale * float(b1 @ b2)
+
+    else:
+
+        def h(theta: float) -> float:
+            np.subtract(losses, theta, out=b1)
+            return 1.0 - scale * float(np.sum(smooth_plus_deriv(b1, mu, kind)))
+
+        def dh() -> float:
+            return scale * float(np.sum(smooth_plus_deriv2(b1, mu, kind)))
+
+    q, upper = _tail_quantile(losses, alpha) if tail is None else tail
+    rank = n - upper.size
+    # the next order statistic; a one-rank partition and a min beat a
+    # two-rank partition several times over
+    q_next = float(upper.min()) if upper.size else q
+    pad = 2.0 * (math.sqrt(mu) if kind is SmoothingKind.INTERIOR_POINT else mu)
+    # between q and q_next, h is about rank - (1 - alpha) N over alpha N; where
+    # that is 0 the root sits where the two neighbours' tails balance, near
+    # the middle of the gap, and otherwise within a few widths of q
+    x = q if rank - (1.0 - alpha) * n > _rank_slack(n) else 0.5 * (q + q_next)
+    f = h(x)
+    if f == 0.0:
+        return x
+    df = dh()
+    # h rises from 1 - 1/alpha < 0 to 1 > 0; the bracket's far end, on the
+    # side the root is, is pushed out until h changes sign there, each miss
+    # moving the near end in
+    if f < 0.0:
+        lo, hi, step = x, q_next + pad, pad
+        while h(hi) < 0.0:
+            lo, hi, step = hi, hi + step, 2.0 * step
+    else:
+        lo, hi, step = q - pad, x, pad
+        while h(lo) > 0.0:
+            lo, hi, step = lo - step, lo, 2.0 * step
+
+    dx = dx_old = hi - lo
+    while True:
+        newton = df > 0.0 and lo < x - f / df < hi and abs(2.0 * f) <= abs(dx_old * df)
+        if newton:
+            dx_old, dx = dx, f / df
+            x -= dx
+        else:
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            x = lo + dx
+        tol = 1e-10 * (1.0 + abs(x))
+        if abs(dx) > tol:
+            f = h(x)
+            df = dh()
+        elif not newton:
+            return x
+        else:
+            # a step this short has converged if h changes sign within half a
+            # tolerance past x; in the slowly varying tails of p' it has not,
+            # so the search goes on from there
+            probe = x - math.copysign(0.5 * tol, dx)
+            f_probe = h(probe)
+            if (f_probe >= 0.0) if f < 0.0 else (f_probe <= 0.0):
+                return x
+            x, f, df = probe, f_probe, dh()
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x

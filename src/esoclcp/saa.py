@@ -13,18 +13,6 @@ numpy build and CPU, and the whole pipeline downstream of them on one numpy
 build, CPU and BLAS thread count (BLAS may split its products over the draws
 by thread).
 
-The objective approximates the smoothed conditional value-at-risk of the
-merit loss theta(z, w) over N draws:
-
-    Nhat(z, Theta) = Theta + (alpha N)^{-1} sum_j [theta(z, w_j) - Theta]_mu
-
-with gradient assembled from the per-draw merit gradients J_j^T R_j weighted
-by the smoothed-plus derivative at theta_j - Theta, and Theta-derivative
-1 - (alpha N)^{-1} sum_j p'(theta_j - Theta).  theta_star finds the unique
-root of that strictly increasing Theta-derivative by Newton's method with the
-closed-form second derivative p'', started from the empirical VaR and
-safeguarded by a bracket between neighbouring order statistics.
-
 SampleEvaluator never realizes the matrices T(w_j) for its kernels.  It keeps
 the draws, (1, w_j) as a (omega_dim + 1, N) array, and one small operator
 holding T and r's base values and perturbation coefficients, so each
@@ -43,16 +31,7 @@ import numpy as np
 from .cone import _is_int
 from .problem import DistributionSpec, ProblemSpec, _check_omega, _check_omegas, realize_batch
 from .reformulate import MixPoint
-from .risk import (
-    SmoothingKind,
-    _check_alpha,
-    _check_losses,
-    _check_mu,
-    _tail_quantile,
-    smooth_plus,  # unused here; perfbench/spans.py traces the name in this module
-    smooth_plus_deriv,
-    smooth_plus_deriv2,
-)
+from .risk import smooth_plus, smooth_plus_deriv  # unused here; perfbench/spans.py traces both names in this module
 
 _MAX_SEED = 2**64 - 1
 _TINY = np.finfo(float).tiny
@@ -548,129 +527,3 @@ class RayBound:
         if not low > limit:
             low += self._fb_terms(s)
         return low if low > limit else None
-
-
-def theta_star(
-    losses,
-    alpha: float,
-    mu: float,
-    kind: SmoothingKind = SmoothingKind.CHKS,
-    tail: tuple[float, np.ndarray] | None = None,
-) -> float:
-    """Unique minimizer of Theta + (alpha N)^{-1} sum [theta_j - Theta]_mu.
-
-    Solves h(Theta) = 1 - (alpha N)^{-1} sum p'(theta_j - Theta) = 0; h is
-    strictly increasing, with h' = (alpha N)^{-1} sum p''(theta_j - Theta).
-    The root lies near the ceil((1 - alpha) N)-th order statistic (the
-    empirical VaR), so the search starts there and brackets the root between
-    it and its neighbour on the side h's sign points to, padded by the
-    smoothing width (2 mu; 2 sqrt(mu) for interior_point); an end of the wrong
-    sign is pushed out geometrically, so the result never depends on that
-    guess.  Newton's method then runs inside the bracket, bisecting whenever
-    a step would leave it or shrink it too slowly (the safeguard of
-    Numerical Recipes' rtsafe), until h is exactly 0 or changes sign within
-    a tolerance 1e-10 (1 + |Theta|) of the returned point.  A Newton step
-    below the tolerance is confirmed by one more evaluation just past it.
-
-    tail, risk._tail_quantile(losses, alpha) when the caller has already
-    selected it, spares the selection: the start reads only the order
-    statistic, its rank and the least loss ranked above it, none of which
-    depends on how the losses above it are ordered.  A caller that passes
-    tail has also checked the losses (a nonempty 1-d float array, all
-    finite), so they are not checked again.
-    """
-    losses = _check_losses(losses) if tail is None else losses
-    alpha = _check_alpha(alpha)
-    mu = _check_mu(mu, positive=True)
-    kind = SmoothingKind(kind)
-    n = losses.size
-    scale = 1.0 / (alpha * n)
-    # h(Theta) leaves theta_j - Theta in b1; dh() is h' at the Theta h was
-    # last called at, computed only where Newton's method reads it
-    b1 = np.empty_like(losses)
-
-    if kind is SmoothingKind.CHKS or kind is SmoothingKind.AUTO_SCALING_IP:
-        # inline p' = (1 + s / r) / 2 and p'' = 2 mu^2 / r^3, r = sqrt(s^2 + 4 mu^2),
-        # which both kinds share, over two scratch buffers; this is the
-        # innermost loop of every objective evaluation
-        four_mu2 = 4.0 * mu * mu
-        base = 1.0 - 0.5 * n * scale
-        b2 = np.empty_like(losses)
-
-        def h(theta: float) -> float:
-            np.subtract(losses, theta, out=b1)
-            np.multiply(b1, b1, out=b2)
-            np.add(b2, four_mu2, out=b2)
-            np.sqrt(b2, out=b2)
-            np.divide(1.0, b2, out=b2)  # 1 / r, which dh reads
-            return base - 0.5 * scale * float(b1 @ b2)
-
-        def dh() -> float:
-            np.multiply(b2, b2, out=b1)
-            return 0.5 * four_mu2 * scale * float(b1 @ b2)
-
-    else:
-
-        def h(theta: float) -> float:
-            np.subtract(losses, theta, out=b1)
-            return 1.0 - scale * float(np.sum(smooth_plus_deriv(b1, mu, kind)))
-
-        def dh() -> float:
-            return scale * float(np.sum(smooth_plus_deriv2(b1, mu, kind)))
-
-    q, upper = _tail_quantile(losses, alpha) if tail is None else tail
-    rank = n - upper.size
-    # the next order statistic; a one-rank partition and a min beat a
-    # two-rank partition several times over
-    q_next = float(upper.min()) if upper.size else q
-    pad = 2.0 * (math.sqrt(mu) if kind is SmoothingKind.INTERIOR_POINT else mu)
-    # between q and q_next, h is about rank - (1 - alpha) N over alpha N; where
-    # that is 0 the root sits where the two neighbours' tails balance, near
-    # the middle of the gap, and otherwise within a few widths of q
-    x = q if rank - (1.0 - alpha) * n > 1e-9 else 0.5 * (q + q_next)
-    f = h(x)
-    if f == 0.0:
-        return x
-    df = dh()
-    # h rises from 1 - 1/alpha < 0 to 1 > 0; the bracket's far end, on the
-    # side the root is, is pushed out until h changes sign there, each miss
-    # moving the near end in
-    if f < 0.0:
-        lo, hi, step = x, q_next + pad, pad
-        while h(hi) < 0.0:
-            lo, hi, step = hi, hi + step, 2.0 * step
-    else:
-        lo, hi, step = q - pad, x, pad
-        while h(lo) > 0.0:
-            lo, hi, step = lo - step, lo, 2.0 * step
-
-    dx = dx_old = hi - lo
-    while True:
-        newton = df > 0.0 and lo < x - f / df < hi and abs(2.0 * f) <= abs(dx_old * df)
-        if newton:
-            dx_old, dx = dx, f / df
-            x -= dx
-        else:
-            dx_old, dx = dx, 0.5 * (hi - lo)
-            x = lo + dx
-        tol = 1e-10 * (1.0 + abs(x))
-        if abs(dx) > tol:
-            f = h(x)
-            df = dh()
-        elif not newton:
-            return x
-        else:
-            # a step this short has converged if h changes sign within half a
-            # tolerance past x; in the slowly varying tails of p' it has not,
-            # so the search goes on from there
-            probe = x - math.copysign(0.5 * tol, dx)
-            f_probe = h(probe)
-            if (f_probe >= 0.0) if f < 0.0 else (f_probe <= 0.0):
-                return x
-            x, f, df = probe, f_probe, dh()
-        if f == 0.0:
-            return x
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x

@@ -6,7 +6,7 @@ stage objective: the direction solves (Abar^T Abar + nu I) d = -Abar^T Fbar
 built from the sample-mean residual Jacobian and residual, falling back to
 steepest descent whenever that system is unsolvable or insufficiently
 downhill, and a weak Wolfe line search picks the step.  The tail threshold
-Theta is re-optimized from scratch by saa.theta_star at every point the line
+Theta is re-optimized from scratch by risk.theta_star at every point the line
 search may accept, with no state carried between trial points, so the inner
 loop minimizes the reduced function min_Theta Nhat(z, Theta).
 
@@ -32,23 +32,13 @@ import numpy as np
 from .cone import _is_int
 from .problem import ProblemSpec, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
 from .reformulate import MixPoint, recover_lcp_point
-from .risk import SmoothingKind, _tail_cvar, _tail_quantile, _tail_rank, smooth_plus, smooth_plus_deriv
-from .saa import RayBound, SampleEvaluator, draw_samples, theta_star
+from .risk import MU_MAX, MU_MIN, SmoothingKind, _tail_cvar, _tail_quantile, _tail_rank, smooth_plus, smooth_plus_deriv
+from .risk import theta_star  # by name: perfbench/spans.py wraps esoclcp.solver.theta_star
+from .saa import RayBound, SampleEvaluator, draw_samples
 
 MODES = ("cvar", "ev", "erm")
 
 DEFAULT_SCHEDULE = (10, 100, 1000, 10000)
-
-# the largest smoothing parameter accepted: CHKS and auto-scaling IP square
-# mu, and theta_star brackets a Theta about mu / sqrt(alpha) above the losses,
-# whose square overflows from mu ~ 1e153 on
-MU_MAX = 1e100
-# the smallest: theta_star's h' sums 2 mu^2 / r^3, r >= 2 mu, which overflows
-# where a loss sits at Theta from mu ~ 1e-103 on, and 4 mu^2 underflows to 0
-# from mu ~ 1e-162 on, where p'(0) becomes 0 / 0.  Well above that, a mu
-# below theta_star's tolerance on Theta still leaves the tail weights a step
-# whose sum misses alpha N; grad refuses those
-MU_MIN = 1e-100
 
 # a trial point is screened out when its tail bound or its empirical CVaR
 # exceeds the line search's bar by more than this share of
@@ -496,7 +486,11 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
         t0 = time.perf_counter()
         iters = 0
         termination = "k_max"
-        cur = stage.eval_point(z)
+        # a merit that overflows at the start makes every step nan: one error, no warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            cur = stage.eval_point(z)
+        if not math.isfinite(cur.value):
+            raise ValueError(f"stage {j} (N = {ev.N}): the merit overflows at the start point, objective {cur.value}")
         while True:
             grad = stage.grad(cur)
             gnorm = float(np.maximum.reduce(np.abs(grad)))

@@ -20,9 +20,10 @@ from esoclcp.risk import (
     cvar_empirical,
     plus_part,
     smooth_plus,
+    theta_star,
     var_empirical,
 )
-from esoclcp.saa import SampleEvaluator, draw_samples, theta_star
+from esoclcp.saa import SampleEvaluator, draw_samples
 from esoclcp.solver import SolverConfig, solve
 
 from conftest import case_iv_instance, random_spec, tail_gradient, tail_objective

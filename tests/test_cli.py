@@ -316,6 +316,23 @@ def test_solve_refuses_a_mu_too_small_for_theta_star(capsys, mu, message):
     assert len(err.splitlines()) == 1 and re.fullmatch(message, err.strip())
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_solve_names_the_stage_whose_start_point_overflows(tmp_path, capsys, mode):
+    # r_base[0] = 1e200 squares to inf in the merit: every mode used to print
+    # RuntimeWarnings and then end on a nan slope or nan tail weights
+    doc = json.loads(serialize_problem(builtin_example()))
+    doc["r_base"][0] = 1e200
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["solve", "--problem", str(path), "--schedule", "10,100", "--kmax", "5", "--mode", mode]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, argv)
+    n = 1 if mode == "ev" else 10
+    assert (rc, out) == (1, "")
+    assert err.splitlines() == [f"error: stage 1 (N = {n}): the merit overflows at the start point, objective inf"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -181,6 +181,17 @@ def test_tail_quantile_is_the_sorted_order_statistic():
     assert _tail_quantile(np.arange(1.0, 21.0), 0.95)[0] == 1.0
 
 
+@pytest.mark.parametrize("alpha, n", [(0.95, 100000), (0.95, 30000), (0.7, 70000), (0.45, 50000)])
+def test_var_rank_when_the_float_tail_mass_overshoots_an_integer(alpha, n):
+    # (1 - alpha) N is an integer in the reals; its float lies a few ulps
+    # above it (5000.000000000005 at 0.95 and 100000), beyond an absolute
+    # 1e-12, which used to pick the next order statistic
+    rank = round((1.0 - alpha) * n)
+    assert (1.0 - alpha) * n > rank
+    assert _tail_rank(n, alpha) == rank
+    assert var_empirical(np.arange(1.0, n + 1.0), alpha) == float(rank)
+
+
 def test_cvar_matches_kink_oracle():
     rng = np.random.default_rng(37)
     for _ in range(200):

@@ -6,8 +6,8 @@ import pytest
 from esoclcp.cone import ConeDims
 from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec, realize_batch
 from esoclcp.reformulate import MixPoint, init_from_lcp
-from esoclcp.risk import SmoothingKind, cvar_empirical, smooth_plus, smooth_plus_deriv
-from esoclcp.saa import SampleEvaluator, draw_samples, ndtri, theta_star
+from esoclcp.risk import SmoothingKind, cvar_empirical, smooth_plus, smooth_plus_deriv, theta_star
+from esoclcp.saa import SampleEvaluator, draw_samples, ndtri
 from esoclcp.solver import SolverConfig, _StageProblem
 
 from conftest import case_iv_instance, random_spec, tail_gradient, tail_objective
@@ -236,6 +236,27 @@ def test_theta_star_every_smoothing_kind(kind):
         alpha = float(rng.uniform(0.02, 0.9))
         mu = float(rng.choice([1e-6, 1e-4, 1e-2]))
         t = theta_star(losses, alpha, mu, kind)
+        tol = 1e-10 * (1.0 + abs(t))
+        assert _h(losses, t - tol, alpha, mu, kind) <= 0.0 <= _h(losses, t + tol, alpha, mu, kind)
+
+
+@pytest.mark.parametrize("kind", [k for k in SmoothingKind if k is not SmoothingKind.NEURAL_NETWORK])
+def test_theta_star_sums_the_root_kinds_in_its_own_buffers(monkeypatch, kind):
+    # chks, auto_scaling_ip and interior_point share r = sqrt(t^2 + c), so
+    # theta_star forms p' and p'' from it and calls neither elementwise form
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta_star called an elementwise smoothing derivative")
+
+    rng = np.random.default_rng(113)
+    for _ in range(20):
+        losses = rng.exponential(scale=float(rng.uniform(0.1, 10.0)), size=int(rng.integers(1, 200)))
+        alpha = float(rng.uniform(0.02, 0.9))
+        mu = float(rng.choice([1e-6, 1e-4, 1e-2]))
+        with monkeypatch.context() as m:
+            # the names theta_star resolves; _h below calls the real ones
+            m.setitem(theta_star.__globals__, "smooth_plus_deriv", refuse)
+            m.setitem(theta_star.__globals__, "smooth_plus_deriv2", refuse)
+            t = theta_star(losses, alpha, mu, kind)
         tol = 1e-10 * (1.0 + abs(t))
         assert _h(losses, t - tol, alpha, mu, kind) <= 0.0 <= _h(losses, t + tol, alpha, mu, kind)
 

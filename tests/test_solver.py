@@ -11,8 +11,8 @@ from esoclcp.cone import ConeDims, classify_complementarity
 from esoclcp.merit import merit_theta
 from esoclcp.problem import builtin_example, realize_batch
 from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
-from esoclcp.risk import SmoothingKind, _tail_cvar, _tail_quantile, _tail_rank, cvar_empirical, smooth_plus
-from esoclcp.saa import RayBound, SampleEvaluator, draw_samples, theta_star
+from esoclcp.risk import SmoothingKind, _tail_cvar, _tail_quantile, _tail_rank, cvar_empirical, smooth_plus, theta_star
+from esoclcp.saa import RayBound, SampleEvaluator, draw_samples
 from esoclcp.solver import (
     MU_MAX,
     MU_MIN,

@@ -3,13 +3,13 @@
 Run from the root of a checkout:
 
     python3 tools/fresh_solve.py --seed 7 --seed 42 --seed 1234 [--src DIR] [--schedule LIST]
-        [--alpha A] [--kmax K] [--mode MODE] [--repeat R]
+        [--alpha A] [--kmax K] [--mode MODE] [--smoothing KIND] [--repeat R]
 
 Each seed runs in a new interpreter that imports esoclcp from DIR (default
 ./src), pinned to one BLAS thread, and calls `esoclcp.cli.main(["solve",
 "--builtin", "--seed", S, ...])` once with the default schedule, tail
-level, iteration cap and mode, or with LIST (say 10,100,1000,10000,100000,
-the acceptance schedule), A, K and MODE.  Per seed, one JSON line reports
+level, iteration cap, mode and smoothing, or with LIST (say
+10,100,1000,10000,100000, the acceptance schedule), A, K, MODE and KIND.  Per seed, one JSON line reports
 the child's wall time (interpreter start-up and import included), the
 child's `import esoclcp.cli` time (import_s) and the solve's own time
 (solve_s) separately, the child's own peak RSS (peak_rss_mb, from
@@ -29,9 +29,11 @@ makes none).  A stage's list holds, in this order: its sample size,
 termination, inner iterations, whole-sample passes, subset passes, FB-row
 passes, line-search values asked for (StageResult.trials), how many of
 those a lower bound answered (StageResult.screened), its wall time in
-seconds (StageResult.wall_time) and that time per inner iteration in
-microseconds (null for 0 iterations); trials and screened are null for a
-source tree older than those fields.  The stages are read off what `solve`
+seconds (StageResult.wall_time), that time per inner iteration in
+microseconds (null for 0 iterations) and its theta_star calls (those
+through esoclcp.solver.theta_star, in the stage's search and in its
+reported Theta); trials and screened are null for a source tree older than
+those fields.  The stages are read off what `solve`
 returns: its list of StageResults, or the `stages` of the SolveReport an
 older tree returns.
 
@@ -70,8 +72,10 @@ from esoclcp.saa import SampleEvaluator
 # [whole-sample, subset] residuals calls and _fb_rows calls outside them
 # per evaluator, and so per stage; the stages' line-search counts from the
 # report the CLI renders, where the tree has them
+import esoclcp.solver as solver
 calls = []
 residuals = SampleEvaluator.residuals
+theta_star = solver.theta_star
 fb_rows = getattr(SampleEvaluator, "_fb_rows", None)
 init = SampleEvaluator.__init__
 solve = cli.solve
@@ -91,8 +95,12 @@ def counted_fb(*args, **kwargs):
         calls[-1][2] += 1
     return fb_rows(*args, **kwargs)
 
+def counted_theta_star(*args, **kwargs):
+    calls[-1][3] += 1
+    return theta_star(*args, **kwargs)
+
 def new_stage(*args, **kwargs):
-    calls.append([0, 0, 0])
+    calls.append([0, 0, 0, 0])
     init(*args, **kwargs)
 
 def kept(*args, **kwargs):
@@ -107,6 +115,7 @@ SampleEvaluator.residuals = counted
 if fb_rows is not None:
     SampleEvaluator._fb_rows = counted_fb
 SampleEvaluator.__init__ = new_stage
+solver.theta_star = counted_theta_star
 cli.solve = kept
 t0 = time.perf_counter()
 rc = cli.main(sys.argv[1:])
@@ -114,7 +123,7 @@ solve_s = time.perf_counter() - t0
 # every stage's evaluator computes residuals; skip those that compute none,
 # such as the second evaluator per stage that older trees built for aloc
 for stage, n in zip(stages, [n for n in calls if n[0]]):
-    stage["full_passes"], stage["tail_passes"], stage["fb_passes"] = n
+    stage["full_passes"], stage["tail_passes"], stage["fb_passes"], stage["theta_star_calls"] = n
 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": solve_s, "peak_rss_mb": peak_rss_mb,
                   "full_passes": sum(n[0] for n in calls), "tail_passes": sum(n[1] for n in calls),
@@ -123,12 +132,13 @@ print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": solve_s, "peak_rss_
 
 
 def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None = None,
-             kmax: int | None = None, mode: str | None = None) -> dict:
+             kmax: int | None = None, mode: str | None = None, smoothing: str | None = None) -> dict:
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         report_path = os.path.join(tmp, "report.json")
         argv = ["solve", "--builtin", "--seed", str(seed), "--format", "json", "--no-timing", "--out", report_path]
-        for flag, value in (("--schedule", schedule), ("--alpha", alpha), ("--kmax", kmax), ("--mode", mode)):
+        flags = (("--schedule", schedule), ("--alpha", alpha), ("--kmax", kmax), ("--mode", mode), ("--smoothing", smoothing))
+        for flag, value in flags:
             if value is not None:
                 argv += [flag, str(value)]
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -159,6 +169,7 @@ def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None
                 c["screened"],
                 c["wall_time"],
                 1e6 * c["wall_time"] / s["inner_iters"] if s["inner_iters"] else None,
+                c["theta_star_calls"],
             ]
             for s, c in zip(report["stages"], child["stages"])
         ],
@@ -190,7 +201,7 @@ def summary(seed: int, runs: list[dict]) -> dict:
     stages = []
     for i, first in enumerate(runs[0]["stages"]):
         # every fresh run of one seed takes the same steps, only its times differ
-        if any(run["stages"][i][:8] != first[:8] for run in runs):
+        if any(run["stages"][i][:8] + run["stages"][i][10:] != first[:8] + first[10:] for run in runs):
             raise RuntimeError(f"seed {seed}: stage {i + 1} differs between runs")
         wall, wall_iqr = spread([run["stages"][i][8] for run in runs])
         per_iter = [run["stages"][i][9] for run in runs]
@@ -210,6 +221,7 @@ def main(argv=None) -> int:
     p.add_argument("--alpha", help="tail level passed to solve (default: solve's own)")
     p.add_argument("--kmax", type=int, help="inner iteration cap passed to solve (default: solve's own)")
     p.add_argument("--mode", help="solve mode passed to solve (default: solve's own)")
+    p.add_argument("--smoothing", help="smoothing kind passed to solve (default: solve's own)")
     p.add_argument("--repeat", type=int, default=1, help="fresh runs per seed; from 2 on, a summary line per seed")
     args = p.parse_args(argv)
     if args.repeat < 1:
@@ -217,7 +229,9 @@ def main(argv=None) -> int:
     for seed in args.seed:
         runs = []
         for _ in range(args.repeat):
-            runs.append(run_seed(os.path.abspath(args.src), seed, args.schedule, args.alpha, args.kmax, args.mode))
+            runs.append(
+                run_seed(os.path.abspath(args.src), seed, args.schedule, args.alpha, args.kmax, args.mode, args.smoothing)
+            )
             print(json.dumps(runs[-1]), flush=True)
         if args.repeat > 1:
             print(json.dumps(summary(seed, runs)), flush=True)

@@ -21,6 +21,11 @@ OUT/index.txt, for tools/report_diff.py.  The reports:
   builtin-<kind>/seed7/json          `solve --builtin --smoothing <kind>
                                      --seed 7`, kind in nn, ip and asip
                                      (chks is the default above)
+  builtin-erm-<kind>/seed7/json      the same in mode erm, `solve --builtin
+                                     --mode erm --smoothing <kind> --seed
+                                     7`, where the kind sets only the
+                                     reported Theta: theta_star's numerics
+                                     with the same steps for every kind
   builtin-alpha<A>/seed7/json        `solve --builtin --alpha A --schedule
                                      1000,10000 --kmax 60 --seed 7`, A in
                                      0.2, 0.5 and 0.9: mode cvar's tail
@@ -73,9 +78,10 @@ def reports(cli, workloads, seeds, workdir: str):
             for fmt in FORMATS:
                 argv = ["solve", "--builtin", *mode, "--seed", str(seed), "--format", fmt, "--no-timing"]
                 yield f"{name}/seed{seed}/{fmt}", argv
-    for kind in SMOOTHING_KINDS:
-        argv = ["solve", "--builtin", "--smoothing", kind, "--seed", "7", "--format", "json", "--no-timing"]
-        yield f"builtin-{kind}/seed7/json", argv
+    for name, mode in (("builtin", []), ("builtin-erm", ["--mode", "erm"])):
+        for kind in SMOOTHING_KINDS:
+            argv = ["solve", "--builtin", *mode, "--smoothing", kind, "--seed", "7", "--format", "json", "--no-timing"]
+            yield f"{name}-{kind}/seed7/json", argv
     for alpha in ALPHAS:
         argv = ["solve", "--builtin", "--alpha", alpha, "--schedule", "1000,10000", "--kmax", "60", "--seed", "7"]
         yield f"builtin-alpha{alpha}/seed7/json", [*argv, "--format", "json", "--no-timing"]
