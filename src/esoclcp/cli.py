@@ -8,20 +8,13 @@ import sys
 
 import numpy as np
 
-from .cone import ConePoint, classify_complementarity, in_L, in_M
+from .cone import classify_complementarity, in_L, in_M
 from .merit import merit_theta
 from .problem import ProblemParseError, ProblemSpec, builtin_example, load_problem, serialize_problem
 from .reformulate import init_from_lcp
 from .risk import SmoothingKind
 from .saa import SampleEvaluator, draw_samples
 from .solver import MODES, SolverConfig, StageResult, aloc, solve
-
-SMOOTHING_NAMES = {
-    "chks": SmoothingKind.CHKS,
-    "nn": SmoothingKind.NEURAL_NETWORK,
-    "ip": SmoothingKind.INTERIOR_POINT,
-    "asip": SmoothingKind.AUTO_SCALING_IP,
-}
 
 FORMATS = ("table", "csv", "json")
 
@@ -73,13 +66,13 @@ def _build_parser() -> _Parser:
         metavar = flag[2:].replace("-", "_").upper()  # the one argparse derives from the flag
         help_text = f"{text} (default {_shown(default)})"
         ps.add_argument(flag, dest=name, metavar=metavar, type=kind, default=default, help=help_text)
-    smoothing = next(name for name, kind in SMOOTHING_NAMES.items() if kind is defaults.smoothing)
     mode_help = (
         f"objective (default {defaults.mode}); ev solves one stage at the mean draw, so it ignores --schedule and "
         "--seed, and --alpha, --mu and --smoothing only set its reported Theta"
     )
     ps.add_argument("--mode", choices=MODES, default=defaults.mode, help=mode_help)
-    ps.add_argument("--smoothing", choices=sorted(SMOOTHING_NAMES), default=smoothing, help=f"kind (default {smoothing})")
+    kinds, smoothing = sorted(kind.value for kind in SmoothingKind), defaults.smoothing.value
+    ps.add_argument("--smoothing", choices=kinds, default=smoothing, help=f"kind (default {smoothing})")
     ps.add_argument("--format", choices=FORMATS, default="table")
     ps.add_argument("--out", help="write the report here instead of stdout")
     ps.add_argument("--no-timing", action="store_true", help="blank wall times for reproducible output")
@@ -141,7 +134,7 @@ def _stage_rows(stages: list[StageResult], no_timing: bool) -> list[dict]:
 
 def _head(spec: ProblemSpec) -> list[str]:
     # j, N and one column per component of x, u and F at the mean draw
-    sizes = (spec.dims.k, spec.dims.l, spec.m)
+    sizes = (spec.dims.k, spec.dims.l, spec.dims.m)
     return ["j", "N"] + [f"{name}{i + 1}" for name, n in zip("xuF", sizes) for i in range(n)]
 
 
@@ -187,7 +180,7 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig(
         **{name: getattr(args, name) for _, name, _, _ in CONFIG_FLAGS},
         mode=args.mode,
-        smoothing=SMOOTHING_NAMES[args.smoothing],
+        smoothing=args.smoothing,
     )
     stages = solve(spec, cfg)
     rows = _stage_rows(stages, args.no_timing)
@@ -234,7 +227,7 @@ def _cmd_check(args) -> int:
                 raise ValueError(f"{name} is not finite at --point {args.point}")
         y, v = f_mean[:k], f_mean[k:]
         cls = classify_complementarity(spec.dims, x, u, y, v)
-        in_l, in_m = in_L(spec.dims, ConePoint(x, u)), in_M(spec.dims, ConePoint(y, v))
+        in_l, in_m = in_L(spec.dims, x, u), in_M(spec.dims, y, v)
 
     print(f"point (x, u): in_L = {in_l}")
     print(f"F at mean draw as (y, v): in_M = {in_m}")

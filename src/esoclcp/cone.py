@@ -44,18 +44,6 @@ class ConeDims:
 
 
 @dataclass(eq=False)
-class ConePoint:
-    """A point (x, u) with x in R^k and u in R^l."""
-
-    x: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.x = _as_vector(self.x, "x")
-        self.u = _as_vector(self.u, "u")
-
-
-@dataclass(eq=False)
 class CompCase:
     """Outcome of a complementarity classification.
 
@@ -79,28 +67,30 @@ def _as_vector(a, name: str) -> np.ndarray:
     return out
 
 
-def _check_point(dims: ConeDims, x: np.ndarray, u: np.ndarray) -> None:
+def _check_point(dims: ConeDims, x, u, names: str = "xu") -> tuple[np.ndarray, np.ndarray]:
+    # x and u as finite, nonempty 1-d float arrays of lengths k and l; the
+    # two letters of names name them in errors
+    x, u = _as_vector(x, names[0]), _as_vector(u, names[1])
     if x.shape != (dims.k,):
-        raise ValueError(f"x has length {x.shape[0]}, expected k={dims.k}")
+        raise ValueError(f"{names[0]} has length {x.shape[0]}, expected k={dims.k}")
     if u.shape != (dims.l,):
-        raise ValueError(f"u has length {u.shape[0]}, expected l={dims.l}")
+        raise ValueError(f"{names[1]} has length {u.shape[0]}, expected l={dims.l}")
+    return x, u
 
 
-def in_L(dims: ConeDims, p: ConePoint, tol: float = DEFAULT_TOL) -> bool:
+def in_L(dims: ConeDims, x, u, tol: float = DEFAULT_TOL) -> bool:
     """Whether (x, u) lies in L(k, l): min_i x_i >= ||u|| - tol."""
-    _check_point(dims, p.x, p.u)
-    return bool(np.min(p.x) >= float(np.linalg.norm(p.u)) - tol)
+    x, u = _check_point(dims, x, u)
+    return bool(np.min(x) >= float(np.linalg.norm(u)) - tol)
 
 
-def in_M(dims: ConeDims, p: ConePoint, tol: float = DEFAULT_TOL) -> bool:
+def in_M(dims: ConeDims, x, u, tol: float = DEFAULT_TOL) -> bool:
     """Whether (x, u) lies in the dual cone M(k, l).
 
     Requires e^T x >= ||u|| - tol and min_i x_i >= -tol.
     """
-    _check_point(dims, p.x, p.u)
-    return bool(
-        np.sum(p.x) >= float(np.linalg.norm(p.u)) - tol and np.min(p.x) >= -tol
-    )
+    x, u = _check_point(dims, x, u)
+    return bool(np.sum(x) >= float(np.linalg.norm(u)) - tol and np.min(x) >= -tol)
 
 
 def _orthant_residuals(a: np.ndarray, b: np.ndarray) -> dict[str, float]:
@@ -117,22 +107,12 @@ def _case_residuals(
 ) -> dict[str, dict[str, float]]:
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
-    out: dict[str, dict[str, float]] = {}
-
-    out["I"] = {"u_norm": nu, "v_norm": nv, **_orthant_residuals(x, y)}
-
-    out["II"] = {
-        "u_norm": nu,
-        "tail_short": float(max(0.0, nv - np.sum(y))),
-        **_orthant_residuals(x, y),
+    orthant = _orthant_residuals(x, y)  # cases I-III share (x, y)'s terms
+    out = {
+        "I": {"u_norm": nu, "v_norm": nv, **orthant},
+        "II": {"u_norm": nu, "tail_short": float(max(0.0, nv - np.sum(y))), **orthant},
+        "III": {"v_norm": nv, "cone_gap": float(max(0.0, nu - np.min(x))), **orthant},
     }
-
-    out["III"] = {
-        "v_norm": nv,
-        "cone_gap": float(max(0.0, nu - np.min(x))),
-        **_orthant_residuals(x, y),
-    }
-
     lam = nv / nu if nu > 0 else float("inf")
     if np.isfinite(lam):
         parallel = float(np.linalg.norm(v + lam * u))
@@ -169,12 +149,8 @@ def classify_complementarity(
     accepted when <= tol.  If nothing matches, the case is "none" and the
     residuals of the nearest case (smallest worst violation) are reported.
     """
-    x = _as_vector(x, "x")
-    u = _as_vector(u, "u")
-    y = _as_vector(y, "y")
-    v = _as_vector(v, "v")
-    _check_point(dims, x, u)
-    _check_point(dims, y, v)
+    x, u = _check_point(dims, x, u)
+    y, v = _check_point(dims, y, v, "yv")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
 

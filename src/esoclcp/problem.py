@@ -107,10 +107,6 @@ class ProblemSpec:
                 raise ProblemValidationError(f"r_perturb entry out of range: {entry}")
             _check_entry_common(entry, self.omega_dim)
 
-    @property
-    def m(self) -> int:
-        return self.dims.m
-
     def mean_omega(self) -> np.ndarray:
         """The mean of the random vector (constant across components)."""
         return np.full(self.omega_dim, self.distribution.mean)
@@ -175,10 +171,10 @@ def load_problem(text) -> ProblemSpec:
     _require_keys(doc, _TOP_KEYS, "problem")
 
     k, l = doc["k"], doc["l"]
-    if not isinstance(k, int) or isinstance(k, bool) or not isinstance(l, int) or isinstance(l, bool):
+    if not (_is_int(k) and _is_int(l)):
         raise ProblemParseError("k and l must be integers")
     omega_dim = doc["omega_dim"]
-    if not isinstance(omega_dim, int) or isinstance(omega_dim, bool):
+    if not _is_int(omega_dim):
         raise ProblemParseError("omega_dim must be an integer")
     t_entries = _entries(doc, "T_perturb", _T_ENTRY_KEYS)
     r_entries = _entries(doc, "r_perturb", _R_ENTRY_KEYS)
@@ -237,13 +233,13 @@ def _entries(doc: dict, name: str, keys: set[str]) -> tuple[PerturbEntry, ...]:
 
 
 def _as_index(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ProblemParseError(f"{where} must be an integer, got {value!r}")
     return value
 
 
 def _as_number(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if type(value) not in (int, float):  # a JSON number; bool is a subclass of int
         raise ProblemParseError(f"{where} must be a number, got {value!r}")
     return float(value)
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConePoint
-
 
 @dataclass(eq=False)
 class MixPoint:
@@ -57,9 +55,9 @@ class MixPoint:
         return p
 
 
-def recover_lcp_point(p: MixPoint) -> ConePoint:
-    """Map (x_m, u, t) back to the cone variables (x_m + t e, u)."""
-    return ConePoint(p.x_m + p.t, p.u.copy())
+def recover_lcp_point(p: MixPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Map (x_m, u, t) back to the cone variables (x, u) = (x_m + t e, u)."""
+    return p.x_m + p.t, p.u.copy()
 
 
 def init_from_lcp(x, u) -> MixPoint:

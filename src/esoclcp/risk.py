@@ -33,9 +33,11 @@ from enum import Enum
 
 import numpy as np
 
+from .cone import _as_vector
+
 _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
 
-# the largest smoothing parameter accepted: CHKS and auto-scaling IP square
+# the largest smoothing parameter accepted: chks and asip square
 # mu, and theta_star brackets a Theta about mu / sqrt(alpha) above the losses,
 # whose square overflows from mu ~ 1e153 on
 MU_MAX = 1e100
@@ -48,11 +50,11 @@ MU_MIN = 1e-100
 
 
 class SmoothingKind(Enum):
-    """Which C^1 approximation of the plus function to use."""
+    """Which C^1 approximation of the plus function to use; the values are the CLI's --smoothing tokens."""
 
-    NEURAL_NETWORK = "neural_network"
-    INTERIOR_POINT = "interior_point"
-    AUTO_SCALING_IP = "auto_scaling_ip"
+    NEURAL_NETWORK = "nn"
+    INTERIOR_POINT = "ip"
+    AUTO_SCALING_IP = "asip"
     CHKS = "chks"
 
 
@@ -82,8 +84,8 @@ def _check_mu(mu: float, positive: bool) -> float:
 
 
 def _width(mu: float, kind: SmoothingKind) -> float | None:
-    # c in the root r = sqrt(t^2 + c) that every kind but neural_network is
-    # built on; None for neural_network, whose p' is the logistic
+    # c in the root r = sqrt(t^2 + c) that every kind but nn is built on;
+    # None for nn, whose p' is the logistic
     if kind is SmoothingKind.NEURAL_NETWORK:
         return None
     return 4.0 * mu if kind is SmoothingKind.INTERIOR_POINT else 4.0 * mu * mu
@@ -94,12 +96,12 @@ def smooth_plus(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
 
     kind selects among
 
-        neural_network   t + mu log(1 + exp(-t / mu))
-        interior_point   (t + sqrt(t^2 + 4 mu)) / 2
-        auto_scaling_ip  (t + sqrt(t^2 + 4 mu^2)) / 2 + mu
-        chks             (t + sqrt(t^2 + 4 mu^2)) / 2
+        nn (NEURAL_NETWORK)     t + mu log(1 + exp(-t / mu))
+        ip (INTERIOR_POINT)     (t + sqrt(t^2 + 4 mu)) / 2
+        asip (AUTO_SCALING_IP)  (t + sqrt(t^2 + 4 mu^2)) / 2 + mu
+        chks (CHKS)             (t + sqrt(t^2 + 4 mu^2)) / 2
 
-    At mu = 0 every kind returns [t]_+ (the neural-network form by its limit).
+    At mu = 0 every kind returns [t]_+ (nn by its limit).
     """
     mu = _check_mu(mu, positive=False)
     kind = SmoothingKind(kind)
@@ -137,8 +139,8 @@ def smooth_plus_deriv2(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
     """Exact second derivative of smooth_plus in t; requires mu > 0.
 
     Closed forms, all positive: sigma (1 - sigma) / mu with
-    sigma = 1 / (1 + exp(-t / mu)) for neural_network, and c / (2 r^3) with
-    r = sqrt(t^2 + c) for the others, c = 4 mu (interior_point) or 4 mu^2.
+    sigma = 1 / (1 + exp(-t / mu)) for nn, and c / (2 r^3) with
+    r = sqrt(t^2 + c) for the others, c = 4 mu (ip) or 4 mu^2.
     Written so rather than as the equal (1 - (t / r)^2) / (2 r), whose t / r
     rounds to +-1, and so the whole to 0, once |t| >> mu.
     """
@@ -153,15 +155,6 @@ def smooth_plus_deriv2(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
         r2 = t * t + c
         out = 0.5 * c / (r2 * np.sqrt(r2))
     return out if out.ndim else float(out)
-
-
-def _check_losses(losses) -> np.ndarray:
-    out = np.asarray(losses, dtype=float)
-    if out.ndim != 1 or out.size < 1:
-        raise ValueError(f"losses must be a nonempty 1-d vector, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("losses must be finite")
-    return out
 
 
 def _check_alpha(alpha: float) -> float:
@@ -209,7 +202,7 @@ def var_empirical(losses, alpha: float) -> float:
     The minimum is the ceil((1 - alpha) N)-th order statistic, the same
     quantile cvar_empirical starts from, so CVaR >= VaR by construction.
     """
-    return _tail_quantile(_check_losses(losses), _check_alpha(alpha))[0]
+    return _tail_quantile(_as_vector(losses, "losses"), _check_alpha(alpha))[0]
 
 
 def cvar_empirical(losses, alpha: float) -> float:
@@ -218,7 +211,7 @@ def cvar_empirical(losses, alpha: float) -> float:
     With q the ceil((1 - alpha) N)-th order statistic,
     CVaR = q + (alpha N)^{-1} sum_i [theta_i - q]_+ .
     """
-    return _tail_cvar(_check_losses(losses), _check_alpha(alpha))
+    return _tail_cvar(_as_vector(losses, "losses"), _check_alpha(alpha))
 
 
 def theta_star(
@@ -235,7 +228,7 @@ def theta_star(
     The root lies near the ceil((1 - alpha) N)-th order statistic (the
     empirical VaR), so the search starts there and brackets the root between
     it and its neighbour on the side h's sign points to, padded by the
-    smoothing width (2 mu; 2 sqrt(mu) for interior_point); an end of the wrong
+    smoothing width (2 mu; 2 sqrt(mu) for ip); an end of the wrong
     sign is pushed out geometrically, so the result never depends on that
     guess.  Newton's method then runs inside the bracket, bisecting whenever
     a step would leave it or shrink it too slowly (the safeguard of
@@ -250,7 +243,7 @@ def theta_star(
     tail has also checked the losses (a nonempty 1-d float array, all
     finite), so they are not checked again.
     """
-    losses = _check_losses(losses) if tail is None else losses
+    losses = _as_vector(losses, "losses") if tail is None else losses
     alpha = _check_alpha(alpha)
     mu = _check_mu(mu, positive=True)
     kind = SmoothingKind(kind)

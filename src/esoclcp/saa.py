@@ -130,8 +130,6 @@ def ndtri(y) -> np.ndarray:
 
 def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> np.ndarray:
     """Draw an (N, omega_dim) array of iid normals; deterministic in the seed."""
-    if dist.kind != "iid_normal":
-        raise ValueError(f"unsupported distribution kind {dist.kind!r}")
     if not (_is_int(N) and N >= 1):
         raise ValueError(f"N must be an integer >= 1, got {N!r}")
     if not (_is_int(omega_dim) and omega_dim >= 1):

@@ -32,7 +32,8 @@ import numpy as np
 from .cone import _is_int
 from .problem import ProblemSpec, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
 from .reformulate import MixPoint, recover_lcp_point
-from .risk import MU_MAX, MU_MIN, SmoothingKind, _tail_cvar, _tail_quantile, _tail_rank, smooth_plus, smooth_plus_deriv
+from .risk import MU_MAX, MU_MIN, SmoothingKind, _check_alpha, _tail_cvar, _tail_quantile, _tail_rank
+from .risk import smooth_plus, smooth_plus_deriv
 from .risk import theta_star  # by name: perfbench/spans.py wraps esoclcp.solver.theta_star
 from .saa import RayBound, SampleEvaluator, draw_samples
 
@@ -80,8 +81,7 @@ class SolverConfig:
     smoothing: SmoothingKind = SmoothingKind.CHKS
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         # math.inf > 0, so each bound is checked for finiteness too
         for name in ("mu", "lm_nu", "tol_r", "eps"):
             value = getattr(self, name)
@@ -149,13 +149,12 @@ def stage_samples(spec: ProblemSpec, cfg: SolverConfig, j: int) -> np.ndarray:
 
 def _lm_from_means(a_bar: np.ndarray, f_bar: np.ndarray, damping: np.ndarray) -> np.ndarray:
     # damped Gauss-Newton direction from the sample-mean Jacobian and residual,
-    # with damping = lm_nu I (a stage builds it once); non-finite means are
-    # refused before the products, which would warn
-    if not (np.isfinite(a_bar).all() and np.isfinite(f_bar).all()):
-        raise np.linalg.LinAlgError("mean Jacobian or residual is not finite")
-    # lm_nu > 0 makes the gram SPD wherever it is finite, so one LU solve
-    # needs no SPD test; overflow in the products ends in the step check
-    d = np.linalg.solve(a_bar.T @ a_bar + damping, -(a_bar.T @ f_bar))
+    # with damping = lm_nu I (a stage builds it once).  lm_nu > 0 makes the
+    # gram SPD wherever it is finite, so one LU solve needs no SPD test; a
+    # non-finite mean, or overflow in the products, ends silently in the
+    # step check
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.solve(a_bar.T @ a_bar + damping, -(a_bar.T @ f_bar))
     if not np.isfinite(d).all():
         raise np.linalg.LinAlgError("damped normal equations produced non-finite step")
     return d
@@ -485,12 +484,15 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
         stage = _StageProblem(ev, cfg)
         t0 = time.perf_counter()
         iters = 0
-        termination = "k_max"
-        # a merit that overflows at the start makes every step nan: one error, no warnings
+        where = f"stage {j} (N = {ev.N})"
+        # a merit or gradient that overflows at the start makes every step
+        # nan: one error, no warnings; the loop's first grad reuses this one
         with np.errstate(over="ignore", invalid="ignore"):
             cur = stage.eval_point(z)
-        if not math.isfinite(cur.value):
-            raise ValueError(f"stage {j} (N = {ev.N}): the merit overflows at the start point, objective {cur.value}")
+            if not math.isfinite(cur.value):
+                raise ValueError(f"{where}: the merit overflows at the start point, objective {cur.value}")
+            if not np.isfinite(stage.grad(cur)).all():
+                raise ValueError(f"{where}: the merit's gradient overflows at the start point")
         while True:
             grad = stage.grad(cur)
             gnorm = float(np.maximum.reduce(np.abs(grad)))
@@ -503,13 +505,16 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
             d = stage.direction(cur, grad)
             nxt = stage.search(cur, d, float(grad @ d))
             iters += 1
-            if (nxt.z == z).all():
+            if not math.isfinite(nxt.value):
+                # wolfe_search saw no finite decrease and fell back to its
+                # last trial, where the merit, and so the next slope, is not finite
+                raise ValueError(f"{where}: the merit overflows at the step of iteration {iters}")
+            cur = nxt
+            if (cur.z == z).all():
                 # the accepted step moved z by less than one ulp, so every
                 # remaining iteration would replay this one exactly
                 termination = "stalled"
-                cur = nxt
                 break
-            cur = nxt
             z = cur.z
         wall = time.perf_counter() - t0
 
@@ -520,10 +525,10 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
         if not math.isfinite(theta):
             raise ValueError("Theta must be finite")
         point = MixPoint.from_vector(z, spec.dims.k, spec.dims.l)
-        pt = recover_lcp_point(point)
-        f_mean, loss = ev.f_values(pt.x, pt.u, mean_omega), aloc(ev, pt.x, pt.u)
+        x, u = recover_lcp_point(point)
+        f_mean, loss = ev.f_values(x, u, mean_omega), aloc(ev, x, u)
         result = StageResult(
-            j, ev.N, point, theta, pt.x, pt.u, f_mean, loss, gnorm, iters, termination, wall,
+            j, ev.N, point, theta, x, u, f_mean, loss, gnorm, iters, termination, wall,
             stage.trials, stage.screened
         )
         results.append(result)

@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from esoclcp.cli import CONFIG_FLAGS, SMOOTHING_NAMES, main
+from esoclcp.cli import CONFIG_FLAGS, main
 from esoclcp.problem import builtin_example, load_problem, serialize_problem
+from esoclcp.risk import SmoothingKind
 from esoclcp.solver import MODES, SolverConfig, solve
 
 from conftest import case_iv_instance
@@ -144,8 +145,12 @@ def test_solve_flag_defaults_are_the_solver_config_defaults(capsys):
     assert exc.value.code == 0
     options = " ".join(capsys.readouterr().out.split("options:")[1].split())
     shown = {"mode": defaults.mode, "smoothing": "chks"}
-    assert SMOOTHING_NAMES["chks"] is defaults.smoothing
+    assert SmoothingKind("chks") is defaults.smoothing
+    assert SolverConfig(smoothing="nn").smoothing is SmoothingKind.NEURAL_NETWORK
     assert "--mode {" + ",".join(MODES) + "}" in options
+    # --smoothing's choices are exactly the SmoothingKind values
+    choices = re.search(r"--smoothing \{([^}]*)\}", options).group(1).split(",")
+    assert choices == ["asip", "chks", "ip", "nn"] == sorted(kind.value for kind in SmoothingKind)
     for flag, name, _, _ in CONFIG_FLAGS:
         value = getattr(defaults, name)
         shown[flag[2:]] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
@@ -177,7 +182,7 @@ def test_each_solve_flag_sets_its_solver_config_field(monkeypatch, capsys):
         "--c2": ("c2", "0.5", 0.5),
         "--kmax": ("k_max", "7", 7),
         "--mode": ("mode", "erm", "erm"),
-        "--smoothing": ("smoothing", "nn", SMOOTHING_NAMES["nn"]),
+        "--smoothing": ("smoothing", "nn", SmoothingKind("nn")),
     }
     assert {flag for flag, *_ in CONFIG_FLAGS} < set(flags)
     rc, _, _ = run(capsys, ["solve", "--builtin"] + [a for flag, (_, text, _) in flags.items() for a in (flag, text)])
@@ -319,18 +324,37 @@ def test_solve_refuses_a_mu_too_small_for_theta_star(capsys, mu, message):
 @pytest.mark.parametrize("mode", MODES)
 def test_solve_names_the_stage_whose_start_point_overflows(tmp_path, capsys, mode):
     # r_base[0] = 1e200 squares to inf in the merit: every mode used to print
-    # RuntimeWarnings and then end on a nan slope or nan tail weights
-    doc = json.loads(serialize_problem(builtin_example()))
-    doc["r_base"][0] = 1e200
+    # RuntimeWarnings and then end on a nan slope or nan tail weights.  At
+    # 1e150 the merit is finite in modes erm and ev, but no step from the start
+    # is (the same warnings, then a nan slope).  With T_base scaled by 3e152
+    # (erm) or 5e152 (ev) the merit is finite and its gradient is not (a
+    # warning, then "mix point must be finite").  In mode cvar theta_star
+    # overflows on such losses, so the merit reads nan.
+    stage = f"error: stage 1 (N = {1 if mode == 'ev' else 10}): "
+    theta_star_nan = stage + "the merit overflows at the start point, objective nan"
+    cases = [
+        ("r_base", 1e200, stage + "the merit overflows at the start point, objective inf"),
+        ("r_base", 1e150, theta_star_nan if mode == "cvar" else stage + "the merit overflows at the step of iteration 1"),
+        (
+            "T_base",
+            5e152 if mode == "ev" else 3e152,
+            theta_star_nan if mode == "cvar" else stage + "the merit's gradient overflows at the start point",
+        ),
+    ]
     path = tmp_path / "prob.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
     argv = ["solve", "--problem", str(path), "--schedule", "10,100", "--kmax", "5", "--mode", mode]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc, out, err = run(capsys, argv)
-    n = 1 if mode == "ev" else 10
-    assert (rc, out) == (1, "")
-    assert err.splitlines() == [f"error: stage 1 (N = {n}): the merit overflows at the start point, objective inf"]
+    for name, value, message in cases:
+        doc = json.loads(serialize_problem(builtin_example()))
+        if name == "r_base":
+            doc["r_base"][0] = value
+        else:
+            doc["T_base"] = [[value * v for v in row] for row in doc["T_base"]]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, ""), (name, value)
+        assert err.splitlines() == [message], (name, value)
 
 
 @pytest.mark.parametrize(

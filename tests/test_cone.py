@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from esoclcp.cone import ConeDims, ConePoint, classify_complementarity, in_L, in_M
+from esoclcp.cone import ConeDims, classify_complementarity, in_L, in_M
 from esoclcp.problem import DistributionSpec, ProblemSpec
 
 D32 = ConeDims(3, 2)
@@ -38,30 +38,36 @@ def test_dimensions_accept_numpy_integers():
 
 
 def test_in_L_examples():
-    assert in_L(D32, ConePoint([1, 1, 1], [0, 0]), tol=0.0)
-    assert in_L(D32, ConePoint([1, 2, 3], [1, 0]), tol=0.0)
-    assert not in_L(D32, ConePoint([0.5, 2, 3], [1, 0]), tol=0.0)
+    assert in_L(D32, [1, 1, 1], [0, 0], tol=0.0)
+    assert in_L(D32, [1, 2, 3], [1, 0], tol=0.0)
+    assert not in_L(D32, [0.5, 2, 3], [1, 0], tol=0.0)
 
 
 def test_in_M_examples():
-    assert in_M(D32, ConePoint([1, 0, 0], [0.5, 0.5]), tol=0.0)
-    assert not in_M(D32, ConePoint([1, 0, 0], [1, 1]), tol=0.0)
-    assert not in_M(D32, ConePoint([-0.1, 2, 0], [0, 0]), tol=0.0)
+    assert in_M(D32, [1, 0, 0], [0.5, 0.5], tol=0.0)
+    assert not in_M(D32, [1, 0, 0], [1, 1], tol=0.0)
+    assert not in_M(D32, [-0.1, 2, 0], [0, 0], tol=0.0)
 
 
 def test_in_L_zero_u_is_orthant_test():
     rng = np.random.default_rng(7)
     for _ in range(200):
         x = rng.normal(size=3)
-        p = ConePoint(x, np.zeros(2))
-        assert in_L(D32, p, tol=0.0) == bool(np.min(x) >= 0.0)
+        assert in_L(D32, x, np.zeros(2), tol=0.0) == bool(np.min(x) >= 0.0)
 
 
 def test_membership_dimension_mismatch():
-    with pytest.raises(ValueError):
-        in_L(D32, ConePoint([1, 1], [0, 0]))
-    with pytest.raises(ValueError):
-        in_M(D32, ConePoint([1, 1, 1], [0, 0, 0]))
+    bad = [
+        ([1, 1], [0, 0], "x has length 2, expected k=3"),
+        ([1, 1, 1], [0, 0, 0], "u has length 3, expected l=2"),
+        ([1, np.nan, 1], [0, 0], "x must be finite"),
+        ([1, 1, 1], [np.inf, 0], "u must be finite"),
+        ([[1, 1, 1]], [0, 0], r"x must be a nonempty 1-d vector, got shape \(1, 3\)"),
+    ]
+    for member in (in_L, in_M):
+        for x, u, message in bad:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                member(D32, x, u)
 
 
 def test_duality_pairing_nonnegative():
@@ -73,17 +79,15 @@ def test_duality_pairing_nonnegative():
         dims = ConeDims(k, l)
         u = rng.normal(size=l)
         x = np.linalg.norm(u) + rng.uniform(0, 2, size=k)
-        p = ConePoint(x, u)
-        assert in_L(dims, p)
+        assert in_L(dims, x, u)
 
         v = rng.normal(size=l)
         y = rng.uniform(0, 1, size=k)
         scale = np.linalg.norm(v) / max(np.sum(y), 1e-12)
         y = y * max(1.0, scale * 1.01) + 1e-9
-        q = ConePoint(y, v)
-        assert in_M(dims, q)
+        assert in_M(dims, y, v)
 
-        pairing = float(p.x @ q.x + p.u @ q.u)
+        pairing = float(x @ y + u @ v)
         assert pairing >= -1e-12, f"duality violated: {pairing}"
 
 

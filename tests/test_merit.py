@@ -265,8 +265,8 @@ def test_zero_merit_classifies_case_iv():
     spec, x, u, y, v = case_iv_instance()
     p = init_from_lcp(x, u)
     assert merit_theta(spec, np.zeros(1), p) <= 1e-10
-    back = recover_lcp_point(p)
-    F = f_eval(spec, np.zeros(1), back.x, back.u)
-    out = classify_complementarity(spec.dims, back.x, back.u, F[:3], F[3:], tol=1e-8)
+    x, u = recover_lcp_point(p)
+    F = f_eval(spec, np.zeros(1), x, u)
+    out = classify_complementarity(spec.dims, x, u, F[:3], F[3:], tol=1e-8)
     assert out.case == "IV"
     assert out.lam == pytest.approx(2.0, rel=1e-9)

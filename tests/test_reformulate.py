@@ -182,16 +182,16 @@ def test_recover_and_init_round_trip():
         u = rng.normal(size=3)
         p = init_from_lcp(x, u)
         assert p.t == pytest.approx(np.linalg.norm(u))
-        back = recover_lcp_point(p)
-        assert np.allclose(back.x, x, atol=1e-12)
-        assert np.array_equal(back.u, u)
+        back_x, back_u = recover_lcp_point(p)
+        assert np.allclose(back_x, x, atol=1e-12)
+        assert np.array_equal(back_u, u)
 
 
 def test_recover_examples():
-    back = recover_lcp_point(MixPoint(np.array([0.0, 2.0, 3.0]), np.array([1.0, 0.0]), 1.0))
-    assert np.array_equal(back.x, [1.0, 3.0, 4.0])
+    back_x, _ = recover_lcp_point(MixPoint(np.array([0.0, 2.0, 3.0]), np.array([1.0, 0.0]), 1.0))
+    assert np.array_equal(back_x, [1.0, 3.0, 4.0])
     p = MixPoint(np.array([4.0, -1.0]), np.array([0.5]), 0.0)
-    assert np.array_equal(recover_lcp_point(p).x, p.x_m)
+    assert np.array_equal(recover_lcp_point(p)[0], p.x_m)
 
 
 def test_init_from_lcp_zero_u():

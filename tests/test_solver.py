@@ -437,8 +437,8 @@ def test_stage_aloc_is_over_the_stage_sample():
     spec = builtin_example()
     cfg = SolverConfig(schedule=(5, 10), k_max=5)
     for stage in solve(spec, cfg):
-        pt = recover_lcp_point(stage.point)
-        assert stage.aloc == aloc(SampleEvaluator(spec, stage_samples(spec, cfg, stage.j)), pt.x, pt.u)
+        x, u = recover_lcp_point(stage.point)
+        assert stage.aloc == aloc(SampleEvaluator(spec, stage_samples(spec, cfg, stage.j)), x, u)
 
 
 @pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
@@ -459,8 +459,8 @@ def test_solve_builds_one_evaluator_per_stage(monkeypatch, mode):
     assert len(built) == len(stages) == (1 if mode == "ev" else 2)
     for ev, stage in zip(built, stages):
         assert ev.N == stage.N
-        pt = recover_lcp_point(stage.point)
-        assert stage.aloc == aloc(ev, pt.x, pt.u)
+        x, u = recover_lcp_point(stage.point)
+        assert stage.aloc == aloc(ev, x, u)
 
 
 def test_aloc_zero_at_exact_complementarity():

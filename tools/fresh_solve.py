@@ -24,18 +24,20 @@ over a subset (the draws of the mode-cvar tail bound) when given fewer
 columns.  An FB-row pass is one SampleEvaluator._fb_rows call that is not
 part of a residuals call: the FB rows of a mode erm or ev trial, formed
 over the whole sample to screen it; a trial they do not reject goes on to a
-whole-sample pass that forms the other rows (a tree older than that screen
-makes none).  A stage's list holds, in this order: its sample size,
-termination, inner iterations, whole-sample passes, subset passes, FB-row
-passes, line-search values asked for (StageResult.trials), how many of
-those a lower bound answered (StageResult.screened), its wall time in
-seconds (StageResult.wall_time), that time per inner iteration in
-microseconds (null for 0 iterations) and its theta_star calls (those
-through esoclcp.solver.theta_star, in the stage's search and in its
-reported Theta); trials and screened are null for a source tree older than
-those fields.  The stages are read off what `solve`
-returns: its list of StageResults, or the `stages` of the SolveReport an
-older tree returns.
+whole-sample pass that forms the other rows.  A stage's list holds, in this
+order: its sample size, termination, inner iterations, whole-sample passes,
+subset passes, FB-row passes, line-search values asked for
+(StageResult.trials), how many of those a lower bound answered
+(StageResult.screened), its wall time in seconds (StageResult.wall_time),
+that time per inner iteration in microseconds (null for 0 iterations), its
+theta_star calls (those through esoclcp.solver.theta_star, in the stage's
+search and in its reported Theta), and then the screened trials by the
+bound that answered them, in the order the line search tries them: the ray
+bound (saa.RayBound.screen), the FB rows (a float from
+_StageProblem._fill), the tail draws (_StageProblem._tail_screen) and the
+empirical CVaR (any other float from _StageProblem.eval_point).  The four
+sum to screened, which the tool checks.  The stages are read off the list
+of StageResults `solve` returns.
 
 With --repeat R, each seed runs R times, each run in its own new
 interpreter and printing its own line, and then one summary line per seed
@@ -67,17 +69,21 @@ import json, resource, sys, time
 t_import = time.perf_counter()
 import esoclcp.cli as cli
 import_s = time.perf_counter() - t_import
-from esoclcp.saa import SampleEvaluator
+from esoclcp.saa import RayBound, SampleEvaluator
 
-# [whole-sample, subset] residuals calls and _fb_rows calls outside them
-# per evaluator, and so per stage; the stages' line-search counts from the
-# report the CLI renders, where the tree has them
+# per evaluator, and so per stage: [whole-sample, subset] residuals calls,
+# _fb_rows calls outside them, theta_star calls, and the trials the ray
+# bound, the FB rows, the tail draws and the empirical CVaR answered; the
+# stages' line-search counts from the StageResults solve returns
 import esoclcp.solver as solver
 calls = []
 residuals = SampleEvaluator.residuals
 theta_star = solver.theta_star
-fb_rows = getattr(SampleEvaluator, "_fb_rows", None)
+fb_rows = SampleEvaluator._fb_rows
 init = SampleEvaluator.__init__
+screen = RayBound.screen
+stage_cls = solver._StageProblem
+fill, tail_screen, eval_point = stage_cls._fill, stage_cls._tail_screen, stage_cls.eval_point
 solve = cli.solve
 stages = []
 inside = []
@@ -99,31 +105,51 @@ def counted_theta_star(*args, **kwargs):
     calls[-1][3] += 1
     return theta_star(*args, **kwargs)
 
+def counted_screen(*args, **kwargs):
+    low = screen(*args, **kwargs)
+    calls[-1][4] += low is not None
+    return low
+
+def counted_fill(*args, **kwargs):
+    out = fill(*args, **kwargs)
+    calls[-1][5] += isinstance(out, float)
+    return out
+
+def counted_tail_screen(*args, **kwargs):
+    bound = tail_screen(*args, **kwargs)
+    calls[-1][6] += bound is not None
+    return bound
+
+def counted_eval_point(*args, **kwargs):
+    # a float that neither the FB rows nor the tail draws returned is the CVaR's
+    before = calls[-1][5] + calls[-1][6]
+    out = eval_point(*args, **kwargs)
+    calls[-1][7] += isinstance(out, float) and calls[-1][5] + calls[-1][6] == before
+    return out
+
 def new_stage(*args, **kwargs):
-    calls.append([0, 0, 0, 0])
+    calls.append([0] * 8)
     init(*args, **kwargs)
 
 def kept(*args, **kwargs):
     result = solve(*args, **kwargs)
-    # a list of StageResults, or an older tree's SolveReport holding them
-    stages.extend(
-        {k: getattr(r, k, None) for k in ("trials", "screened", "wall_time")} for r in getattr(result, "stages", result)
-    )
+    stages.extend({k: getattr(r, k) for k in ("trials", "screened", "wall_time")} for r in result)
     return result
 
 SampleEvaluator.residuals = counted
-if fb_rows is not None:
-    SampleEvaluator._fb_rows = counted_fb
+SampleEvaluator._fb_rows = counted_fb
 SampleEvaluator.__init__ = new_stage
+RayBound.screen = counted_screen
+stage_cls._fill, stage_cls._tail_screen, stage_cls.eval_point = counted_fill, counted_tail_screen, counted_eval_point
 solver.theta_star = counted_theta_star
 cli.solve = kept
 t0 = time.perf_counter()
 rc = cli.main(sys.argv[1:])
 solve_s = time.perf_counter() - t0
-# every stage's evaluator computes residuals; skip those that compute none,
-# such as the second evaluator per stage that older trees built for aloc
-for stage, n in zip(stages, [n for n in calls if n[0]]):
-    stage["full_passes"], stage["tail_passes"], stage["fb_passes"], stage["theta_star_calls"] = n
+# solve builds one evaluator per stage
+for stage, n in zip(stages, calls):
+    stage["full_passes"], stage["tail_passes"], stage["fb_passes"], stage["theta_star_calls"] = n[:4]
+    stage["answered"] = n[4:]
 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": solve_s, "peak_rss_mb": peak_rss_mb,
                   "full_passes": sum(n[0] for n in calls), "tail_passes": sum(n[1] for n in calls),
@@ -170,6 +196,7 @@ def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None
                 c["wall_time"],
                 1e6 * c["wall_time"] / s["inner_iters"] if s["inner_iters"] else None,
                 c["theta_star_calls"],
+                *_answered(c),
             ]
             for s, c in zip(report["stages"], child["stages"])
         ],
@@ -179,6 +206,13 @@ def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None
         "solve_s_per_full_pass": child["solve_s"] / max(child["full_passes"], 1),
         "src_lines": src_lines(src),
     }
+
+
+def _answered(stage: dict) -> list[int]:
+    """The trials the ray bound, the FB rows, the tail draws and the CVaR answered; they sum to screened."""
+    if sum(stage["answered"]) != stage["screened"]:
+        raise RuntimeError(f"screens answered {stage['answered']}, which do not sum to screened = {stage['screened']}")
+    return stage["answered"]
 
 
 def src_lines(src: str) -> int:

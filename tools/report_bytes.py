@@ -30,7 +30,9 @@ OUT/index.txt, for tools/report_diff.py.  The reports:
                                      1000,10000 --kmax 60 --seed 7`, A in
                                      0.2, 0.5 and 0.9: mode cvar's tail
                                      screen from 0.2 to 0.8, none at 0.9
-  check/<point>                      `check --builtin --point <point>`
+  check/<point>                      `check --builtin --point <point>` at
+                                     four points, which between them give
+                                     both answers of in_L and of in_M
 
 Every solve runs with --no-timing.  Run the script once per tree with the
 same seeds and diff the two outputs, or compare two dumps field by field
@@ -59,8 +61,9 @@ BUILTIN_SEEDS = (7, 42, 1234)
 SMOOTHING_KINDS = ("nn", "ip", "asip")
 # the tail levels solved once each at N = 1000 and 10000
 ALPHAS = ("0.2", "0.5", "0.9")
-# the README's point and two more; the nearest complementarity cases are II, I and IV
-CHECK_POINTS = ("1.5,0.3,1.1,0.1,-0.25", "1,2,3,0,0", "4,4,4,0.001,0")
+# the README's point and three more; the nearest complementarity cases are
+# II, I, IV and II, and only the last has in_L = False and in_M = True
+CHECK_POINTS = ("1.5,0.3,1.1,0.1,-0.25", "1,2,3,0,0", "4,4,4,0.001,0", "0.8,0,-2,1,-1.1")
 
 
 def reports(cli, workloads, seeds, workdir: str):
