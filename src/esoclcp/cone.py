@@ -58,7 +58,7 @@ class CompCase:
     residuals: dict[str, float] = field(default_factory=dict)
 
 
-def _as_vector(a, name: str) -> np.ndarray:
+def _check_vector(a, name: str) -> np.ndarray:
     out = np.asarray(a, dtype=float)
     if out.ndim != 1 or out.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d vector, got shape {out.shape}")
@@ -70,7 +70,7 @@ def _as_vector(a, name: str) -> np.ndarray:
 def _check_point(dims: ConeDims, x, u, names: str = "xu") -> tuple[np.ndarray, np.ndarray]:
     # x and u as finite, nonempty 1-d float arrays of lengths k and l; the
     # two letters of names name them in errors
-    x, u = _as_vector(x, names[0]), _as_vector(u, names[1])
+    x, u = _check_vector(x, names[0]), _check_vector(u, names[1])
     if x.shape != (dims.k,):
         raise ValueError(f"{names[0]} has length {x.shape[0]}, expected k={dims.k}")
     if u.shape != (dims.l,):

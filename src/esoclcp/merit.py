@@ -20,13 +20,11 @@ keeps the one-draw merit that diagnostics score a single point with.
 from __future__ import annotations
 
 from .problem import ProblemSpec, _check_omega
-from .reformulate import MixPoint
+from .reformulate import _check_mix
 from .saa import SampleEvaluator
 
 
-def merit_theta(spec: ProblemSpec, omega, p: MixPoint) -> float:
-    """theta = 0.5 ||R||^2 over all k + l + 1 residual components at one draw."""
-    k, l = spec.dims.k, spec.dims.l
-    if p.x_m.shape != (k,) or p.u.shape != (l,):
-        raise ValueError(f"x_m and u must have lengths {k} and {l}, got shapes {p.x_m.shape} and {p.u.shape}")
-    return float(SampleEvaluator(spec, _check_omega(spec, omega)[None, :]).thetas(p)[0])
+def merit_theta(spec: ProblemSpec, omega, z) -> float:
+    """theta = 0.5 ||R||^2 over all k + l + 1 residual components at one draw, z = (x_m, u, t)."""
+    z = _check_mix(z, spec.dims.k, spec.dims.l)
+    return float(SampleEvaluator(spec, _check_omega(spec, omega)[None, :]).thetas(z)[0])

@@ -97,15 +97,15 @@ class ProblemSpec:
         for entry in self.T_perturb:
             if entry.col is None:
                 raise ProblemValidationError("T_perturb entries need a column index")
+            _check_entry_common(entry, self.omega_dim)
             if not (0 <= entry.row < m and 0 <= entry.col < m):
                 raise ProblemValidationError(f"T_perturb entry out of range: {entry}")
-            _check_entry_common(entry, self.omega_dim)
         for entry in self.r_perturb:
             if entry.col is not None:
                 raise ProblemValidationError("r_perturb entries must not carry a column index")
+            _check_entry_common(entry, self.omega_dim)
             if not 0 <= entry.row < m:
                 raise ProblemValidationError(f"r_perturb entry out of range: {entry}")
-            _check_entry_common(entry, self.omega_dim)
 
     def mean_omega(self) -> np.ndarray:
         """The mean of the random vector (constant across components)."""
@@ -113,6 +113,8 @@ class ProblemSpec:
 
 
 def _check_entry_common(entry: PerturbEntry, omega_dim: int) -> None:
+    if not all(_is_int(i) for i in (entry.row, entry.omega_index, 0 if entry.col is None else entry.col)):
+        raise ProblemValidationError(f"perturbation indices must be integers: {entry}")
     if not np.isfinite(entry.coeff):
         raise ProblemValidationError(f"perturbation coefficient must be finite: {entry}")
     if not 0 <= entry.omega_index < omega_dim:

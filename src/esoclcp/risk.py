@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cone import _as_vector
+from .cone import _check_vector
 
 _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
 
@@ -202,7 +202,7 @@ def var_empirical(losses, alpha: float) -> float:
     The minimum is the ceil((1 - alpha) N)-th order statistic, the same
     quantile cvar_empirical starts from, so CVaR >= VaR by construction.
     """
-    return _tail_quantile(_as_vector(losses, "losses"), _check_alpha(alpha))[0]
+    return _tail_quantile(_check_vector(losses, "losses"), _check_alpha(alpha))[0]
 
 
 def cvar_empirical(losses, alpha: float) -> float:
@@ -211,7 +211,7 @@ def cvar_empirical(losses, alpha: float) -> float:
     With q the ceil((1 - alpha) N)-th order statistic,
     CVaR = q + (alpha N)^{-1} sum_i [theta_i - q]_+ .
     """
-    return _tail_cvar(_as_vector(losses, "losses"), _check_alpha(alpha))
+    return _tail_cvar(_check_vector(losses, "losses"), _check_alpha(alpha))
 
 
 def theta_star(
@@ -243,7 +243,7 @@ def theta_star(
     tail has also checked the losses (a nonempty 1-d float array, all
     finite), so they are not checked again.
     """
-    losses = _as_vector(losses, "losses") if tail is None else losses
+    losses = _check_vector(losses, "losses") if tail is None else losses
     alpha = _check_alpha(alpha)
     mu = _check_mu(mu, positive=True)
     kind = SmoothingKind(kind)

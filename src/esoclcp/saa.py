@@ -28,9 +28,8 @@ import math
 
 import numpy as np
 
-from .cone import _is_int
+from .cone import _check_point, _is_int
 from .problem import DistributionSpec, ProblemSpec, _check_omega, _check_omegas, realize_batch
-from .reformulate import MixPoint
 from .risk import smooth_plus, smooth_plus_deriv  # unused here; perfbench/spans.py traces both names in this module
 
 _MAX_SEED = 2**64 - 1
@@ -261,37 +260,33 @@ class SampleEvaluator:
         )
         return vars(self)[name]
 
-    def _g1_v(self, p: MixPoint, out: np.ndarray | None = None, W: np.ndarray | None = None) -> np.ndarray:
-        # one product over the draws: G1 = A x + B u + p, v = C x + D u + q,
-        # x = x_m + t e, as the rows of out, (k + l + 1, N): G1 in the first
-        # k, v in the next l, e^T G1 in the last.  W, some of self.W's
-        # columns, evaluates those draws alone, one column of out each
-        k, z1 = self.k, self._z1
-        z1[:k] = p.x_m
-        z1[k:-2] = p.u
-        z1[-2] = p.t
+    def _g1_v(self, z: np.ndarray, out: np.ndarray | None = None, W: np.ndarray | None = None) -> np.ndarray:
+        # one product over the draws at z = (x_m, u, t): G1 = A x + B u + p,
+        # v = C x + D u + q, x = x_m + t e, as the rows of out, (k + l + 1, N):
+        # G1 in the first k, v in the next l, e^T G1 in the last.  W, some of
+        # self.W's columns, evaluates those draws alone, one column of out each
+        z1 = self._z1
+        z1[:-1] = z
         coeffs = np.dot(self.K, z1, self._coeffs).reshape(self.dim, -1)
         return np.dot(coeffs, self.W if W is None else W, out)
 
     def f_values(self, x, u, omega=None) -> np.ndarray:
         """F(x, u, w) = T(w) (x; u) + r(w) over the sample, shape (k + l, N), or at the one draw omega, (k + l,).
 
-        The rows of _g1_v at (x_m, u, t) = (x, u, 0), a view of a fresh
-        array; omega is evaluated through the column (1, omega).
+        The rows of _g1_v at z = (x, u, 0), a view of a fresh array; omega
+        is evaluated through the column (1, omega).
         """
-        p = MixPoint(x, u, 0.0)
-        if p.x_m.shape != (self.k,) or p.u.shape != (self.l,):
-            raise ValueError(f"x and u must have lengths {self.k} and {self.l}, got {p.x_m.size} and {p.u.size}")
+        z = np.concatenate([*_check_point(self.spec.dims, x, u), [0.0]])
         if omega is None:
-            return self._g1_v(p)[:-1]
+            return self._g1_v(z)[:-1]
         w1 = np.concatenate(([1.0], _check_omega(self.spec, omega)))[:, None]
-        return self._g1_v(p, W=w1)[:-1, 0]
+        return self._g1_v(z, W=w1)[:-1, 0]
 
-    def _fb_rows(self, p: MixPoint, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _fb_rows(self, z: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         # the k Fischer-Burmeister rows sqrt(x_m^2 + G1^2) - x_m - G1 of the
         # residual into out[:k], which is returned; one column per column of f
         g1 = f[: self.k]
-        xm = p.x_m[:, None]
+        xm = z[: self.k, None]
         fb = out[: self.k]
         np.multiply(g1, g1, out=fb)
         fb += xm * xm
@@ -301,43 +296,44 @@ class SampleEvaluator:
         return fb
 
     def residuals(
-        self, p: MixPoint, f: np.ndarray | None = None, out: np.ndarray | None = None, head_only: bool = False
+        self, z: np.ndarray, f: np.ndarray | None = None, out: np.ndarray | None = None, head_only: bool = False
     ) -> np.ndarray:
-        """Stacked residuals, shape (k+l+1, N): out, filled, or a fresh array.
+        """Stacked residuals at z = (x_m, u, t), shape (k+l+1, N): out, filled, or a fresh array.
 
         The columns are those of f, when given.  head_only: out's first k
-        rows already hold the FB rows at p and f (_fb_rows), so only the
+        rows already hold the FB rows at z and f (_fb_rows), so only the
         head and norm rows are filled.
         """
         k, l = self.k, self.l
         m = k + l
+        u, t = z[k:m], float(z[m])
         if f is None:
-            f = self._g1_v(p)
+            f = self._g1_v(z)
         if out is None:
             out = np.empty((self.dim, self.N))
         if not head_only:
-            self._fb_rows(p, f, out)
+            self._fb_rows(z, f, out)
         # t (C x + D u + q) + u e^T (A x + B u + p) is [t I | u] times the rows (v, e^T G1)
-        head = np.multiply(self._eye, p.t, self._head)
-        head[:, l] = p.u
+        head = np.multiply(self._eye, t, self._head)
+        head[:, l] = u
         np.dot(head, f[k:], out[k:m])
-        out[m] = p.t * p.t - float(p.u @ p.u)
+        out[m] = t * t - float(u @ u)
         return out
 
-    def thetas(self, p: MixPoint, res: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-        """Merit losses 0.5 ||R_j||^2, shape (N,), from the residuals res at p."""
+    def thetas(self, z: np.ndarray, res: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """Merit losses 0.5 ||R_j||^2, shape (N,), from the residuals res at z."""
         if res is None:
-            res = self.residuals(p)
+            res = self.residuals(z)
         out = np.einsum("in,in->n", res, res, out=out)
         out *= 0.5
         return out
 
-    def _fb_coeffs(self, p: MixPoint, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _fb_coeffs(self, z: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         # the FB coefficients dpsi/da, dpsi/db at ((x_m)_i, (G1)_i) into out,
         # (2, k, N), which is returned, with (-1, -1) at the origin, where a
         # norm raised to the smallest normal float makes both ratios 0
         g1 = f[: self.k]
-        xm = p.x_m[:, None]
+        xm = z[: self.k, None]
         inv, db = out
         np.multiply(g1, g1, out=inv)
         inv += xm * xm
@@ -351,15 +347,16 @@ class SampleEvaluator:
         return out
 
     def weighted_merit_grad(
-        self, p: MixPoint, w: np.ndarray, res: np.ndarray, f: np.ndarray, fb: np.ndarray, work: np.ndarray
+        self, z: np.ndarray, w: np.ndarray, res: np.ndarray, f: np.ndarray, fb: np.ndarray, work: np.ndarray
     ) -> np.ndarray:
-        """(1/N) sum_j w_j J_j^T R_j as one vector, no (N, dim, dim) arrays.
+        """(1/N) sum_j w_j J_j^T R_j at z = (x_m, u, t) as one vector, no (N, dim, dim) arrays.
 
         w, shape (N,), weighs the draws; res, f and fb are the residuals,
-        the _g1_v array and the FB coefficients at p; work, (k + l, N), is
+        the _g1_v array and the FB coefficients at z; work, (k + l, N), is
         overwritten.
         """
         k, m = self.k, self.dim - 1
+        u, t = z[k:m], float(z[m])
         da, db = fb
         wfb, wh = work[:k], work[k:]
         np.multiply(res[:k], w, out=wfb)
@@ -367,30 +364,31 @@ class SampleEvaluator:
         wt_sum = float(w @ res[m])
         g = np.empty(self.dim)
         g[:k] = np.einsum("in,in->i", wfb, da)
-        g[k:m] = wh @ f[m] - 2.0 * p.u * wt_sum
+        g[k:m] = wh @ f[m] - 2.0 * u * wt_sum
         # x = x_m + t e, so the t component is the sum of the T-dependent x_m
         # components (K's t column, added below), plus v in the head block
         # and 2 t in the norm row
-        g[m] = float(np.vdot(f[k:m], wh)) + 2.0 * p.t * wt_sum
+        g[m] = float(np.vdot(f[k:m], wh)) + 2.0 * t * wt_sum
         # every T-dependent part of J_j^T R_j is T_j^T y_j: D_b-weighted FB
         # rows plus the u e^T A term in the x_m and u columns, t times the
         # head block in the C, D columns; sum_j T_j^T y_j = sum_o T_o^T (y W^T)_o,
         # which K's first m + 1 columns give in (x_m, u, t) components
         wfb *= db
-        wfb += p.u @ wh
-        wh *= p.t
+        wfb += u @ wh
+        wh *= t
         g += (work @ self._WT).reshape(-1) @ self._K_grad
         return g / self.N
 
     def mean_jacobian_residual(
-        self, p: MixPoint, res: np.ndarray, f: np.ndarray, fb: np.ndarray
+        self, z: np.ndarray, res: np.ndarray, f: np.ndarray, fb: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample means of the Jacobians and residuals, assembled blockwise.
+        """Sample means of the Jacobians and residuals at z, assembled blockwise.
 
         res, f and fb as for weighted_merit_grad.
         """
         k, n = self.k, self.N
         m = self.dim - 1
+        u, t = z[k:m], float(z[m])
         da, db = fb
         jbar = np.zeros((self.dim, self.dim))
         diag = jbar.ravel()[:: self.dim + 1]
@@ -398,14 +396,14 @@ class SampleEvaluator:
         # the head block t [C | D] + u e^T [A | B] + s1 [0 | I]; each mean is
         # np.mean's sum and division, without its wrapper
         jbar[:k, :m] = np.einsum("io,ioj->ij", db @ self._WT, self._K_fb) / n
-        jbar[k:m, :m] = p.t * self._T_head + p.u[:, None] * self._T_colsum
+        jbar[k:m, :m] = t * self._T_head + u[:, None] * self._T_colsum
         diag[k:m] += float(np.add.reduce(f[m])) / n
         # the t column: row sums of the x_m columns (see weighted_merit_grad)
         jbar[:m, m] = np.add.reduce(jbar[:m, :k], 1)
         jbar[k:m, m] += np.add.reduce(f[k:m], 1) / n
         diag[:k] += np.add.reduce(da, 1) / n
-        jbar[m, k:m] = -2.0 * p.u
-        jbar[m, m] = 2.0 * p.t
+        jbar[m, k:m] = -2.0 * u
+        jbar[m, m] = 2.0 * t
         return jbar, np.add.reduce(res, 1) / n
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cone import _is_int
 from .problem import ProblemSpec, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
-from .reformulate import MixPoint, recover_lcp_point
+from .reformulate import _check_mix, recover_lcp_point
 from .risk import MU_MAX, MU_MIN, SmoothingKind, _check_alpha, _tail_cvar, _tail_quantile, _tail_rank
 from .risk import smooth_plus, smooth_plus_deriv
 from .risk import theta_star  # by name: perfbench/spans.py wraps esoclcp.solver.theta_star
@@ -118,7 +118,7 @@ class StageResult:
 
     j: int
     N: int
-    point: MixPoint  # the stage's solution (x_m, u, t)
+    point: np.ndarray  # the stage's solution z = (x_m, u, t)
     theta: float  # the tail threshold Theta at point
     x: np.ndarray  # point recovered to the cone variables (x, u)
     u: np.ndarray
@@ -200,22 +200,21 @@ def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9, s_init: float = 1.0, m
     return best_s if best_s is not None else s
 
 
-def default_start(spec: ProblemSpec) -> MixPoint:
-    """x_m = 0, u = (0.1 / sqrt(l)) e, t = ||u||."""
+def default_start(spec: ProblemSpec) -> np.ndarray:
+    """z = (x_m, u, t) with x_m = 0, u = (0.1 / sqrt(l)) e, t = ||u||."""
     l = spec.dims.l
     u = np.full(l, 0.1 / np.sqrt(l))
-    return MixPoint(np.zeros(spec.dims.k), u, float(np.linalg.norm(u)))
+    return np.concatenate([np.zeros(spec.dims.k), u, [np.linalg.norm(u)]])
 
 
 class _PointEval:
     # one exact point of the inner loop: its value, and its gradient once
     # asked for; its per-draw data are in the stage's buffers while it is
     # held there; var is the empirical VaR of a cvar point with finite losses
-    __slots__ = ("z", "p", "theta", "value", "var", "_gvec")
+    __slots__ = ("z", "theta", "value", "var", "_gvec")
 
-    def __init__(self, z, p, theta, value, var=None):
+    def __init__(self, z, theta, value, var=None):
         self.z = z
-        self.p = p
         self.theta = theta
         self.value = value
         self.var = var
@@ -249,8 +248,6 @@ class _StageProblem:
     def __init__(self, ev: SampleEvaluator, cfg: SolverConfig):
         self.ev = ev
         self.cfg = cfg
-        self.k = ev.k
-        self.l = ev.l
         n = ev.N
         self._f = np.empty((ev.dim, n))
         self._res = np.empty((ev.dim, n))
@@ -278,9 +275,9 @@ class _StageProblem:
         self.screened = 0
 
     def _fill(
-        self, p: MixPoint, W: np.ndarray | None = None, bar: float | None = None, floor: float | None = None
+        self, z: np.ndarray, W: np.ndarray | None = None, bar: float | None = None, floor: float | None = None
     ) -> np.ndarray | float:
-        # G1 and v, the residuals and the losses at p, which are returned:
+        # G1 and v, the residuals and the losses at z, which are returned:
         # over the whole sample in the stage's buffers, or over the columns
         # of W in contiguous prefixes of them.  Given floor, the FB rows come
         # first, and half their mean square plus floor (search's step 2) is
@@ -291,15 +288,15 @@ class _StageProblem:
             n = W.shape[1]
             f, res = (b.reshape(-1)[: len(b) * n].reshape(len(b), n) for b in (f, res))
             thetas = thetas[:n]
-        ev._g1_v(p, f, W)
+        ev._g1_v(z, f, W)
         if floor is not None:
-            fb = ev._fb_rows(p, f, res)
+            fb = ev._fb_rows(z, f, res)
             # the terms are squares, so vdot's rounding is a tiny share of
             # the sum, far inside the margin floor already takes off
             bound = 0.5 * float(np.vdot(fb, fb)) / ev.N + floor
             if bound > bar and math.isfinite(bound):
                 return bound
-        return ev.thetas(p, ev.residuals(p, f, res, floor is not None), thetas)
+        return ev.thetas(z, ev.residuals(z, f, res, floor is not None), thetas)
 
     def _tail_draws(self, e: _PointEval) -> np.ndarray | None:
         # the columns of W of the draws whose losses at e exceed its VaR, at
@@ -313,23 +310,23 @@ class _StageProblem:
         margin = _SCREEN_RTOL * (abs(bar) + abs(bound) + cfg.mu) / cfg.alpha
         return math.isfinite(bound) and bound > bar + margin
 
-    def _tail_screen(self, p: MixPoint, bar: float, W: np.ndarray) -> float | None:
-        # the losses at p of the draws whose columns of W are given, summed
+    def _tail_screen(self, z: np.ndarray, bar: float, W: np.ndarray) -> float | None:
+        # the losses at z of the draws whose columns of W are given, summed
         # over alpha N, if that bound fails bar by the margin, else None
-        bound = float(np.add.reduce(self._fill(p, W))) / (self.cfg.alpha * self.ev.N)
+        bound = float(np.add.reduce(self._fill(z, W))) / (self.cfg.alpha * self.ev.N)
         return bound if self._rejects(bound, bar) else None
 
     def losses(self, e: _PointEval) -> np.ndarray:
         """The merit losses at e, in the stage's buffer."""
         if self._held is not e:
-            self._fill(e.p)
+            self._fill(e.z)
             self._held = e
         return self._thetas
 
     def _fb_at(self, e: _PointEval) -> np.ndarray:
         self.losses(e)
         if self._fb_of is not e:
-            self.ev._fb_coeffs(e.p, self._f, self._fb)
+            self.ev._fb_coeffs(e.z, self._f, self._fb)
             self._fb_of = e
         return self._fb
 
@@ -341,14 +338,14 @@ class _StageProblem:
         floor asks for the FB-row bound (search's step 2), tail_W for the
         tail draws' (step 3); mode cvar tries the empirical CVaR (step 4).
         """
-        p = MixPoint.from_vector(z, self.k, self.l)
+        z = _check_mix(z, self.ev.k, self.ev.l)
         cfg = self.cfg
         self._held = None
         if tail_W is not None:
-            bound = self._tail_screen(p, bar, tail_W)
+            bound = self._tail_screen(z, bar, tail_W)
             if bound is not None:
                 return bound
-        thetas = self._fill(p, bar=bar, floor=floor)
+        thetas = self._fill(z, bar=bar, floor=floor)
         if isinstance(thetas, float):
             return thetas
         var = None
@@ -370,7 +367,7 @@ class _StageProblem:
         else:
             theta = float("nan")
             value = float(np.add.reduce(thetas)) / thetas.size
-        self._held = _PointEval(z, p, theta, value, var=var)
+        self._held = _PointEval(z, theta, value, var=var)
         return self._held
 
     def search(self, cur: _PointEval, d: np.ndarray, slope: float) -> _PointEval:
@@ -441,15 +438,15 @@ class _StageProblem:
                         f"tail weights at Theta = {e.theta:g} sum to {total:g}, not alpha N = {target:g}: "
                         f"mu = {cfg.mu:g} is too small for theta_star to resolve Theta"
                     )
-                e._gvec = self.ev.weighted_merit_grad(e.p, w, self._res, self._f, fb, self._work) / cfg.alpha
+                e._gvec = self.ev.weighted_merit_grad(e.z, w, self._res, self._f, fb, self._work) / cfg.alpha
             else:
-                e._gvec = self.ev.weighted_merit_grad(e.p, self._unit, self._res, self._f, fb, self._work)
+                e._gvec = self.ev.weighted_merit_grad(e.z, self._unit, self._res, self._f, fb, self._work)
         return e._gvec
 
     def direction(self, e: _PointEval, grad: np.ndarray) -> np.ndarray:
         fb = self._fb_at(e)
         try:
-            a_bar, f_bar = self.ev.mean_jacobian_residual(e.p, self._res, self._f, fb)
+            a_bar, f_bar = self.ev.mean_jacobian_residual(e.z, self._res, self._f, fb)
             d = _lm_from_means(a_bar, f_bar, self._damping)
         except np.linalg.LinAlgError:
             return -grad
@@ -459,20 +456,29 @@ class _StageProblem:
         return d
 
 
-def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -> list[StageResult]:
+def _overflow(j: int, iters: int, stage: _StageProblem, cur: _PointEval) -> ValueError:
+    # the error that ends stage j at the point it accepted at iteration
+    # iters: the point's value is not finite or, if it is, its gradient
+    where = f"stage {j} (N = {stage.ev.N})"
+    at = f"the step of iteration {iters}" if iters else "the start point"
+    if math.isfinite(cur.value):
+        return ValueError(f"{where}: the merit's gradient overflows at {at}")
+    if cur.var is not None and not math.isfinite(cur.theta):  # on finite losses
+        top = float(np.maximum.reduce(stage.losses(cur)))
+        return ValueError(f"{where}: theta_star overflows at {at}, where the largest loss is {top:g}")
+    return ValueError(f"{where}: the merit overflows at {at}, objective {cur.value}")
+
+
+def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]:
     """Run the staged solve and return each stage's result.
 
     Stages run over the sample schedule (a single mean-draw stage in mode
-    ev), warm-starting each stage at the previous stage's solution.  The
-    solve ends early when consecutive stage solutions are closer than eps,
-    which is recorded as that stage's termination.
+    ev) from start, a vector z = (x_m, u, t), or default_start, each
+    warm-starting at the previous stage's solution.  The solve ends early
+    when consecutive stage solutions are closer than eps, which is recorded
+    as that stage's termination.
     """
-    if start is None:
-        z = default_start(spec).as_vector()
-    else:
-        if start.x_m.shape != (spec.dims.k,) or start.u.shape != (spec.dims.l,):
-            raise ValueError("start point does not match the problem dimensions")
-        z = start.as_vector()
+    z = default_start(spec) if start is None else _check_mix(start, spec.dims.k, spec.dims.l).copy()
 
     results: list[StageResult] = []
     stage_count = 1 if cfg.mode == "ev" else len(cfg.schedule)
@@ -484,38 +490,33 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
         stage = _StageProblem(ev, cfg)
         t0 = time.perf_counter()
         iters = 0
-        where = f"stage {j} (N = {ev.N})"
-        # a merit or gradient that overflows at the start makes every step
-        # nan: one error, no warnings; the loop's first grad reuses this one
+        # a merit or gradient that overflows makes every later step nan, and
+        # the trials that overflow are only rejected: the loop runs without
+        # warnings and each point it accepts is checked once, at the top
         with np.errstate(over="ignore", invalid="ignore"):
             cur = stage.eval_point(z)
-            if not math.isfinite(cur.value):
-                raise ValueError(f"{where}: the merit overflows at the start point, objective {cur.value}")
-            if not np.isfinite(stage.grad(cur)).all():
-                raise ValueError(f"{where}: the merit's gradient overflows at the start point")
-        while True:
-            grad = stage.grad(cur)
-            gnorm = float(np.maximum.reduce(np.abs(grad)))
-            if gnorm <= cfg.tol_r:
-                termination = "grad_tol"
-                break
-            if iters >= cfg.k_max:
-                termination = "k_max"
-                break
-            d = stage.direction(cur, grad)
-            nxt = stage.search(cur, d, float(grad @ d))
-            iters += 1
-            if not math.isfinite(nxt.value):
-                # wolfe_search saw no finite decrease and fell back to its
-                # last trial, where the merit, and so the next slope, is not finite
-                raise ValueError(f"{where}: the merit overflows at the step of iteration {iters}")
-            cur = nxt
-            if (cur.z == z).all():
-                # the accepted step moved z by less than one ulp, so every
-                # remaining iteration would replay this one exactly
-                termination = "stalled"
-                break
-            z = cur.z
+            while True:
+                if not math.isfinite(cur.value):
+                    raise _overflow(j, iters, stage, cur)
+                grad = stage.grad(cur)
+                gnorm = float(np.maximum.reduce(np.abs(grad)))  # nan or inf where grad is
+                if not math.isfinite(gnorm):
+                    raise _overflow(j, iters, stage, cur)
+                if gnorm <= cfg.tol_r:
+                    termination = "grad_tol"
+                    break
+                if iters >= cfg.k_max:
+                    termination = "k_max"
+                    break
+                d = stage.direction(cur, grad)
+                cur = stage.search(cur, d, float(grad @ d))
+                iters += 1
+                if (cur.z == z).all():
+                    # the accepted step moved z by less than one ulp, so every
+                    # remaining iteration would replay this one exactly
+                    termination = "stalled"
+                    break
+                z = cur.z
         wall = time.perf_counter() - t0
 
         if cfg.mode == "cvar":
@@ -524,11 +525,10 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start: MixPoint | None = None) -
             theta = float(theta_star(stage.losses(cur), cfg.alpha, cfg.mu, cfg.smoothing))
         if not math.isfinite(theta):
             raise ValueError("Theta must be finite")
-        point = MixPoint.from_vector(z, spec.dims.k, spec.dims.l)
-        x, u = recover_lcp_point(point)
+        x, u = recover_lcp_point(spec.dims, z)
         f_mean, loss = ev.f_values(x, u, mean_omega), aloc(ev, x, u)
         result = StageResult(
-            j, ev.N, point, theta, x, u, f_mean, loss, gnorm, iters, termination, wall,
+            j, ev.N, z, theta, x, u, f_mean, loss, gnorm, iters, termination, wall,
             stage.trials, stage.screened
         )
         results.append(result)

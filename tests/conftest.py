@@ -51,15 +51,15 @@ def one_draw(spec, omega):
     return SampleEvaluator(spec, np.asarray(omega, dtype=float)[None, :])
 
 
-def tail_objective(ev, p, theta, alpha, mu):
+def tail_objective(ev, z, theta, alpha, mu):
     """Nhat(z, Theta) = Theta + (alpha N)^{-1} sum_j [theta_j - Theta]_mu over ev's sample (CHKS)."""
-    return theta + float(np.mean(smooth_plus(ev.thetas(p) - theta, mu))) / alpha
+    return theta + float(np.mean(smooth_plus(ev.thetas(z) - theta, mu))) / alpha
 
 
-def tail_gradient(ev, p, theta, alpha, mu):
+def tail_gradient(ev, z, theta, alpha, mu):
     """Gradient of tail_objective in (x_m, u, t, Theta), its spatial part from weighted_merit_grad."""
-    w = smooth_plus_deriv(ev.thetas(p) - theta, mu)
-    return np.append(merit_grad(ev, p, w) / alpha, 1.0 - float(np.mean(w)) / alpha)
+    w = smooth_plus_deriv(ev.thetas(z) - theta, mu)
+    return np.append(merit_grad(ev, z, w) / alpha, 1.0 - float(np.mean(w)) / alpha)
 
 
 def case_iv_instance(rng=None):

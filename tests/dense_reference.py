@@ -20,12 +20,13 @@ def f_eval(spec, omega, x, u):
     return T[0] @ np.concatenate([x, u]) + r[0]
 
 
-def jacobians(ev, p):
-    """Residual Jacobians at p over the evaluator's sample, shape (N, k+l+1, k+l+1)."""
+def jacobians(ev, z):
+    """Residual Jacobians at z = (x_m, u, t) over the evaluator's sample, shape (N, k+l+1, k+l+1)."""
     k, l, n = ev.k, ev.l, ev.N
-    f = ev._g1_v(p)
+    u, t = z[k : k + l], z[k + l]
+    f = ev._g1_v(z)
     g1, v = f[:k].T, f[k:-1].T
-    da, db = (a.T for a in ev._fb_coeffs(p, f, np.empty((2, k, n))))
+    da, db = (a.T for a in ev._fb_coeffs(z, f, np.empty((2, k, n))))
     T, _ = realize_batch(ev.spec, ev.W[1:].T)
     # T(w_j) stored sample-last, as the evaluator's flat blocks are, which
     # fixes the order (and so the rounding) of the sums below
@@ -41,38 +42,38 @@ def jacobians(ev, p):
     out[:, :k, k + l] = db * A.sum(axis=2)
 
     # equality rows: head block then the norm row
-    out[:, k : k + l, :k] = p.t * C + p.u[None, :, None] * A.sum(axis=1)[:, None, :]
+    out[:, k : k + l, :k] = t * C + u[None, :, None] * A.sum(axis=1)[:, None, :]
     s1 = g1.sum(axis=1)
     idx_l = np.arange(l)
     out[:, k + idx_l, k + idx_l] = s1[:, None]
-    out[:, k : k + l, k : k + l] += p.u[None, :, None] * B.sum(axis=1)[:, None, :] + p.t * D
-    out[:, k : k + l, k + l] = v + p.t * C.sum(axis=2) + np.outer(A.sum(axis=(1, 2)), p.u)
+    out[:, k : k + l, k : k + l] += u[None, :, None] * B.sum(axis=1)[:, None, :] + t * D
+    out[:, k : k + l, k + l] = v + t * C.sum(axis=2) + np.outer(A.sum(axis=(1, 2)), u)
     out[:, k + l, :k] = 0.0
-    out[:, k + l, k : k + l] = -2.0 * p.u
-    out[:, k + l, k + l] = 2.0 * p.t
+    out[:, k + l, k : k + l] = -2.0 * u
+    out[:, k + l, k + l] = 2.0 * t
     return out
 
 
-def merit_grads(ev, p):
-    """Per-draw merit gradients J_j^T R_j at p, shape (N, k+l+1)."""
-    return np.einsum("nij,in->nj", jacobians(ev, p), ev.residuals(p))
+def merit_grads(ev, z):
+    """Per-draw merit gradients J_j^T R_j at z, shape (N, k+l+1)."""
+    return np.einsum("nij,in->nj", jacobians(ev, z), ev.residuals(z))
 
 
-def kernel_inputs(ev, p):
-    """(res, f, fb) at p: the residuals, the _g1_v rows and the FB coefficients, in fresh arrays."""
-    f = ev._g1_v(p)
-    return ev.residuals(p, f), f, ev._fb_coeffs(p, f, np.empty((2, ev.k, ev.N)))
+def kernel_inputs(ev, z):
+    """(res, f, fb) at z: the residuals, the _g1_v rows and the FB coefficients, in fresh arrays."""
+    f = ev._g1_v(z)
+    return ev.residuals(z, f), f, ev._fb_coeffs(z, f, np.empty((2, ev.k, ev.N)))
 
 
-def merit_grad(ev, p, w):
-    """ev.weighted_merit_grad at p over kernel_inputs, w a scalar or one weight per draw."""
+def merit_grad(ev, z, w):
+    """ev.weighted_merit_grad at z over kernel_inputs, w a scalar or one weight per draw."""
     w = np.broadcast_to(np.asarray(w, dtype=float), (ev.N,))
-    return ev.weighted_merit_grad(p, w, *kernel_inputs(ev, p), np.empty((ev.dim - 1, ev.N)))
+    return ev.weighted_merit_grad(z, w, *kernel_inputs(ev, z), np.empty((ev.dim - 1, ev.N)))
 
 
-def mean_jacobian(ev, p):
-    """ev.mean_jacobian_residual at p over kernel_inputs: the mean Jacobian and residual."""
-    return ev.mean_jacobian_residual(p, *kernel_inputs(ev, p))
+def mean_jacobian(ev, z):
+    """ev.mean_jacobian_residual at z over kernel_inputs: the mean Jacobian and residual."""
+    return ev.mean_jacobian_residual(z, *kernel_inputs(ev, z))
 
 
 def aloc_dense(spec, draws, x, u):

@@ -14,7 +14,7 @@ import pytest
 from esoclcp.cone import classify_complementarity
 from esoclcp.merit import merit_theta
 from esoclcp.problem import builtin_example
-from esoclcp.reformulate import MixPoint, init_from_lcp
+from esoclcp.reformulate import init_from_lcp
 from esoclcp.risk import (
     SmoothingKind,
     cvar_empirical,
@@ -80,9 +80,8 @@ def test_02_crafted_case_iv_solve():
     # mean draw from a start within 0.1 of the solution
     spec, x, u, _, _ = case_iv_instance()
     rng = np.random.default_rng(12)
-    exact = init_from_lcp(x, u).as_vector()
-    z0 = exact + rng.uniform(-0.02, 0.02, size=exact.size)
-    start = MixPoint.from_vector(z0, 3, 2)
+    exact = init_from_lcp(x, u)
+    start = exact + rng.uniform(-0.02, 0.02, size=exact.size)
     t0 = time.perf_counter()
     final = solve(spec, SolverConfig(mode="ev", tol_r=1e-8), start)[-1]
     wall = time.perf_counter() - t0
@@ -115,10 +114,10 @@ def test_03_gradient_exactness():
         k = int(rng.integers(1, 4))
         l = int(rng.integers(1, 4))
         spec = random_spec(rng, k=k, l=l, omega_dim=2)
-        p = MixPoint(rng.normal(size=k), rng.normal(size=l), float(rng.uniform(0.2, 2.0)))
+        z = np.r_[rng.normal(size=k), rng.normal(size=l), rng.uniform(0.2, 2.0)]
         # the complementarity rows are nonsmooth only where both arguments
         # vanish; the first argument is x_m, so keeping it off zero suffices
-        if float(np.min(np.abs(p.x_m))) < 1e-2:
+        if float(np.min(np.abs(z[:k]))) < 1e-2:
             continue
         s = draw_samples(spec.distribution, 2, int(rng.integers(3, 9)), int(rng.integers(10**6)))
         alpha = float(rng.uniform(0.1, 0.9))
@@ -127,10 +126,10 @@ def test_03_gradient_exactness():
         ev = SampleEvaluator(spec, s)
 
         def fval(v):
-            return tail_objective(ev, MixPoint.from_vector(v[:-1], k, l), float(v[-1]), alpha, mu)
+            return tail_objective(ev, v[:-1], float(v[-1]), alpha, mu)
 
-        v = np.concatenate([p.as_vector(), [theta0]])
-        grad = tail_gradient(ev, p, theta0, alpha, mu)
+        v = np.append(z, theta0)
+        grad = tail_gradient(ev, z, theta0, alpha, mu)
         step = 1e-6
         fd = np.empty_like(v)
         for i in range(v.size):
@@ -140,12 +139,11 @@ def test_03_gradient_exactness():
         worst_grad = max(worst_grad, float(np.max(np.abs(grad - fd) / (1.0 + np.abs(grad)))))
 
         first = SampleEvaluator(spec, s[:1])
-        jac = jacobians(first, p)[0]
+        jac = jacobians(first, z)[0]
 
         def gval(v):
-            return first.residuals(MixPoint.from_vector(v, k, l))[:, 0]
+            return first.residuals(v)[:, 0]
 
-        z = p.as_vector()
         fdj = np.empty((k + l + 1, k + l + 1))
         for i in range(z.size):
             e = np.zeros_like(z)

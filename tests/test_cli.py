@@ -323,24 +323,40 @@ def test_solve_refuses_a_mu_too_small_for_theta_star(capsys, mu, message):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_solve_names_the_stage_whose_start_point_overflows(tmp_path, capsys, mode):
-    # r_base[0] = 1e200 squares to inf in the merit: every mode used to print
-    # RuntimeWarnings and then end on a nan slope or nan tail weights.  At
-    # 1e150 the merit is finite in modes erm and ev, but no step from the start
-    # is (the same warnings, then a nan slope).  With T_base scaled by 3e152
-    # (erm) or 5e152 (ev) the merit is finite and its gradient is not (a
-    # warning, then "mix point must be finite").  In mode cvar theta_star
-    # overflows on such losses, so the merit reads nan.
+    # each input ends on one error line, with no warning, naming the stage
+    # and the first point that overflows.  r_base[0] = 1e200 squares to inf
+    # in the merit at the start.  At 1e150 the merit is finite in modes erm
+    # and ev but no step from the start is, and at 1e100 the second step is
+    # not; the line-search trials that overflow on the way used to print
+    # RuntimeWarnings.  T_base scaled by 3e152 overflows the gradient at the
+    # start in mode erm and the first step in mode ev (at 5e152, ev's
+    # gradient at the start).  In mode cvar the losses of the 1e150, 1e100
+    # and T_base inputs are finite and theta_star overflows on them (it
+    # used to read as "the merit overflows ..., objective nan"), so the
+    # error names it and the largest loss.
     stage = f"error: stage 1 (N = {1 if mode == 'ev' else 10}): "
-    theta_star_nan = stage + "the merit overflows at the start point, objective nan"
-    cases = [
-        ("r_base", 1e200, stage + "the merit overflows at the start point, objective inf"),
-        ("r_base", 1e150, theta_star_nan if mode == "cvar" else stage + "the merit overflows at the step of iteration 1"),
-        (
-            "T_base",
-            5e152 if mode == "ev" else 3e152,
-            theta_star_nan if mode == "cvar" else stage + "the merit's gradient overflows at the start point",
-        ),
-    ]
+    start = stage + "the merit overflows at the start point, objective inf"
+    step = stage + "the merit overflows at the step of iteration "
+    gradient = stage + "the merit's gradient overflows at the start point"
+    top = stage + "theta_star overflows at the start point, where the largest loss is "
+    cases = [("r_base", 1e200, start)] + {
+        "cvar": [
+            ("r_base", 1e150, top + "5e+297"),
+            ("r_base", 1e100, top + "5e+197"),
+            ("T_base", 3e152, top + "1.34256e+307"),
+        ],
+        "erm": [
+            ("r_base", 1e150, step + "1, objective inf"),
+            ("r_base", 1e100, step + "2, objective nan"),
+            ("T_base", 3e152, gradient),
+        ],
+        "ev": [
+            ("r_base", 1e150, step + "1, objective inf"),
+            ("r_base", 1e100, step + "2, objective nan"),
+            ("T_base", 3e152, step + "1, objective nan"),
+            ("T_base", 5e152, gradient),
+        ],
+    }[mode]
     path = tmp_path / "prob.json"
     argv = ["solve", "--problem", str(path), "--schedule", "10,100", "--kmax", "5", "--mode", mode]
     for name, value, message in cases:

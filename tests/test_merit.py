@@ -11,22 +11,22 @@ import pytest
 from esoclcp.cone import ConeDims, classify_complementarity
 from esoclcp.problem import DistributionSpec, ProblemSpec
 from esoclcp.merit import merit_theta
-from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
+from esoclcp.reformulate import init_from_lcp, recover_lcp_point
 
 from conftest import case_iv_instance, one_draw, random_spec
 from dense_reference import f_eval, jacobians, merit_grads
 
 
-def _residual(spec, omega, p):
-    return one_draw(spec, omega).residuals(p)[:, 0]
+def _residual(spec, omega, z):
+    return one_draw(spec, omega).residuals(z)[:, 0]
 
 
-def _jacobian(spec, omega, p):
-    return jacobians(one_draw(spec, omega), p)[0]
+def _jacobian(spec, omega, z):
+    return jacobians(one_draw(spec, omega), z)[0]
 
 
-def _merit_grad(spec, omega, p):
-    return merit_grads(one_draw(spec, omega), p)[0]
+def _merit_grad(spec, omega, z):
+    return merit_grads(one_draw(spec, omega), z)[0]
 
 
 def _fb_row(a, b):
@@ -43,8 +43,8 @@ def _fb_row(a, b):
         r_perturb=(),
         distribution=DistributionSpec("iid_normal", 0.0, 1.0),
     )
-    p = MixPoint(np.array([a]), np.zeros(1), 0.0)
-    return _residual(spec, np.zeros(1), p)[0], _jacobian(spec, np.zeros(1), p)[0, :2]
+    z = np.array([a, 0.0, 0.0])
+    return _residual(spec, np.zeros(1), z)[0], _jacobian(spec, np.zeros(1), z)[0, :2]
 
 
 def _fb_psi(a, b):
@@ -94,8 +94,8 @@ def test_fb_grad_matches_finite_differences():
 
 def test_residual_zero_at_case_iv_solution():
     spec, x, u, _, _ = case_iv_instance()
-    p = init_from_lcp(x, u)
-    out = _residual(spec, np.zeros(1), p)
+    z = init_from_lcp(x, u)
+    out = _residual(spec, np.zeros(1), z)
     assert out.shape == (6,)
     assert np.max(np.abs(out)) <= 1e-10
 
@@ -110,8 +110,7 @@ def test_residual_zero_point_zero_data():
         r_perturb=(),
         distribution=DistributionSpec("iid_normal", 0.0, 1.0),
     )
-    p = MixPoint(np.zeros(3), np.zeros(2), 0.0)
-    assert np.array_equal(_residual(spec, np.zeros(1), p), np.zeros(6))
+    assert np.array_equal(_residual(spec, np.zeros(1), np.zeros(6)), np.zeros(6))
 
 
 def test_merit_theta_is_half_squared_residual():
@@ -119,9 +118,9 @@ def test_merit_theta_is_half_squared_residual():
     for _ in range(50):
         spec = random_spec(rng)
         w = rng.normal(size=spec.omega_dim)
-        p = MixPoint(rng.normal(size=3), rng.normal(size=2), float(rng.normal()))
-        r = _residual(spec, w, p)
-        theta = merit_theta(spec, w, p)
+        z = np.r_[rng.normal(size=3), rng.normal(size=2), rng.normal()]
+        r = _residual(spec, w, z)
+        theta = merit_theta(spec, w, z)
         assert theta >= 0.0
         assert theta == pytest.approx(0.5 * float(r @ r), rel=1e-12)
 
@@ -131,17 +130,17 @@ def test_merit_grad_is_jacobian_transpose_residual():
     for _ in range(50):
         spec = random_spec(rng)
         w = rng.normal(size=spec.omega_dim)
-        p = MixPoint(rng.normal(size=3), rng.normal(size=2), float(rng.normal()))
-        g = _merit_grad(spec, w, p)
-        A = _jacobian(spec, w, p)
-        r = _residual(spec, w, p)
+        z = np.r_[rng.normal(size=3), rng.normal(size=2), rng.normal()]
+        g = _merit_grad(spec, w, z)
+        A = _jacobian(spec, w, z)
+        r = _residual(spec, w, z)
         assert np.allclose(g, A.T @ r, atol=1e-13, rtol=1e-13)
 
 
 def test_merit_grad_zero_at_zero_residual():
     spec, x, u, _, _ = case_iv_instance()
-    p = init_from_lcp(x, u)
-    g = _merit_grad(spec, np.zeros(1), p)
+    z = init_from_lcp(x, u)
+    g = _merit_grad(spec, np.zeros(1), z)
     assert np.max(np.abs(g)) <= 1e-9
 
 
@@ -164,17 +163,12 @@ def test_residual_jacobian_matches_finite_differences():
         spec = random_spec(rng, k=k, l=l)
         w = rng.normal(size=spec.omega_dim)
         z0 = rng.normal(size=k + l + 1)
-        p0 = MixPoint(z0[:k], z0[k : k + l], float(z0[k + l]))
         # keep clear of the FB kinks so central differences are valid
-        f1 = one_draw(spec, w)._g1_v(p0)[:k, 0]
+        f1 = one_draw(spec, w)._g1_v(z0)[:k, 0]
         if np.any(np.abs(z0[:k]) + np.abs(f1) <= 1e-3):
             continue
-        A = _jacobian(spec, w, p0)
-        J = _fd_vector(
-            lambda z: _residual(spec, w, MixPoint(z[:k], z[k : k + l], float(z[k + l]))),
-            z0,
-            k + l + 1,
-        )
+        A = _jacobian(spec, w, z0)
+        J = _fd_vector(lambda z: _residual(spec, w, z), z0, k + l + 1)
         scale = 1 + np.max(np.abs(J))
         assert np.max(np.abs(A - J)) <= 1e-5 * scale
         checked += 1
@@ -187,20 +181,16 @@ def test_merit_grad_matches_finite_differences():
         spec = random_spec(rng)
         w = rng.normal(size=spec.omega_dim)
         z0 = rng.normal(size=6)
-        p0 = MixPoint(z0[:3], z0[3:5], float(z0[5]))
-        if np.any(np.abs(z0[:3]) + np.abs(one_draw(spec, w)._g1_v(p0)[:3, 0]) <= 1e-3):
+        if np.any(np.abs(z0[:3]) + np.abs(one_draw(spec, w)._g1_v(z0)[:3, 0]) <= 1e-3):
             continue
-        g = _merit_grad(spec, w, p0)
+        g = _merit_grad(spec, w, z0)
         step = 1e-6
         fd = np.zeros(6)
         for i in range(6):
             zp, zm = z0.copy(), z0.copy()
             zp[i] += step
             zm[i] -= step
-            fd[i] = (
-                merit_theta(spec, w, MixPoint(zp[:3], zp[3:5], float(zp[5])))
-                - merit_theta(spec, w, MixPoint(zm[:3], zm[3:5], float(zm[5])))
-            ) / (2 * step)
+            fd[i] = (merit_theta(spec, w, zp) - merit_theta(spec, w, zm)) / (2 * step)
         scale = 1 + np.max(np.abs(fd))
         assert np.max(np.abs(g - fd)) <= 1e-5 * scale
         checked += 1
@@ -217,8 +207,7 @@ def test_residual_jacobian_finite_at_fb_kink():
         r_perturb=(),
         distribution=DistributionSpec("iid_normal", 0.0, 1.0),
     )
-    p = MixPoint(np.zeros(2), np.zeros(1), 0.0)
-    A = _jacobian(spec, np.zeros(1), p)
+    A = _jacobian(spec, np.zeros(1), np.zeros(4))
     assert np.all(np.isfinite(A))
     assert np.allclose(np.diag(A)[:2], -1.0)
 
@@ -235,8 +224,7 @@ def test_residual_jacobian_hand_case():
         r_perturb=(),
         distribution=DistributionSpec("iid_normal", 0.0, 1.0),
     )
-    p = MixPoint(np.array([1.0]), np.zeros(1), 0.0)
-    A = _jacobian(spec, np.zeros(1), p)
+    A = _jacobian(spec, np.zeros(1), np.array([1.0, 0.0, 0.0]))
     assert A[0, 0] == 0.0
 
 
@@ -247,15 +235,14 @@ def test_merit_squared_is_differentiable_across_kink():
     w = np.zeros(2)
     # a point with x_m_1 = F1_1 = 0 cannot be built for generic data, so test
     # shrinking displacements around a random kink-adjacent point instead
-    base = MixPoint(np.zeros(3), np.zeros(2), 0.0)
+    base = np.zeros(6)
     g = _merit_grad(spec, w, base)
     f0 = merit_theta(spec, w, base)
     d = rng.normal(size=6)
     d /= np.linalg.norm(d)
     errs = []
     for h in (1e-2, 1e-3, 1e-4, 1e-5):
-        z = h * d
-        f1 = merit_theta(spec, w, MixPoint(z[:3], z[3:5], float(z[5])))
+        f1 = merit_theta(spec, w, h * d)
         errs.append(abs(f1 - f0 - h * float(g @ d)) / h)
     assert errs[-1] <= 1e-3 * (1 + abs(f0))
     assert errs[-1] <= errs[0] + 1e-12
@@ -263,9 +250,9 @@ def test_merit_squared_is_differentiable_across_kink():
 
 def test_zero_merit_classifies_case_iv():
     spec, x, u, y, v = case_iv_instance()
-    p = init_from_lcp(x, u)
-    assert merit_theta(spec, np.zeros(1), p) <= 1e-10
-    x, u = recover_lcp_point(p)
+    z = init_from_lcp(x, u)
+    assert merit_theta(spec, np.zeros(1), z) <= 1e-10
+    x, u = recover_lcp_point(spec.dims, z)
     F = f_eval(spec, np.zeros(1), x, u)
     out = classify_complementarity(spec.dims, x, u, F[:3], F[3:], tol=1e-8)
     assert out.case == "IV"

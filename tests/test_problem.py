@@ -5,6 +5,7 @@ F is read through SampleEvaluator.f_values, at one draw or over a sample.
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +128,23 @@ def test_f_eval_is_linear_in_point():
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize(
+    "x, u, message",
+    [
+        (np.zeros(2), np.zeros(2), "x has length 2, expected k=3"),
+        (np.zeros(3), np.zeros(3), "u has length 3, expected l=2"),
+        (np.r_[0.0, np.nan, 0.0], np.zeros(2), "x must be finite"),
+        (np.zeros(3), np.r_[np.inf, 0.0], "u must be finite"),
+    ],
+)
+def test_f_eval_refuses_a_point_of_the_wrong_length_or_not_finite(x, u, message):
+    spec = builtin_example()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _f_at(spec, np.zeros(3), x, u)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SampleEvaluator(spec, np.zeros((2, 3))).f_values(x, u)
+
+
 def test_serialize_round_trip():
     spec = builtin_example()
     text = serialize_problem(spec)
@@ -145,6 +163,24 @@ def test_load_rejects_out_of_range_omega_index():
     text = serialize_problem(spec).replace('"omega": 2', '"omega": 3')
     with pytest.raises(ProblemValidationError):
         load_problem(text)
+
+
+@pytest.mark.parametrize(
+    "field, index, bad",
+    [
+        (field, index, bad)
+        for field, index in (("T_perturb", "row"), ("T_perturb", "col"), ("T_perturb", "omega_index"),
+                             ("r_perturb", "row"), ("r_perturb", "omega_index"))
+        for bad in (True, 1.0, 0.5)
+    ],
+)
+def test_spec_refuses_perturbation_indices_that_are_not_integers(field, index, bad):
+    # a bool used to pass as index 1, and a float to fail later, in
+    # SampleEvaluator, with an IndexError; load_problem refuses both as it parses
+    spec = builtin_example()
+    entry = replace(getattr(spec, field)[0], **{index: bad})
+    with pytest.raises(ProblemValidationError, match="perturbation indices must be integers"):
+        replace(spec, **{field: (entry,)})
 
 
 def test_load_rejects_wrong_T_shape():

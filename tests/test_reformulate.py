@@ -10,7 +10,7 @@ import pytest
 from esoclcp.cone import ConeDims
 from esoclcp.problem import DistributionSpec, ProblemSpec, builtin_example
 from esoclcp.merit import merit_theta
-from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
+from esoclcp.reformulate import _check_mix, init_from_lcp, recover_lcp_point
 
 from conftest import case_iv_instance, one_draw, random_spec
 from dense_reference import f_eval, jacobians
@@ -28,19 +28,19 @@ def _plain_spec(k, l, T, r):
     )
 
 
-def _g1(spec, omega, p):
+def _g1(spec, omega, z):
     """G1 = A(w) (x_m + t e) + B(w) u + p(w) at one draw."""
-    return one_draw(spec, omega)._g1_v(p)[: spec.dims.k, 0]
+    return one_draw(spec, omega)._g1_v(z)[: spec.dims.k, 0]
 
 
-def _g2(spec, omega, p):
+def _g2(spec, omega, z):
     """G2 at one draw: the equality rows of the residual, last one t^2 - ||u||^2."""
-    return one_draw(spec, omega).residuals(p)[spec.dims.k :, 0]
+    return one_draw(spec, omega).residuals(z)[spec.dims.k :, 0]
 
 
-def _jacobian(spec, omega, p):
+def _jacobian(spec, omega, z):
     """Residual Jacobian at one draw; rows k.. are the Jacobian of G2."""
-    return jacobians(one_draw(spec, omega), p)[0]
+    return jacobians(one_draw(spec, omega), z)[0]
 
 
 def test_f1_identity_A():
@@ -48,8 +48,8 @@ def test_f1_identity_A():
     T = np.zeros((5, 5))
     T[:3, :3] = np.eye(3)
     spec = _plain_spec(3, 2, T, np.zeros(5))
-    p = MixPoint(np.zeros(3), np.array([0.7, -0.2]), 1.0)
-    assert np.allclose(_g1(spec, np.zeros(1), p), np.ones(3))
+    z = np.r_[np.zeros(3), 0.7, -0.2, 1.0]
+    assert np.allclose(_g1(spec, np.zeros(1), z), np.ones(3))
 
 
 def test_f1_matches_F_eval_rows():
@@ -59,22 +59,22 @@ def test_f1_matches_F_eval_rows():
         w = rng.normal(size=spec.omega_dim)
         x = rng.normal(size=3)
         u = rng.normal(size=2)
-        p = init_from_lcp(x, u)
-        lhs = _g1(spec, w, p)
+        z = init_from_lcp(x, u)
+        lhs = _g1(spec, w, z)
         rhs = f_eval(spec, w, x, u)[:3]
         assert np.allclose(lhs, rhs, atol=1e-12, rtol=1e-12)
 
 
 def test_f1_zero_point_gives_p():
     spec = builtin_example()
-    p = MixPoint(np.zeros(3), np.zeros(2), 0.0)
-    assert np.array_equal(_g1(spec, np.zeros(3), p), [-26.0, 4.0, 23.0])
+    z = np.zeros(6)
+    assert np.array_equal(_g1(spec, np.zeros(3), z), [-26.0, 4.0, 23.0])
 
 
 def test_f2_all_terms_vanish():
     spec = _plain_spec(3, 2, np.zeros((5, 5)), np.zeros(5))
-    p = MixPoint(np.array([1.0, -2.0, 3.0]), np.array([3.0, 4.0]), 5.0)
-    assert np.allclose(_g2(spec, np.zeros(1), p), np.zeros(3))
+    z = np.array([1.0, -2.0, 3.0, 3.0, 4.0, 5.0])
+    assert np.allclose(_g2(spec, np.zeros(1), z), np.zeros(3))
 
 
 def test_f2_zero_u_and_t():
@@ -82,14 +82,14 @@ def test_f2_zero_u_and_t():
     for _ in range(20):
         spec = random_spec(rng)
         w = rng.normal(size=spec.omega_dim)
-        p = MixPoint(rng.normal(size=3), np.zeros(2), 0.0)
-        assert np.allclose(_g2(spec, w, p), np.zeros(3), atol=1e-14)
+        z = np.r_[rng.normal(size=3), np.zeros(2), 0.0]
+        assert np.allclose(_g2(spec, w, z), np.zeros(3), atol=1e-14)
 
 
 def test_f2_zero_at_case_iv_solution():
     spec, x, u, _, _ = case_iv_instance()
-    p = init_from_lcp(x, u)
-    out = _g2(spec, np.zeros(1), p)
+    z = init_from_lcp(x, u)
+    out = _g2(spec, np.zeros(1), z)
     assert np.max(np.abs(out)) <= 1e-10
 
 
@@ -104,10 +104,10 @@ def test_f2_head_identity_at_t_norm_u():
         u = rng.normal(size=2)
         if np.linalg.norm(u) < 1e-3:
             continue
-        p = init_from_lcp(x, u)
+        z = init_from_lcp(x, u)
         F = f_eval(spec, w, x, u)
-        expect = p.t * F[3:] + p.u * np.sum(F[:3])
-        got = _g2(spec, w, p)[:2]
+        expect = z[-1] * F[3:] + z[3:5] * np.sum(F[:3])
+        got = _g2(spec, w, z)[:2]
         scale = 1 + np.max(np.abs(expect))
         assert np.max(np.abs(got - expect)) <= 1e-10 * scale
 
@@ -116,8 +116,7 @@ def test_jacobian_zero_data():
     # every block of dG/d(x_m, u, t) vanishes, so the FB rows are the kink
     # convention's -I alone and the G2 rows are zero
     spec = _plain_spec(3, 2, np.zeros((5, 5)), np.zeros(5))
-    p = MixPoint(np.zeros(3), np.zeros(2), 0.0)
-    jac = _jacobian(spec, np.zeros(1), p)
+    jac = _jacobian(spec, np.zeros(1), np.zeros(6))
     assert np.allclose(jac[:3], np.hstack([-np.eye(3), np.zeros((3, 3))]))
     assert np.allclose(jac[3:], 0)
 
@@ -125,8 +124,8 @@ def test_jacobian_zero_data():
 def test_jacobian_bottom_row():
     rng = np.random.default_rng(21)
     spec = random_spec(rng)
-    p = MixPoint(rng.normal(size=3), np.array([1.0, 0.0]), 2.0)
-    jac = _jacobian(spec, np.zeros(2), p)
+    z = np.r_[rng.normal(size=3), 1.0, 0.0, 2.0]
+    jac = _jacobian(spec, np.zeros(2), z)
     assert np.allclose(jac[-1], [0.0, 0.0, 0.0, -2.0, 0.0, 4.0])
 
 
@@ -154,9 +153,9 @@ def test_jacobian_matches_finite_differences():
         ev = one_draw(spec, w)
 
         def res_of(z):
-            return ev.residuals(MixPoint(z[:k], z[k : k + l], float(z[k + l])))[:, 0]
+            return ev.residuals(z)[:, 0]
 
-        jac = jacobians(ev, MixPoint(z0[:k], z0[k : k + l], float(z0[k + l])))[0]
+        jac = jacobians(ev, z0)[0]
         J = _fd_jacobian(res_of, z0, k + l + 1)
         scale1 = 1 + np.max(np.abs(J[:k]))
         scale2 = 1 + np.max(np.abs(J[k:]))
@@ -170,42 +169,37 @@ def test_jacobian_upper_right_includes_q():
     q = np.array([3.0, -7.0])
     r = np.concatenate([np.zeros(3), q])
     spec = _plain_spec(3, 2, np.zeros((5, 5)), r)
-    p = MixPoint(np.zeros(3), np.zeros(2), 0.0)
-    jac = _jacobian(spec, np.zeros(1), p)
+    jac = _jacobian(spec, np.zeros(1), np.zeros(6))
     assert np.allclose(jac[3:5, -1], q)
 
 
 def test_recover_and_init_round_trip():
     rng = np.random.default_rng(77)
+    dims = ConeDims(4, 3)
     for _ in range(100):
         x = rng.normal(size=4)
         u = rng.normal(size=3)
-        p = init_from_lcp(x, u)
-        assert p.t == pytest.approx(np.linalg.norm(u))
-        back_x, back_u = recover_lcp_point(p)
+        z = init_from_lcp(x, u)
+        assert z[-1] == pytest.approx(np.linalg.norm(u))
+        back_x, back_u = recover_lcp_point(dims, z)
         assert np.allclose(back_x, x, atol=1e-12)
         assert np.array_equal(back_u, u)
 
 
 def test_recover_examples():
-    back_x, _ = recover_lcp_point(MixPoint(np.array([0.0, 2.0, 3.0]), np.array([1.0, 0.0]), 1.0))
+    back_x, _ = recover_lcp_point(ConeDims(3, 2), np.array([0.0, 2.0, 3.0, 1.0, 0.0, 1.0]))
     assert np.array_equal(back_x, [1.0, 3.0, 4.0])
-    p = MixPoint(np.array([4.0, -1.0]), np.array([0.5]), 0.0)
-    assert np.array_equal(recover_lcp_point(p)[0], p.x_m)
+    z = np.array([4.0, -1.0, 0.5, 0.0])
+    back_x, back_u = recover_lcp_point(ConeDims(2, 1), z)
+    assert np.array_equal(back_x, z[:2]) and np.array_equal(back_u, z[2:3])
+    back_u[0] = 7.0  # a copy, not a view of z
+    assert z[2] == 0.5
 
 
 def test_init_from_lcp_zero_u():
-    p = init_from_lcp(np.array([1.0, 2.0, 3.0]), np.zeros(2))
-    assert p.t == 0.0
-    assert np.array_equal(p.x_m, [1.0, 2.0, 3.0])
-
-
-def test_mix_point_vector_round_trip():
-    p = MixPoint(np.array([1.0, -2.0]), np.array([0.5]), 3.0)
-    z = p.as_vector()
-    assert np.array_equal(z, [1.0, -2.0, 0.5, 3.0])
-    q = MixPoint.from_vector(z, 2, 1)
-    assert np.array_equal(q.x_m, p.x_m) and np.array_equal(q.u, p.u) and q.t == p.t
+    z = init_from_lcp(np.array([1.0, 2.0, 3.0]), np.zeros(2))
+    assert z[-1] == 0.0
+    assert np.array_equal(z, [1.0, 2.0, 3.0, 0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -215,25 +209,26 @@ def test_mix_point_rejects_non_finite_entries(where, bad):
     z = np.array([1.0, -2.0, 0.5, 3.0])
     z[where] = bad
     with pytest.raises(ValueError, match="mix point must be finite"):
-        MixPoint(z[:2], z[2:3], z[3])
+        _check_mix(z, 2, 1)
     with pytest.raises(ValueError, match="mix point must be finite"):
-        MixPoint.from_vector(z, 2, 1)
+        recover_lcp_point(ConeDims(2, 1), z)
 
 
-def test_mix_point_from_vector_checks_the_length_and_coerces():
+def test_check_mix_checks_the_length_and_coerces():
     for z in (np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.zeros((1, 4))):
         with pytest.raises(ValueError, match="length 4"):
-            MixPoint.from_vector(z, 2, 1)
-    q = MixPoint.from_vector([1, -2, 0, 3], 2, 1)
-    assert q.x_m.dtype == q.u.dtype == np.float64 and type(q.t) is float
-    assert np.array_equal(q.as_vector(), [1.0, -2.0, 0.0, 3.0])
+            _check_mix(z, 2, 1)
+        with pytest.raises(ValueError, match="length 4"):
+            recover_lcp_point(ConeDims(2, 1), z)
+    q = _check_mix([1, -2, 0, 3], 2, 1)
+    assert q.dtype == np.float64 and np.array_equal(q, [1.0, -2.0, 0.0, 3.0])
 
 
 def test_dimension_mismatch_errors():
     spec = builtin_example()
-    with pytest.raises(ValueError, match="x_m and u"):
-        merit_theta(spec, np.zeros(3), MixPoint(np.zeros(2), np.zeros(2), 0.0))
-    with pytest.raises(ValueError, match="x_m and u"):
-        merit_theta(spec, np.zeros(3), MixPoint(np.zeros(3), np.zeros(3), 0.0))
+    with pytest.raises(ValueError, match="length 6"):
+        merit_theta(spec, np.zeros(3), np.zeros(5))
+    with pytest.raises(ValueError, match="length 6"):
+        merit_theta(spec, np.zeros(3), np.zeros(7))
     with pytest.raises(ValueError, match="omega"):
-        merit_theta(spec, np.zeros(2), MixPoint(np.zeros(3), np.zeros(2), 0.0))
+        merit_theta(spec, np.zeros(2), np.zeros(6))

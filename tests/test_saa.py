@@ -5,7 +5,7 @@ import pytest
 
 from esoclcp.cone import ConeDims
 from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec, realize_batch
-from esoclcp.reformulate import MixPoint, init_from_lcp
+from esoclcp.reformulate import init_from_lcp
 from esoclcp.risk import SmoothingKind, cvar_empirical, smooth_plus, smooth_plus_deriv, theta_star
 from esoclcp.saa import SampleEvaluator, draw_samples, ndtri
 from esoclcp.solver import SolverConfig, _StageProblem
@@ -18,7 +18,7 @@ DIST = DistributionSpec(kind="iid_normal", mean=0.0, std=1.0)
 
 def _random_point(rng, spec):
     k, l = spec.dims.k, spec.dims.l
-    return MixPoint(rng.normal(size=k), rng.normal(size=l) * 0.5, float(rng.normal()))
+    return np.r_[rng.normal(size=k), rng.normal(size=l) * 0.5, rng.normal()]
 
 
 def test_draw_samples_deterministic():
@@ -101,11 +101,11 @@ def test_objective_min_over_theta_is_cvar():
     rng = np.random.default_rng(71)
     spec = random_spec(rng)
     s = draw_samples(spec.distribution, spec.omega_dim, 40, 9)
-    p = _random_point(rng, spec)
+    z = _random_point(rng, spec)
     ev = SampleEvaluator(spec, s)
-    thetas = ev.thetas(p)
+    thetas = ev.thetas(z)
     for alpha in (0.05, 0.2, 0.5):
-        e = _StageProblem(ev, SolverConfig(alpha=alpha, mu=1e-9)).eval_point(p.as_vector())
+        e = _StageProblem(ev, SolverConfig(alpha=alpha, mu=1e-9)).eval_point(z)
         assert e.theta == theta_star(thetas, alpha, 1e-9)
         assert e.value == pytest.approx(cvar_empirical(thetas, alpha), abs=1e-6)
 
@@ -117,22 +117,21 @@ def test_gradient_matches_finite_differences():
     while checked < 25:
         spec = random_spec(rng)
         s = draw_samples(spec.distribution, spec.omega_dim, 6, int(rng.integers(1, 10**6)))
-        p = _random_point(rng, spec)
+        z = _random_point(rng, spec)
         # the complementarity rows are nonsmooth only where both arguments
         # vanish; the first argument is x_m, so keeping it off zero suffices
-        if float(np.min(np.abs(p.x_m))) < 1e-2:
+        if float(np.min(np.abs(z[: spec.dims.k]))) < 1e-2:
             continue
         ev = SampleEvaluator(spec, s)
         alpha = float(rng.uniform(0.1, 0.9))
         mu = float(rng.choice([1e-2, 1e-4]))
-        theta0 = float(np.quantile(ev.thetas(p), 0.7))
-        k, l = spec.dims.k, spec.dims.l
+        theta0 = float(np.quantile(ev.thetas(z), 0.7))
 
         def f(v):
-            return tail_objective(ev, MixPoint.from_vector(v[:-1], k, l), float(v[-1]), alpha, mu)
+            return tail_objective(ev, v[:-1], float(v[-1]), alpha, mu)
 
-        v = np.concatenate([p.x_m, p.u, [p.t], [theta0]])
-        grad = tail_gradient(ev, p, theta0, alpha, mu)
+        v = np.append(z, theta0)
+        grad = tail_gradient(ev, z, theta0, alpha, mu)
         step = 1e-6
         fd = np.empty_like(v)
         for i in range(v.size):
@@ -148,21 +147,21 @@ def test_gradient_theta_component_limits():
     rng = np.random.default_rng(83)
     spec = random_spec(rng)
     s = draw_samples(spec.distribution, spec.omega_dim, 10, 11)
-    p = _random_point(rng, spec)
+    z = _random_point(rng, spec)
     ev = SampleEvaluator(spec, s)
-    thetas = ev.thetas(p)
+    thetas = ev.thetas(z)
     alpha, mu = 0.2, 1e-6
-    hi = tail_gradient(ev, p, float(np.max(thetas)) + 1.0, alpha, mu)
-    lo = tail_gradient(ev, p, float(np.min(thetas)) - 1.0, alpha, mu)
+    hi = tail_gradient(ev, z, float(np.max(thetas)) + 1.0, alpha, mu)
+    lo = tail_gradient(ev, z, float(np.min(thetas)) - 1.0, alpha, mu)
     assert hi[-1] == pytest.approx(1.0, abs=1e-6)
     assert lo[-1] == pytest.approx(1.0 - 1.0 / alpha, abs=1e-6)
 
 
 def test_gradient_spatial_zero_at_exact_solution():
     spec, x, u, _, _ = case_iv_instance()
-    p = init_from_lcp(x, u)
+    z = init_from_lcp(x, u)
     s = draw_samples(spec.distribution, spec.omega_dim, 7, 13)
-    g = tail_gradient(SampleEvaluator(spec, s), p, -1.0, 0.5, 1e-4)
+    g = tail_gradient(SampleEvaluator(spec, s), z, -1.0, 0.5, 1e-4)
     assert np.max(np.abs(g[:-1])) < 1e-10
 
 
@@ -295,19 +294,16 @@ def test_evaluator_derivatives_match_central_differences():
     for _ in range(10):
         spec = random_spec(rng, k=int(rng.integers(1, 4)), l=int(rng.integers(1, 4)))
         s = draw_samples(spec.distribution, spec.omega_dim, 5, int(rng.integers(1, 10**6)))
-        p = _random_point(rng, spec)
+        z = _random_point(rng, spec)
         ev = SampleEvaluator(spec, s)
-        jac = jacobians(ev, p)
-        grads = merit_grads(ev, p)
-        z = p.as_vector()
-        k, l = spec.dims.k, spec.dims.l
+        jac = jacobians(ev, z)
+        grads = merit_grads(ev, z)
         fd_jac = np.empty_like(jac)
         fd_grad = np.empty_like(grads)
         for i in range(z.size):
             e = np.zeros_like(z)
             e[i] = step
-            hi = MixPoint.from_vector(z + e, k, l)
-            lo = MixPoint.from_vector(z - e, k, l)
+            hi, lo = z + e, z - e
             fd_jac[:, :, i] = (ev.residuals(hi) - ev.residuals(lo)).T / (2 * step)
             fd_grad[:, i] = (ev.thetas(hi) - ev.thetas(lo)) / (2 * step)
         assert np.max(np.abs(jac - fd_jac) / (1.0 + np.abs(jac))) <= 1e-5
@@ -318,11 +314,11 @@ def test_evaluator_mean_jacobian_residual():
     rng = np.random.default_rng(101)
     spec = random_spec(rng)
     s = draw_samples(spec.distribution, spec.omega_dim, 9, 21)
-    p = _random_point(rng, spec)
+    z = _random_point(rng, spec)
     ev = SampleEvaluator(spec, s)
-    jbar, rbar = mean_jacobian(ev, p)
-    assert np.allclose(jbar, jacobians(ev, p).mean(axis=0), atol=1e-13)
-    assert np.allclose(rbar, ev.residuals(p).mean(axis=1), atol=1e-13)
+    jbar, rbar = mean_jacobian(ev, z)
+    assert np.allclose(jbar, jacobians(ev, z).mean(axis=0), atol=1e-13)
+    assert np.allclose(rbar, ev.residuals(z).mean(axis=1), atol=1e-13)
 
 
 def test_weighted_merit_grad_matches_per_draw_weighting():
@@ -330,19 +326,19 @@ def test_weighted_merit_grad_matches_per_draw_weighting():
     for _ in range(20):
         spec = random_spec(rng, k=int(rng.integers(1, 4)), l=int(rng.integers(1, 4)))
         s = draw_samples(spec.distribution, spec.omega_dim, 11, int(rng.integers(1, 10**6)))
-        p = _random_point(rng, spec)
+        z = _random_point(rng, spec)
         ev = SampleEvaluator(spec, s)
         w = rng.uniform(0, 1, size=len(s))
-        fused = merit_grad(ev, p, w)
-        naive = (w[:, None] * merit_grads(ev, p)).mean(axis=0)
+        fused = merit_grad(ev, z, w)
+        naive = (w[:, None] * merit_grads(ev, z)).mean(axis=0)
         assert np.allclose(fused, naive, rtol=1e-11, atol=1e-12)
-        ones = merit_grad(ev, p, 1.0)
-        assert np.allclose(ones, merit_grads(ev, p).mean(axis=0), rtol=1e-11, atol=1e-12)
+        ones = merit_grad(ev, z, 1.0)
+        assert np.allclose(ones, merit_grads(ev, z).mean(axis=0), rtol=1e-11, atol=1e-12)
         # at N = 1 the means are the one draw's J and R, so the two kernels
         # agree on J^T R to rounding, measured on the scale |J|^T |R|
         one = SampleEvaluator(spec, s[:1])
-        jbar, rbar = mean_jacobian(one, p)
-        gap = np.abs(jbar.T @ rbar - merit_grad(one, p, 1.0))
+        jbar, rbar = mean_jacobian(one, z)
+        gap = np.abs(jbar.T @ rbar - merit_grad(one, z, 1.0))
         assert np.all(gap <= 1e-12 * (np.abs(jbar).T @ np.abs(rbar)))
 
 
@@ -418,24 +414,24 @@ def test_structured_kernels_match_the_dense_reference_on_awkward_specs(case, n):
     rng = np.random.default_rng(113 + n)
     draws = draw_samples(spec.distribution, spec.omega_dim, n, 19)
     ev = SampleEvaluator(spec, draws)
-    p = _random_point(rng, spec)
+    z = _random_point(rng, spec)
     T, r = realize_batch(spec, draws)
     assert np.allclose(ev.T_bar, T.mean(axis=0), rtol=1e-13, atol=1e-13)
 
-    want = np.einsum("nij,j->in", T, np.concatenate([p.x_m + p.t, p.u])) + r.T
-    f = ev._g1_v(p)
+    want = np.einsum("nij,j->in", T, np.concatenate([z[:k] + z[-1], z[k:-1]])) + r.T
+    f = ev._g1_v(z)
     assert np.allclose(f[:k], want[:k], rtol=1e-13, atol=1e-13)
     assert np.allclose(f[k:-1], want[k:], rtol=1e-13, atol=1e-13)
     assert np.allclose(f[-1], want[:k].sum(axis=0), rtol=1e-13, atol=1e-13)
 
-    jac = jacobians(ev, p)
-    grads = merit_grads(ev, p)
+    jac = jacobians(ev, z)
+    grads = merit_grads(ev, z)
     w = rng.uniform(0, 1, size=n)
-    assert np.allclose(merit_grad(ev, p, w), (w[:, None] * grads).mean(axis=0), rtol=1e-11, atol=1e-12)
-    assert np.allclose(merit_grad(ev, p, 1.0), grads.mean(axis=0), rtol=1e-11, atol=1e-12)
-    jbar, rbar = mean_jacobian(ev, p)
+    assert np.allclose(merit_grad(ev, z, w), (w[:, None] * grads).mean(axis=0), rtol=1e-11, atol=1e-12)
+    assert np.allclose(merit_grad(ev, z, 1.0), grads.mean(axis=0), rtol=1e-11, atol=1e-12)
+    jbar, rbar = mean_jacobian(ev, z)
     assert np.allclose(jbar, jac.mean(axis=0), rtol=1e-12, atol=1e-12)
-    assert np.allclose(rbar, ev.residuals(p).mean(axis=1), rtol=1e-12, atol=1e-12)
+    assert np.allclose(rbar, ev.residuals(z).mean(axis=1), rtol=1e-12, atol=1e-12)
 
 
 def test_residuals_fill_and_return_the_callers_array():
@@ -444,13 +440,13 @@ def test_residuals_fill_and_return_the_callers_array():
     rng = np.random.default_rng(137)
     spec = random_spec(rng)
     ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, 9, 23))
-    p = _random_point(rng, spec)
-    f = ev._g1_v(p)
+    z = _random_point(rng, spec)
+    f = ev._g1_v(z)
     out = np.empty((ev.dim, ev.N))
-    res = ev.residuals(p, f, out)
+    res = ev.residuals(z, f, out)
     assert res is out and res.shape == (spec.dims.m + 1, 9)
-    assert np.array_equal(res, ev.residuals(p))
-    assert np.allclose(ev.thetas(p, res), 0.5 * (res * res).sum(axis=0), rtol=1e-14, atol=0.0)
+    assert np.array_equal(res, ev.residuals(z))
+    assert np.allclose(ev.thetas(z, res), 0.5 * (res * res).sum(axis=0), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -480,34 +476,32 @@ def test_evaluator_matches_dense_reference_on_a_wide_instance(n):
     spec = random_spec(rng, k=k, l=l, omega_dim=3)
     s = draw_samples(spec.distribution, spec.omega_dim, n, 17)
     ev = SampleEvaluator(spec, s)
-    p = _random_point(rng, spec)
+    z = _random_point(rng, spec)
 
     want = np.empty((n, k + l + 1))
+    x_m, u, t = z[:k], z[k:-1], z[-1]
     for j, omega in enumerate(s):
-        f = f_eval(spec, omega, p.x_m + p.t, p.u)
+        f = f_eval(spec, omega, x_m + t, u)
         g1, v = f[:k], f[k:]
-        want[j, :k] = np.hypot(p.x_m, g1) - p.x_m - g1
-        want[j, k : k + l] = p.t * v + g1.sum() * p.u
-        want[j, k + l] = p.t**2 - p.u @ p.u
-    res = ev.residuals(p).T  # want is (n, k + l + 1), one row per draw
+        want[j, :k] = np.hypot(x_m, g1) - x_m - g1
+        want[j, k : k + l] = t * v + g1.sum() * u
+        want[j, k + l] = t**2 - u @ u
+    res = ev.residuals(z).T  # want is (n, k + l + 1), one row per draw
     assert res.shape == (n, k + l + 1)
     assert np.allclose(res, want, rtol=1e-12, atol=1e-12)
-    assert np.allclose(ev.thetas(p), 0.5 * (want**2).sum(axis=1), rtol=1e-12, atol=1e-12)
+    assert np.allclose(ev.thetas(z), 0.5 * (want**2).sum(axis=1), rtol=1e-12, atol=1e-12)
 
-    jac = jacobians(ev, p)
+    jac = jacobians(ev, z)
     step = 1e-6
-    z = p.as_vector()
     for i in range(z.size):
         e = np.zeros_like(z)
         e[i] = step
-        fd = (ev.residuals(MixPoint.from_vector(z + e, k, l)) - ev.residuals(MixPoint.from_vector(z - e, k, l))).T / (
-            2 * step
-        )
+        fd = (ev.residuals(z + e) - ev.residuals(z - e)).T / (2 * step)
         assert np.max(np.abs(jac[:, :, i] - fd) / (1.0 + np.abs(jac[:, :, i]))) <= 1e-5
 
-    grads = merit_grads(ev, p)
+    grads = merit_grads(ev, z)
     w = rng.uniform(0, 1, size=n)
-    assert np.allclose(merit_grad(ev, p, w), (w[:, None] * grads).mean(axis=0), rtol=1e-11, atol=1e-12)
-    jbar, rbar = mean_jacobian(ev, p)
+    assert np.allclose(merit_grad(ev, z, w), (w[:, None] * grads).mean(axis=0), rtol=1e-11, atol=1e-12)
+    jbar, rbar = mean_jacobian(ev, z)
     assert np.allclose(jbar, jac.mean(axis=0), rtol=1e-12, atol=1e-12)
     assert np.allclose(rbar, want.mean(axis=0), rtol=1e-12, atol=1e-12)

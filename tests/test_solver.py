@@ -10,7 +10,7 @@ import pytest
 from esoclcp.cone import ConeDims, classify_complementarity
 from esoclcp.merit import merit_theta
 from esoclcp.problem import builtin_example, realize_batch
-from esoclcp.reformulate import MixPoint, init_from_lcp, recover_lcp_point
+from esoclcp.reformulate import init_from_lcp, recover_lcp_point
 from esoclcp.risk import SmoothingKind, _tail_cvar, _tail_quantile, _tail_rank, cvar_empirical, smooth_plus, theta_star
 from esoclcp.saa import RayBound, SampleEvaluator, draw_samples
 from esoclcp.solver import (
@@ -147,9 +147,9 @@ def test_stage_samples_ev_mode_is_single_mean_draw():
     assert np.array_equal(s, spec.mean_omega()[None, :])
 
 
-def _gauss_newton(spec, s, p, nu):
+def _gauss_newton(spec, s, z, nu):
     ev = SampleEvaluator(spec, s)
-    return _lm_from_means(*mean_jacobian(ev, p), nu * np.eye(ev.dim))
+    return _lm_from_means(*mean_jacobian(ev, z), nu * np.eye(ev.dim))
 
 
 def test_gauss_newton_direction_zero_at_exact_solution():
@@ -166,15 +166,15 @@ def test_gauss_newton_direction_matches_dense_normal_equations():
         l = int(rng.integers(1, 4))
         spec = random_spec(rng, k=k, l=l, omega_dim=2)
         s = stage_samples(spec, SolverConfig(schedule=(7,), seed=int(rng.integers(1000))), 1)
-        p = MixPoint(rng.normal(size=k), rng.normal(size=l), float(rng.uniform(0.2, 2.0)))
+        z = np.r_[rng.normal(size=k), rng.normal(size=l), rng.uniform(0.2, 2.0)]
         nu = float(rng.uniform(1e-8, 1e-2))
         ev = SampleEvaluator(spec, s)
-        a_bar = jacobians(ev, p).mean(axis=0)
-        f_bar = ev.residuals(p).mean(axis=1)
+        a_bar = jacobians(ev, z).mean(axis=0)
+        f_bar = ev.residuals(z).mean(axis=1)
         want = np.linalg.solve(
             a_bar.T @ a_bar + nu * np.eye(k + l + 1), -(a_bar.T @ f_bar)
         )
-        got = _gauss_newton(spec, s, p, nu)
+        got = _gauss_newton(spec, s, z, nu)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
@@ -193,7 +193,7 @@ def test_unsolvable_normal_equations_fall_back_to_steepest_descent(monkeypatch, 
             ev = SampleEvaluator(spec, stage_samples(spec, cfg, 1))
             stage = _StageProblem(ev, SimpleNamespace(**{**vars(cfg), "lm_nu": nu}))
             monkeypatch.setattr(stage.ev, "mean_jacobian_residual", lambda *args, a_bar=a_bar: (a_bar, np.ones(6)))
-            e = stage.eval_point(default_start(spec).as_vector())
+            e = stage.eval_point(default_start(spec))
             grad = stage.grad(e)
             assert np.array_equal(stage.direction(e, grad), -grad)
     # a finite mean Jacobian beside a non-finite mean residual is refused too
@@ -207,10 +207,10 @@ def test_gauss_newton_direction_huge_damping_aligns_with_steepest_descent():
     rng = np.random.default_rng(99)
     spec = random_spec(rng)
     s = stage_samples(spec, SolverConfig(schedule=(5,)), 1)
-    p = MixPoint(rng.normal(size=3), rng.normal(size=2), 0.7)
+    z = np.r_[rng.normal(size=3), rng.normal(size=2), 0.7]
     ev = SampleEvaluator(spec, s)
-    sd = -(jacobians(ev, p).mean(axis=0).T @ ev.residuals(p).mean(axis=1))
-    d = _gauss_newton(spec, s, p, 1e12)
+    sd = -(jacobians(ev, z).mean(axis=0).T @ ev.residuals(z).mean(axis=1))
+    d = _gauss_newton(spec, s, z, 1e12)
     cosang = float(d @ sd) / (np.linalg.norm(d) * np.linalg.norm(sd))
     assert np.arccos(np.clip(cosang, -1.0, 1.0)) <= 1e-6
 
@@ -289,18 +289,18 @@ def test_wolfe_backs_off_where_the_value_is_not_finite():
 
 def test_default_start_values():
     spec = random_spec(np.random.default_rng(5), k=4, l=3)
-    p = default_start(spec)
-    assert np.array_equal(p.x_m, np.zeros(4))
-    assert np.allclose(p.u, 0.1 / np.sqrt(3.0))
-    assert p.t == pytest.approx(0.1)
+    z = default_start(spec)
+    assert z.shape == (8,)
+    assert np.array_equal(z[:4], np.zeros(4))
+    assert np.allclose(z[4:7], 0.1 / np.sqrt(3.0))
+    assert z[7] == pytest.approx(0.1)
 
 
 def test_solve_ev_mode_reaches_case_iv_solution():
     spec, x, u, _, _ = case_iv_instance()
     rng = np.random.default_rng(77)
-    exact = init_from_lcp(x, u).as_vector()
-    z0 = exact + rng.uniform(-0.02, 0.02, size=exact.size)
-    start = MixPoint.from_vector(z0, 3, 2)
+    exact = init_from_lcp(x, u)
+    start = exact + rng.uniform(-0.02, 0.02, size=exact.size)
     cfg = SolverConfig(mode="ev", tol_r=1e-8)
     t0 = time.perf_counter()
     stages = solve(spec, cfg, start)
@@ -309,8 +309,7 @@ def test_solve_ev_mode_reaches_case_iv_solution():
     assert len(stages) == 1
     assert stages[0].N == 1
     assert stages[0].termination == "grad_tol"
-    p = stages[-1].point
-    assert merit_theta(spec, spec.mean_omega(), p) <= 1e-10
+    assert merit_theta(spec, spec.mean_omega(), stages[-1].point) <= 1e-10
     F = stages[-1].F_at_mean
     got = classify_complementarity(
         spec.dims, stages[-1].x, stages[-1].u, F[:3], F[3:], tol=1e-4
@@ -332,7 +331,7 @@ def test_solve_is_deterministic():
     assert a[-1].theta == b[-1].theta
     for ra, rb in zip(a, b):
         assert (ra.inner_iters, ra.termination) == (rb.inner_iters, rb.termination)
-        assert np.array_equal(ra.point.as_vector(), rb.point.as_vector())
+        assert np.array_equal(ra.point, rb.point)
 
 
 def test_solve_theta_matches_reoptimized_threshold():
@@ -390,16 +389,34 @@ def test_solve_erm_mode_runs():
     cfg = SolverConfig(mode="erm", schedule=(5, 10), k_max=30)
     stages = solve(spec, cfg)
     assert [r.N for r in stages] == [5, 10]
-    assert np.all(np.isfinite(stages[-1].point.as_vector()))
+    assert np.all(np.isfinite(stages[-1].point))
     assert np.isfinite(stages[-1].theta)
     assert np.isfinite(stages[-1].aloc)
 
 
 def test_solve_rejects_mismatched_start():
+    # start is z = (x_m, u, t), of length k + l + 1 = 6 here
     spec = random_spec(np.random.default_rng(51), k=3, l=2)
-    wrong = MixPoint(np.zeros(2), np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        solve(spec, SolverConfig(schedule=(3,)), wrong)
+    cfg = SolverConfig(schedule=(3,))
+    for wrong, message in (
+        (np.zeros(5), "length 6"),
+        (np.zeros(7), "length 6"),
+        (np.zeros((6, 1)), "length 6"),
+        (np.r_[np.zeros(5), np.nan], "mix point must be finite"),
+        (np.r_[np.inf, np.zeros(5)], "mix point must be finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            solve(spec, cfg, wrong)
+
+
+def test_solve_keeps_a_copy_of_its_start():
+    # tol_r = 1e6 ends the stage at its start, so its point is start's value
+    spec = random_spec(np.random.default_rng(51), k=3, l=2)
+    start = default_start(spec)
+    (stage,) = solve(spec, SolverConfig(schedule=(3,), tol_r=1e6), start)
+    assert stage.inner_iters == 0 and np.array_equal(stage.point, start)
+    start[:] = 7.0
+    assert np.array_equal(stage.point, default_start(spec))
 
 
 def test_solve_refuses_a_non_finite_theta(monkeypatch):
@@ -437,7 +454,7 @@ def test_stage_aloc_is_over_the_stage_sample():
     spec = builtin_example()
     cfg = SolverConfig(schedule=(5, 10), k_max=5)
     for stage in solve(spec, cfg):
-        x, u = recover_lcp_point(stage.point)
+        x, u = recover_lcp_point(spec.dims, stage.point)
         assert stage.aloc == aloc(SampleEvaluator(spec, stage_samples(spec, cfg, stage.j)), x, u)
 
 
@@ -459,7 +476,7 @@ def test_solve_builds_one_evaluator_per_stage(monkeypatch, mode):
     assert len(built) == len(stages) == (1 if mode == "ev" else 2)
     for ev, stage in zip(built, stages):
         assert ev.N == stage.N
-        x, u = recover_lcp_point(stage.point)
+        x, u = recover_lcp_point(spec.dims, stage.point)
         assert stage.aloc == aloc(ev, x, u)
 
 
@@ -629,7 +646,7 @@ def test_trial_points_must_be_finite_and_of_the_right_length(bad):
     spec = builtin_example()
     cfg = SolverConfig(schedule=(5,), seed=3)
     stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1)), cfg)
-    z0 = default_start(spec).as_vector()
+    z0 = default_start(spec)
     for i in (0, 3, 5):  # x_m, u and t
         z = z0.copy()
         z[i] = bad
@@ -761,10 +778,10 @@ def test_tail_bound_is_below_the_exact_value(kind, n):
                 z = np.concatenate([rng.normal(size=5), [rng.uniform(0.1, 2.0)]])
                 e = stage.eval_point(z)
                 losses = stage.losses(e).copy()
-                bound = stage._tail_screen(e.p, -1.0, W)
+                bound = stage._tail_screen(e.z, -1.0, W)
                 assert bound == pytest.approx(float(np.sum(losses[top])) / (alpha * n), rel=1e-12, abs=0.0)
                 assert bound - e.value <= 1e-14 * abs(e.value), (alpha, mu, bound, e.value)
-                assert stage._tail_screen(e.p, e.value, W) is None
+                assert stage._tail_screen(e.z, e.value, W) is None
                 assert _exact(stage.eval_point(z, e.value, tail_W=W))
                 held = stage.eval_point(z)
                 low = stage.eval_point(z, bound - 1.0 - abs(bound), tail_W=W)
@@ -782,12 +799,12 @@ def test_tail_screen_cuts_full_passes_at_n_10000(monkeypatch):
     residuals = SampleEvaluator.residuals
     tail_screen = _StageProblem._tail_screen
 
-    def counted(self, p, f=None, *args, **kwargs):
+    def counted(self, z, f=None, *args, **kwargs):
         passes.append(f is None or f.shape[1] == self.N)
-        return residuals(self, p, f, *args, **kwargs)
+        return residuals(self, z, f, *args, **kwargs)
 
-    def screen_spy(self, p, bar, W):
-        low = tail_screen(self, p, bar, W)
+    def screen_spy(self, z, bar, W):
+        low = tail_screen(self, z, bar, W)
         rejected.append(low is not None)
         return low
 
@@ -799,7 +816,7 @@ def test_tail_screen_cuts_full_passes_at_n_10000(monkeypatch):
         rejected.clear()
         with monkeypatch.context() as m:
             m.setattr(SampleEvaluator, "residuals", counted)
-            m.setattr(_StageProblem, "_tail_screen", screen_spy if screen else (lambda self, p, bar, W: None))
+            m.setattr(_StageProblem, "_tail_screen", screen_spy if screen else (lambda self, z, bar, W: None))
             runs.append((solve(spec, cfg), sum(passes), len(passes) - sum(passes), sum(rejected)))
     (screened, full, tail, rejects), (exact, full_exact, tail_exact, _) = runs
     assert rejects > 0 and tail > 0 and tail_exact == 0
@@ -813,7 +830,7 @@ def test_trial_point_whose_losses_overflow_has_the_value_inf(mode):
     spec = builtin_example()
     cfg = SolverConfig(mode=mode, schedule=(100,), seed=3)
     stage = _StageProblem(SampleEvaluator(spec, stage_samples(spec, cfg, 1)), cfg)
-    z = default_start(spec).as_vector()
+    z = default_start(spec)
     z[0] = 1e160
     with np.errstate(over="ignore"):
         e = stage.eval_point(z)
@@ -891,13 +908,13 @@ def _screens_off(monkeypatch):
     monkeypatch.setattr(solver_mod, "_tail_cvar", lambda losses, alpha, tail=None: float("nan"))
     monkeypatch.setattr(RayBound, "screen", lambda self, s, bar: None)
     monkeypatch.setattr(RayBound, "floor", lambda self, s, bar: None)
-    monkeypatch.setattr(_StageProblem, "_tail_screen", lambda self, p, bar, W: None)
+    monkeypatch.setattr(_StageProblem, "_tail_screen", lambda self, z, bar, W: None)
 
 
 def _assert_reports_equal(a, b):
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
-        assert np.array_equal(ra.point.as_vector(), rb.point.as_vector())
+        assert np.array_equal(ra.point, rb.point)
         assert ra.theta == rb.theta
         assert (ra.inner_iters, ra.termination) == (rb.inner_iters, rb.termination)
         assert ra.grad_inf_norm == rb.grad_inf_norm
@@ -1047,7 +1064,7 @@ def _ray_instances(n, rng):
         yield spec, draws, z, rng.normal(size=6)
     spec, x, u, _, _ = case_iv_instance()
     draws = draw_samples(spec.distribution, spec.omega_dim, n, 23)
-    z = init_from_lcp(x, u).as_vector()
+    z = init_from_lcp(x, u)
     for _ in range(3):
         yield spec, draws, z, rng.normal(size=6)
 
@@ -1081,7 +1098,7 @@ def test_ray_bound_that_overflows_screens_nothing():
     # the trial to the exact path, without a warning
     spec = builtin_example()
     ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, 50, 29))
-    z = default_start(spec).as_vector()
+    z = default_start(spec)
     d = np.ones_like(z)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1114,7 +1131,7 @@ def test_fb_row_bound_is_below_the_exact_value(mode, n):
                 continue
             low = stage.eval_point(z + s * d, -np.inf, floor)
             if not _exact(low):
-                fb = stage._res[: stage.k]
+                fb = stage._res[: stage.ev.k]
                 assert low == 0.5 * float(np.vdot(fb, fb)) / n + floor
                 assert low <= e.value, (s, low, e.value)
                 assert stage._held is None
@@ -1131,9 +1148,9 @@ def test_fb_row_screen_cuts_full_passes_in_an_erm_stage(monkeypatch):
     residuals = SampleEvaluator.residuals
     orig_eval = _StageProblem.eval_point
 
-    def counted(self, p, f=None, *args, **kwargs):
+    def counted(self, z, f=None, *args, **kwargs):
         passes.append(1)
-        return residuals(self, p, f, *args, **kwargs)
+        return residuals(self, z, f, *args, **kwargs)
 
     def eval_spy(self, z, *args):
         e = orig_eval(self, z, *args)

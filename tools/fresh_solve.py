@@ -88,11 +88,11 @@ solve = cli.solve
 stages = []
 inside = []
 
-def counted(ev, p, f=None, *args, **kwargs):
+def counted(ev, z, f=None, *args, **kwargs):
     calls[-1][f is not None and f.shape[1] < ev.N] += 1
     inside.append(True)
     try:
-        return residuals(ev, p, f, *args, **kwargs)
+        return residuals(ev, z, f, *args, **kwargs)
     finally:
         inside.pop()
 

@@ -6,9 +6,10 @@ Run from the root of a checkout:
 
 esoclcp is imported from DIR (default ./src), in this process, on one BLAS
 thread.  One line `name rc sha256` is printed per report, where sha256 is
-that of the report's stdout and rc the CLI's exit code.  With --dump, each
-report's stdout is also written to OUT/<name>, and the printed lines to
-OUT/index.txt, for tools/report_diff.py.  The reports:
+that of the report's stdout followed by its stderr, with every warning
+shown, and rc the CLI's exit code.  With --dump, that text is also written
+to OUT/<name>, and the printed lines to OUT/index.txt, for
+tools/report_diff.py.  The reports:
 
   <workload>/seed<S>/op<i>/<format>  every operation perfbench/workloads.py
                                      builds for run seed S, in each of the
@@ -33,6 +34,14 @@ OUT/index.txt, for tools/report_diff.py.  The reports:
   check/<point>                      `check --builtin --point <point>` at
                                      four points, which between them give
                                      both answers of in_L and of in_M
+  overflow/<case>/<mode>             `solve --schedule 10,100 --kmax 5
+                                     --mode <mode>` in modes cvar, erm and
+                                     ev, on the bundled example (written by
+                                     `esoclcp example`) with r_base[0] set
+                                     to 1e100, 1e150 or 1e200 (case
+                                     r_base1e+100 and so on) or T_base
+                                     scaled by 3e152 (T_base3e+152); each
+                                     ends on one error line
 
 Every solve runs with --no-timing.  Run the script once per tree with the
 same seeds and diff the two outputs, or compare two dumps field by field
@@ -51,8 +60,10 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
+import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FORMATS = ("table", "csv", "json")
@@ -64,6 +75,9 @@ ALPHAS = ("0.2", "0.5", "0.9")
 # the README's point and three more; the nearest complementarity cases are
 # II, I, IV and II, and only the last has in_L = False and in_M = True
 CHECK_POINTS = ("1.5,0.3,1.1,0.1,-0.25", "1,2,3,0,0", "4,4,4,0.001,0", "0.8,0,-2,1,-1.1")
+# the bundled example's data field and the value that overflows a solve on
+# it: r_base[0] is set to the value, T_base is scaled by it
+OVERFLOWS = (("r_base", 1e100), ("r_base", 1e150), ("r_base", 1e200), ("T_base", 3e152))
 
 
 def reports(cli, workloads, seeds, workdir: str):
@@ -90,21 +104,38 @@ def reports(cli, workloads, seeds, workdir: str):
         yield f"builtin-alpha{alpha}/seed7/json", [*argv, "--format", "json", "--no-timing"]
     for point in CHECK_POINTS:
         yield f"check/{point}", ["check", "--builtin", "--point", point]
+    example = os.path.join(workdir, "example.json")
+    cli.main(["example", "--out", example])
+    for field, value in OVERFLOWS:
+        with open(example, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if field == "r_base":
+            doc["r_base"][0] = value
+        else:
+            doc["T_base"] = [[value * v for v in row] for row in doc["T_base"]]
+        case = f"{field}{value:g}"
+        path = os.path.join(workdir, f"{case}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for mode in ("cvar", "erm", "ev"):
+            argv = ["solve", "--problem", path, "--schedule", "10,100", "--kmax", "5", "--mode", mode, "--no-timing"]
+            yield f"overflow/{case}/{mode}", argv
 
 
 def run(cli, argv) -> tuple[int, str]:
-    """The CLI's exit code and stdout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """The CLI's exit code, and its stdout followed by its stderr, with every warning shown."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         rc = cli.main(argv)
-    return rc, out.getvalue()
+    return rc, out.getvalue() + err.getvalue()
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="sha256 of every deterministic esoclcp report")
     p.add_argument("--seed", type=int, action="append", required=True, help="perfbench run seed; repeat for more")
     p.add_argument("--src", default=os.path.join(os.getcwd(), "src"), help="directory esoclcp is imported from")
-    p.add_argument("--dump", metavar="OUT", help="also write each report's stdout, and OUT/index.txt, under OUT")
+    p.add_argument("--dump", metavar="OUT", help="also write each report's text, and OUT/index.txt, under OUT")
     args = p.parse_args(argv)
     src = os.path.abspath(args.src)
     sys.dont_write_bytecode = True  # leave no cache files in perfbench/ or in DIR
