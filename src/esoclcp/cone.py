@@ -58,24 +58,22 @@ class CompCase:
     residuals: dict[str, float] = field(default_factory=dict)
 
 
-def _check_vector(a, name: str) -> np.ndarray:
+def _check_vector(a, name: str, n: int | None = None) -> np.ndarray:
+    # a as a finite, nonempty 1-d float array, of length n when n is given;
+    # the one check of every vector the library takes
     out = np.asarray(a, dtype=float)
     if out.ndim != 1 or out.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d vector, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if n is not None and out.size != n:
+        raise ValueError(f"{name} has length {out.size}, expected {n}")
+    if not np.isfinite(out).all():  # the method: np.all's wrapper costs more than the test
         raise ValueError(f"{name} must be finite")
     return out
 
 
 def _check_point(dims: ConeDims, x, u, names: str = "xu") -> tuple[np.ndarray, np.ndarray]:
-    # x and u as finite, nonempty 1-d float arrays of lengths k and l; the
-    # two letters of names name them in errors
-    x, u = _check_vector(x, names[0]), _check_vector(u, names[1])
-    if x.shape != (dims.k,):
-        raise ValueError(f"{names[0]} has length {x.shape[0]}, expected k={dims.k}")
-    if u.shape != (dims.l,):
-        raise ValueError(f"{names[1]} has length {u.shape[0]}, expected l={dims.l}")
-    return x, u
+    # x and u of lengths k and l; the two letters of names name them in errors
+    return _check_vector(x, names[0], dims.k), _check_vector(u, names[1], dims.l)
 
 
 def in_L(dims: ConeDims, x, u, tol: float = DEFAULT_TOL) -> bool:

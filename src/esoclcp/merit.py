@@ -19,12 +19,12 @@ keeps the one-draw merit that diagnostics score a single point with.
 
 from __future__ import annotations
 
-from .problem import ProblemSpec, _check_omega
-from .reformulate import _check_mix
+from .cone import _check_vector
+from .problem import ProblemSpec
 from .saa import SampleEvaluator
 
 
 def merit_theta(spec: ProblemSpec, omega, z) -> float:
     """theta = 0.5 ||R||^2 over all k + l + 1 residual components at one draw, z = (x_m, u, t)."""
-    z = _check_mix(z, spec.dims.k, spec.dims.l)
-    return float(SampleEvaluator(spec, _check_omega(spec, omega)[None, :]).thetas(z)[0])
+    z = _check_vector(z, "z", spec.dims.m + 1)
+    return float(SampleEvaluator(spec, _check_vector(omega, "omega", spec.omega_dim)[None, :]).thetas(z)[0])

@@ -146,15 +146,6 @@ def _check_omegas(spec: ProblemSpec, omegas) -> np.ndarray:
     return omegas
 
 
-def _check_omega(spec: ProblemSpec, omega) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (spec.omega_dim,):
-        raise ValueError(f"omega must have shape ({spec.omega_dim},), got {omega.shape}")
-    if not np.all(np.isfinite(omega)):
-        raise ValueError("omega must be finite")
-    return omega
-
-
 def load_problem(text) -> ProblemSpec:
     """Parse a problem from JSON text (str or bytes).
 
@@ -265,24 +256,24 @@ def _require_keys(doc: dict, keys: set[str], where: str) -> None:
 
 
 def serialize_problem(spec: ProblemSpec) -> str:
-    """Render a problem back to its JSON document form."""
+    """Render a problem back to its JSON document form, numpy scalars as plain ints and floats."""
     doc = {
-        "k": spec.dims.k,
-        "l": spec.dims.l,
-        "omega_dim": spec.omega_dim,
+        "k": int(spec.dims.k),
+        "l": int(spec.dims.l),
+        "omega_dim": int(spec.omega_dim),
         "T_base": [[float(v) for v in row] for row in spec.T_base],
         "r_base": [float(v) for v in spec.r_base],
         "T_perturb": [
-            {"row": e.row, "col": e.col, "coeff": e.coeff, "omega": e.omega_index}
+            {"row": int(e.row), "col": int(e.col), "coeff": float(e.coeff), "omega": int(e.omega_index)}
             for e in spec.T_perturb
         ],
         "r_perturb": [
-            {"row": e.row, "coeff": e.coeff, "omega": e.omega_index} for e in spec.r_perturb
+            {"row": int(e.row), "coeff": float(e.coeff), "omega": int(e.omega_index)} for e in spec.r_perturb
         ],
         "distribution": {
             "kind": spec.distribution.kind,
-            "mean": spec.distribution.mean,
-            "std": spec.distribution.std,
+            "mean": float(spec.distribution.mean),
+            "std": float(spec.distribution.std),
         },
     }
     return json.dumps(doc, indent=2)

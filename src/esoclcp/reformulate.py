@@ -11,30 +11,21 @@ nonnegative orthant in the unknowns z = (x_m, u, t):
 
 where x_m and G1 must be complementary nonnegative vectors and G2 must
 vanish.  A point of the mixed problem is one float vector z of length
-k + l + 1; this module checks it and converts points between the two
-coordinate systems.  saa.SampleEvaluator evaluates G1, G2 and their Jacobian.
+k + l + 1, checked by cone._check_vector; this module converts points
+between the two coordinate systems.  saa.SampleEvaluator evaluates G1, G2
+and their Jacobian.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cone import ConeDims
-
-
-def _check_mix(z, k: int, l: int) -> np.ndarray:
-    # z = (x_m, u, t) as a finite float vector of length k + l + 1
-    z = np.asarray(z, dtype=float)
-    if z.shape != (k + l + 1,):
-        raise ValueError(f"expected a vector of length {k + l + 1}, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("mix point must be finite")
-    return z
+from .cone import ConeDims, _check_vector
 
 
 def recover_lcp_point(dims: ConeDims, z) -> tuple[np.ndarray, np.ndarray]:
     """Map z = (x_m, u, t) back to the cone variables (x, u) = (x_m + t e, u)."""
-    z = _check_mix(z, dims.k, dims.l)
+    z = _check_vector(z, "z", dims.m + 1)
     return z[: dims.k] + z[-1], z[dims.k : -1].copy()
 
 

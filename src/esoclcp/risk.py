@@ -135,28 +135,6 @@ def smooth_plus_deriv(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
     return out if out.ndim else float(out)
 
 
-def smooth_plus_deriv2(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
-    """Exact second derivative of smooth_plus in t; requires mu > 0.
-
-    Closed forms, all positive: sigma (1 - sigma) / mu with
-    sigma = 1 / (1 + exp(-t / mu)) for nn, and c / (2 r^3) with
-    r = sqrt(t^2 + c) for the others, c = 4 mu (ip) or 4 mu^2.
-    Written so rather than as the equal (1 - (t / r)^2) / (2 r), whose t / r
-    rounds to +-1, and so the whole to 0, once |t| >> mu.
-    """
-    mu = _check_mu(mu, positive=True)
-    kind = SmoothingKind(kind)
-    t = np.asarray(t, dtype=float)
-    c = _width(mu, kind)
-    if c is None:
-        # sigma(-x) in place of 1 - sigma(x), which cancels to 0 for large x
-        out = _logistic(t / mu) * _logistic(-t / mu) / mu
-    else:
-        r2 = t * t + c
-        out = 0.5 * c / (r2 * np.sqrt(r2))
-    return out if out.ndim else float(out)
-
-
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -256,7 +234,9 @@ def theta_star(
     c = _width(mu, kind)
     if c is not None:
         # inline p' = (1 + s / r) / 2 and p'' = c / (2 r^3), r = sqrt(s^2 + c), over
-        # two scratch buffers; the innermost loop of every objective evaluation
+        # two scratch buffers; the innermost loop of every objective evaluation.
+        # p'' is written so rather than as the equal (1 - (s / r)^2) / (2 r),
+        # whose s / r rounds to +-1, and so the whole to 0, once |s| >> mu
         base = 1.0 - 0.5 * n * scale
         b2 = np.empty_like(losses)
 
@@ -273,13 +253,14 @@ def theta_star(
             return 0.5 * c * scale * float(b1 @ b2)
 
     else:
-
+        # nn: p' = sigma(s / mu) and p'' = sigma(s / mu) sigma(-s / mu) / mu, the
+        # logistic sigma(-x) in place of 1 - sigma(x), which cancels to 0 for large x
         def h(theta: float) -> float:
             np.subtract(losses, theta, out=b1)
-            return 1.0 - scale * float(np.sum(smooth_plus_deriv(b1, mu, kind)))
+            return 1.0 - scale * float(np.sum(_logistic(b1 / mu)))
 
         def dh() -> float:
-            return scale * float(np.sum(smooth_plus_deriv2(b1, mu, kind)))
+            return scale * float(np.sum(_logistic(b1 / mu) * _logistic(-b1 / mu) / mu))
 
     q, upper = _tail_quantile(losses, alpha) if tail is None else tail
     rank = n - upper.size

@@ -28,8 +28,8 @@ import math
 
 import numpy as np
 
-from .cone import _check_point, _is_int
-from .problem import DistributionSpec, ProblemSpec, _check_omega, _check_omegas, realize_batch
+from .cone import _check_point, _check_vector, _is_int
+from .problem import DistributionSpec, ProblemSpec, _check_omegas, realize_batch
 from .risk import smooth_plus, smooth_plus_deriv  # unused here; perfbench/spans.py traces both names in this module
 
 _MAX_SEED = 2**64 - 1
@@ -279,7 +279,7 @@ class SampleEvaluator:
         z = np.concatenate([*_check_point(self.spec.dims, x, u), [0.0]])
         if omega is None:
             return self._g1_v(z)[:-1]
-        w1 = np.concatenate(([1.0], _check_omega(self.spec, omega)))[:, None]
+        w1 = np.concatenate(([1.0], _check_vector(omega, "omega", self.spec.omega_dim)))[:, None]
         return self._g1_v(z, W=w1)[:-1, 0]
 
     def _fb_rows(self, z: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:

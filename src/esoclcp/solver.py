@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _is_int
+from .cone import _check_vector, _is_int
 from .problem import ProblemSpec, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
-from .reformulate import _check_mix, recover_lcp_point
+from .reformulate import recover_lcp_point
 from .risk import MU_MAX, MU_MIN, SmoothingKind, _check_alpha, _tail_cvar, _tail_quantile, _tail_rank
 from .risk import smooth_plus, smooth_plus_deriv
 from .risk import theta_star  # by name: perfbench/spans.py wraps esoclcp.solver.theta_star
@@ -245,9 +245,10 @@ class _StageProblem:
     evaluate it again.
     """
 
-    def __init__(self, ev: SampleEvaluator, cfg: SolverConfig):
+    def __init__(self, ev: SampleEvaluator, cfg: SolverConfig, j: int = 1):
         self.ev = ev
         self.cfg = cfg
+        self.where = f"stage {j} (N = {ev.N})"  # what every error the stage raises begins with
         n = ev.N
         self._f = np.empty((ev.dim, n))
         self._res = np.empty((ev.dim, n))
@@ -338,7 +339,7 @@ class _StageProblem:
         floor asks for the FB-row bound (search's step 2), tail_W for the
         tail draws' (step 3); mode cvar tries the empirical CVaR (step 4).
         """
-        z = _check_mix(z, self.ev.k, self.ev.l)
+        z = _check_vector(z, "z", self.ev.dim)
         cfg = self.cfg
         self._held = None
         if tail_W is not None:
@@ -435,8 +436,8 @@ class _StageProblem:
                 total, target = float(np.add.reduce(w)), cfg.alpha * self.ev.N
                 if not 0.5 * target <= total <= 2.0 * target:
                     raise ValueError(
-                        f"tail weights at Theta = {e.theta:g} sum to {total:g}, not alpha N = {target:g}: "
-                        f"mu = {cfg.mu:g} is too small for theta_star to resolve Theta"
+                        f"{self.where}: tail weights at Theta = {e.theta:g} sum to {total:g}, not alpha N = "
+                        f"{target:g}: mu = {cfg.mu:g} is too small for theta_star to resolve Theta"
                     )
                 e._gvec = self.ev.weighted_merit_grad(e.z, w, self._res, self._f, fb, self._work) / cfg.alpha
             else:
@@ -456,17 +457,17 @@ class _StageProblem:
         return d
 
 
-def _overflow(j: int, iters: int, stage: _StageProblem, cur: _PointEval) -> ValueError:
-    # the error that ends stage j at the point it accepted at iteration
-    # iters: the point's value is not finite or, if it is, its gradient
-    where = f"stage {j} (N = {stage.ev.N})"
+def _overflow(iters: int, stage: _StageProblem, cur: _PointEval, theta: bool = False) -> ValueError:
+    # the error that ends a stage at the point it accepted at iteration iters:
+    # theta_star overflows on its finite losses (theta: the Theta reported for
+    # it), or else its value is not finite or, if it is, its gradient
     at = f"the step of iteration {iters}" if iters else "the start point"
-    if math.isfinite(cur.value):
-        return ValueError(f"{where}: the merit's gradient overflows at {at}")
-    if cur.var is not None and not math.isfinite(cur.theta):  # on finite losses
+    if theta or (cur.var is not None and not math.isfinite(cur.theta)):
         top = float(np.maximum.reduce(stage.losses(cur)))
-        return ValueError(f"{where}: theta_star overflows at {at}, where the largest loss is {top:g}")
-    return ValueError(f"{where}: the merit overflows at {at}, objective {cur.value}")
+        return ValueError(f"{stage.where}: theta_star overflows at {at}, where the largest loss is {top:g}")
+    if math.isfinite(cur.value):
+        return ValueError(f"{stage.where}: the merit's gradient overflows at {at}")
+    return ValueError(f"{stage.where}: the merit overflows at {at}, objective {cur.value}")
 
 
 def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]:
@@ -478,7 +479,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]
     when consecutive stage solutions are closer than eps, which is recorded
     as that stage's termination.
     """
-    z = default_start(spec) if start is None else _check_mix(start, spec.dims.k, spec.dims.l).copy()
+    z = default_start(spec) if start is None else _check_vector(start, "start", spec.dims.m + 1).copy()
 
     results: list[StageResult] = []
     stage_count = 1 if cfg.mode == "ev" else len(cfg.schedule)
@@ -487,7 +488,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]
 
     for j in range(1, stage_count + 1):
         ev = SampleEvaluator(spec, stage_samples(spec, cfg, j))
-        stage = _StageProblem(ev, cfg)
+        stage = _StageProblem(ev, cfg, j)
         t0 = time.perf_counter()
         iters = 0
         # a merit or gradient that overflows makes every later step nan, and
@@ -497,11 +498,11 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]
             cur = stage.eval_point(z)
             while True:
                 if not math.isfinite(cur.value):
-                    raise _overflow(j, iters, stage, cur)
+                    raise _overflow(iters, stage, cur)
                 grad = stage.grad(cur)
                 gnorm = float(np.maximum.reduce(np.abs(grad)))  # nan or inf where grad is
                 if not math.isfinite(gnorm):
-                    raise _overflow(j, iters, stage, cur)
+                    raise _overflow(iters, stage, cur)
                 if gnorm <= cfg.tol_r:
                     termination = "grad_tol"
                     break
@@ -517,18 +518,17 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]
                     termination = "stalled"
                     break
                 z = cur.z
-        wall = time.perf_counter() - t0
+            wall = time.perf_counter() - t0
+            if cfg.mode != "cvar":
+                # modes erm and ev report theta_star's Theta at the solution
+                cur.theta = theta_star(stage.losses(cur), cfg.alpha, cfg.mu, cfg.smoothing)
+            if not math.isfinite(cur.theta):
+                raise _overflow(iters, stage, cur, theta=True)
 
-        if cfg.mode == "cvar":
-            theta = float(cur.theta)
-        else:
-            theta = float(theta_star(stage.losses(cur), cfg.alpha, cfg.mu, cfg.smoothing))
-        if not math.isfinite(theta):
-            raise ValueError("Theta must be finite")
         x, u = recover_lcp_point(spec.dims, z)
         f_mean, loss = ev.f_values(x, u, mean_omega), aloc(ev, x, u)
         result = StageResult(
-            j, ev.N, z, theta, x, u, f_mean, loss, gnorm, iters, termination, wall,
+            j, ev.N, z, cur.theta, x, u, f_mean, loss, gnorm, iters, termination, wall,
             stage.trials, stage.screened
         )
         results.append(result)

@@ -305,7 +305,11 @@ def test_solve_rejects_a_mu_beyond_the_limit_before_solving(capsys, smoothing):
 @pytest.mark.parametrize(
     "mu, message",
     [
-        ("1e-18", r"error: tail weights at Theta = \S+ sum to \S+, not alpha N = 0\.25: mu = 1e-18 is too small .*"),
+        (
+            "1e-18",
+            r"error: stage 1 \(N = 5\): tail weights at Theta = \S+ sum to \S+, not alpha N = 0\.25: "
+            r"mu = 1e-18 is too small .*",
+        ),
         ("1e-300", r"error: mu must be at least 1e-100, got 1e-300"),
     ],
     ids=["tail_weights", "below_mu_min"],
@@ -333,33 +337,47 @@ def test_solve_names_the_stage_whose_start_point_overflows(tmp_path, capsys, mod
     # gradient at the start).  In mode cvar the losses of the 1e150, 1e100
     # and T_base inputs are finite and theta_star overflows on them (it
     # used to read as "the merit overflows ..., objective nan"), so the
-    # error names it and the largest loss.
+    # error names it and the largest loss.  A tolerance of 1e300 ends the
+    # stage at its start point, where modes erm and ev's reported Theta
+    # overflows in theta_star (it used to read "Theta must be finite"), and
+    # where mode cvar's nn tail weights miss alpha N (with no stage named)
     stage = f"error: stage 1 (N = {1 if mode == 'ev' else 10}): "
     start = stage + "the merit overflows at the start point, objective inf"
     step = stage + "the merit overflows at the step of iteration "
     gradient = stage + "the merit's gradient overflows at the start point"
     top = stage + "theta_star overflows at the start point, where the largest loss is "
-    cases = [("r_base", 1e200, start)] + {
+    steps = ["--schedule", "10,100", "--kmax", "5"]
+    at_start = ["--schedule", "10", "--tol", "1e300"]
+    cases = [("r_base", 1e200, steps, start)] + {
         "cvar": [
-            ("r_base", 1e150, top + "5e+297"),
-            ("r_base", 1e100, top + "5e+197"),
-            ("T_base", 3e152, top + "1.34256e+307"),
+            ("r_base", 1e150, steps, top + "5e+297"),
+            ("r_base", 1e100, steps, top + "5e+197"),
+            ("T_base", 3e152, steps, top + "1.34256e+307"),
+            (
+                "r_base",
+                1e100,
+                [*at_start, "--smoothing", "nn"],
+                stage + "tail weights at Theta = 5e+197 sum to 5, not alpha N = 0.5: "
+                "mu = 0.0001 is too small for theta_star to resolve Theta",
+            ),
         ],
         "erm": [
-            ("r_base", 1e150, step + "1, objective inf"),
-            ("r_base", 1e100, step + "2, objective nan"),
-            ("T_base", 3e152, gradient),
+            ("r_base", 1e150, steps, step + "1, objective inf"),
+            ("r_base", 1e100, steps, step + "2, objective nan"),
+            ("T_base", 3e152, steps, gradient),
+            ("r_base", 1e100, at_start, top + "5e+197"),
         ],
         "ev": [
-            ("r_base", 1e150, step + "1, objective inf"),
-            ("r_base", 1e100, step + "2, objective nan"),
-            ("T_base", 3e152, step + "1, objective nan"),
-            ("T_base", 5e152, gradient),
+            ("r_base", 1e150, steps, step + "1, objective inf"),
+            ("r_base", 1e100, steps, step + "2, objective nan"),
+            ("T_base", 3e152, steps, step + "1, objective nan"),
+            ("T_base", 5e152, steps, gradient),
+            ("r_base", 1e100, at_start, top + "5e+197"),
         ],
     }[mode]
     path = tmp_path / "prob.json"
-    argv = ["solve", "--problem", str(path), "--schedule", "10,100", "--kmax", "5", "--mode", mode]
-    for name, value, message in cases:
+    for name, value, schedule, message in cases:
+        argv = ["solve", "--problem", str(path), *schedule, "--mode", mode]
         doc = json.loads(serialize_problem(builtin_example()))
         if name == "r_base":
             doc["r_base"][0] = value
@@ -369,8 +387,8 @@ def test_solve_names_the_stage_whose_start_point_overflows(tmp_path, capsys, mod
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc, out, err = run(capsys, argv)
-        assert (rc, out) == (1, ""), (name, value)
-        assert err.splitlines() == [message], (name, value)
+        assert (rc, out) == (1, ""), (name, value, schedule)
+        assert err.splitlines() == [message], (name, value, schedule)
 
 
 @pytest.mark.parametrize(

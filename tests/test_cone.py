@@ -58,8 +58,8 @@ def test_in_L_zero_u_is_orthant_test():
 
 def test_membership_dimension_mismatch():
     bad = [
-        ([1, 1], [0, 0], "x has length 2, expected k=3"),
-        ([1, 1, 1], [0, 0, 0], "u has length 3, expected l=2"),
+        ([1, 1], [0, 0], "x has length 2, expected 3"),
+        ([1, 1, 1], [0, 0, 0], "u has length 3, expected 2"),
         ([1, np.nan, 1], [0, 0], "x must be finite"),
         ([1, 1, 1], [np.inf, 0], "u must be finite"),
         ([[1, 1, 1]], [0, 0], r"x must be a nonempty 1-d vector, got shape \(1, 3\)"),

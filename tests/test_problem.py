@@ -10,8 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from esoclcp.cone import ConeDims
 from esoclcp.problem import (
+    DistributionSpec,
+    PerturbEntry,
     ProblemParseError,
+    ProblemSpec,
     ProblemValidationError,
     builtin_example,
     load_problem,
@@ -131,8 +135,8 @@ def test_f_eval_is_linear_in_point():
 @pytest.mark.parametrize(
     "x, u, message",
     [
-        (np.zeros(2), np.zeros(2), "x has length 2, expected k=3"),
-        (np.zeros(3), np.zeros(3), "u has length 3, expected l=2"),
+        (np.zeros(2), np.zeros(2), "x has length 2, expected 3"),
+        (np.zeros(3), np.zeros(3), "u has length 3, expected 2"),
         (np.r_[0.0, np.nan, 0.0], np.zeros(2), "x must be finite"),
         (np.zeros(3), np.r_[np.inf, 0.0], "u must be finite"),
     ],
@@ -156,6 +160,29 @@ def test_serialize_round_trip():
     assert again.T_perturb == spec.T_perturb
     assert again.r_perturb == spec.r_perturb
     assert again.distribution == spec.distribution
+
+
+def test_serialize_round_trip_of_numpy_scalars():
+    # ProblemSpec accepts numpy integers as indices and numpy floats as
+    # coefficients; they used to stop json with "Object of type int64 is
+    # not JSON serializable"
+    base = builtin_example()
+    spec = ProblemSpec(
+        dims=ConeDims(np.int64(3), np.int32(2)),
+        omega_dim=np.int64(3),
+        T_base=base.T_base,
+        r_base=base.r_base,
+        T_perturb=(PerturbEntry(np.int64(0), np.int64(0), np.float32(1.5), np.int64(0)),),
+        r_perturb=(PerturbEntry(np.int16(1), None, np.float64(-1.0), np.uint8(2)),),
+        distribution=DistributionSpec("iid_normal", np.float32(0.5), np.float32(2.0)),
+    )
+    again = load_problem(serialize_problem(spec))
+    assert again.dims == ConeDims(3, 2) and again.omega_dim == 3
+    assert np.array_equal(again.T_base, base.T_base) and np.array_equal(again.r_base, base.r_base)
+    assert again.T_perturb == (PerturbEntry(0, 0, 1.5, 0),)
+    assert again.r_perturb == (PerturbEntry(1, None, -1.0, 2),)
+    assert again.distribution == DistributionSpec("iid_normal", 0.5, 2.0)
+    assert serialize_problem(again) == serialize_problem(spec)
 
 
 def test_load_rejects_out_of_range_omega_index():

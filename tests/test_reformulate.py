@@ -7,10 +7,10 @@ Jacobian by the dense reference built on it.
 import numpy as np
 import pytest
 
-from esoclcp.cone import ConeDims
+from esoclcp.cone import ConeDims, _check_vector
 from esoclcp.problem import DistributionSpec, ProblemSpec, builtin_example
 from esoclcp.merit import merit_theta
-from esoclcp.reformulate import _check_mix, init_from_lcp, recover_lcp_point
+from esoclcp.reformulate import init_from_lcp, recover_lcp_point
 
 from conftest import case_iv_instance, one_draw, random_spec
 from dense_reference import f_eval, jacobians
@@ -208,27 +208,34 @@ def test_mix_point_rejects_non_finite_entries(where, bad):
     # z = (x_m, u, t) with k = 2, l = 1: both x_m entries, u and t
     z = np.array([1.0, -2.0, 0.5, 3.0])
     z[where] = bad
-    with pytest.raises(ValueError, match="mix point must be finite"):
-        _check_mix(z, 2, 1)
-    with pytest.raises(ValueError, match="mix point must be finite"):
+    with pytest.raises(ValueError, match="^z must be finite$"):
+        _check_vector(z, "z", 4)
+    with pytest.raises(ValueError, match="^z must be finite$"):
         recover_lcp_point(ConeDims(2, 1), z)
 
 
-def test_check_mix_checks_the_length_and_coerces():
-    for z in (np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.zeros((1, 4))):
-        with pytest.raises(ValueError, match="length 4"):
-            _check_mix(z, 2, 1)
-        with pytest.raises(ValueError, match="length 4"):
+def test_check_vector_checks_the_length_and_coerces():
+    for z, message in (
+        (np.zeros(3), "z has length 3, expected 4"),
+        (np.zeros(5), "z has length 5, expected 4"),
+        (np.zeros((4, 1)), r"z must be a nonempty 1-d vector, got shape \(4, 1\)"),
+        (np.zeros((1, 4)), r"z must be a nonempty 1-d vector, got shape \(1, 4\)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _check_vector(z, "z", 4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             recover_lcp_point(ConeDims(2, 1), z)
-    q = _check_mix([1, -2, 0, 3], 2, 1)
+    q = _check_vector([1, -2, 0, 3], "z", 4)
     assert q.dtype == np.float64 and np.array_equal(q, [1.0, -2.0, 0.0, 3.0])
 
 
 def test_dimension_mismatch_errors():
     spec = builtin_example()
-    with pytest.raises(ValueError, match="length 6"):
+    with pytest.raises(ValueError, match="^z has length 5, expected 6$"):
         merit_theta(spec, np.zeros(3), np.zeros(5))
-    with pytest.raises(ValueError, match="length 6"):
+    with pytest.raises(ValueError, match="^z has length 7, expected 6$"):
         merit_theta(spec, np.zeros(3), np.zeros(7))
-    with pytest.raises(ValueError, match="omega"):
+    with pytest.raises(ValueError, match="^omega has length 2, expected 3$"):
         merit_theta(spec, np.zeros(2), np.zeros(6))
+    with pytest.raises(ValueError, match="^omega must be finite$"):
+        merit_theta(spec, np.r_[0.0, np.nan, 0.0], np.zeros(6))

@@ -12,7 +12,6 @@ from esoclcp.risk import (
     plus_part,
     smooth_plus,
     smooth_plus_deriv,
-    smooth_plus_deriv2,
     var_empirical,
 )
 
@@ -55,26 +54,6 @@ def test_smooth_plus_deriv_matches_finite_differences():
                 assert 0.0 < d < 1.0
 
 
-def test_smooth_plus_deriv2_matches_finite_differences():
-    rng = np.random.default_rng(29)
-    for kind in ALL_KINDS:
-        for _ in range(50):
-            t = float(rng.normal(scale=2.0))
-            mu = float(rng.uniform(0.05, 1.0))
-            d2 = smooth_plus_deriv2(t, mu, kind)
-            step = 1e-6
-            fd = (smooth_plus_deriv(t + step, mu, kind) - smooth_plus_deriv(t - step, mu, kind)) / (2 * step)
-            assert d2 == pytest.approx(fd, rel=1e-6, abs=1e-9), kind
-            assert d2 > 0.0
-
-
-def test_smooth_plus_deriv2_far_from_the_kink():
-    # (1 - (t / r)^2) / (2 r) rounds to 0 here; the closed form does not
-    t = np.array([-1e11, 1e11])
-    assert np.allclose(smooth_plus_deriv2(t, 1e-4, SmoothingKind.CHKS), 2e-8 / 1e33, rtol=1e-12)
-    assert np.allclose(smooth_plus_deriv2(t, 1e-4, SmoothingKind.INTERIOR_POINT), 2e-4 / 1e33, rtol=1e-12)
-
-
 def test_logistic_matches_scipy_expit_without_warnings():
     import warnings
 
@@ -95,8 +74,6 @@ def test_logistic_matches_scipy_expit_without_warnings():
 def test_smooth_plus_deriv_rejects_nonpositive_mu():
     with pytest.raises(ValueError):
         smooth_plus_deriv(1.0, 0.0, SmoothingKind.CHKS)
-    with pytest.raises(ValueError):
-        smooth_plus_deriv2(1.0, 0.0, SmoothingKind.CHKS)
 
 
 def test_chks_envelope_bound():

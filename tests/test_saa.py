@@ -239,12 +239,13 @@ def test_theta_star_every_smoothing_kind(kind):
         assert _h(losses, t - tol, alpha, mu, kind) <= 0.0 <= _h(losses, t + tol, alpha, mu, kind)
 
 
-@pytest.mark.parametrize("kind", [k for k in SmoothingKind if k is not SmoothingKind.NEURAL_NETWORK])
+@pytest.mark.parametrize("kind", list(SmoothingKind))
 def test_theta_star_sums_the_root_kinds_in_its_own_buffers(monkeypatch, kind):
     # chks, auto_scaling_ip and interior_point share r = sqrt(t^2 + c), so
-    # theta_star forms p' and p'' from it and calls neither elementwise form
+    # theta_star forms p' and p'' from it; nn forms them from the logistic.
+    # No kind calls a public smoothing function
     def refuse(*args, **kwargs):
-        raise AssertionError("theta_star called an elementwise smoothing derivative")
+        raise AssertionError("theta_star called a public smoothing function")
 
     rng = np.random.default_rng(113)
     for _ in range(20):
@@ -253,8 +254,8 @@ def test_theta_star_sums_the_root_kinds_in_its_own_buffers(monkeypatch, kind):
         mu = float(rng.choice([1e-6, 1e-4, 1e-2]))
         with monkeypatch.context() as m:
             # the names theta_star resolves; _h below calls the real ones
-            m.setitem(theta_star.__globals__, "smooth_plus_deriv", refuse)
-            m.setitem(theta_star.__globals__, "smooth_plus_deriv2", refuse)
+            for name in ("plus_part", "smooth_plus", "smooth_plus_deriv"):
+                m.setitem(theta_star.__globals__, name, refuse)
             t = theta_star(losses, alpha, mu, kind)
         tol = 1e-10 * (1.0 + abs(t))
         assert _h(losses, t - tol, alpha, mu, kind) <= 0.0 <= _h(losses, t + tol, alpha, mu, kind)

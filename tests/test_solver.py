@@ -105,7 +105,8 @@ def test_cvar_stage_refuses_tail_weights_that_miss_alpha_n(mu):
     cfg = SolverConfig(mu=mu, schedule=(5,), k_max=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"tail weights at Theta = .* mu = {mu:g} is too small"):
+        message = rf"^stage 1 \(N = 5\): tail weights at Theta = .* mu = {mu:g} is too small"
+        with pytest.raises(ValueError, match=message):
             solve(builtin_example(), cfg)
 
 
@@ -399,13 +400,13 @@ def test_solve_rejects_mismatched_start():
     spec = random_spec(np.random.default_rng(51), k=3, l=2)
     cfg = SolverConfig(schedule=(3,))
     for wrong, message in (
-        (np.zeros(5), "length 6"),
-        (np.zeros(7), "length 6"),
-        (np.zeros((6, 1)), "length 6"),
-        (np.r_[np.zeros(5), np.nan], "mix point must be finite"),
-        (np.r_[np.inf, np.zeros(5)], "mix point must be finite"),
+        (np.zeros(5), "start has length 5, expected 6"),
+        (np.zeros(7), "start has length 7, expected 6"),
+        (np.zeros((6, 1)), r"start must be a nonempty 1-d vector, got shape \(6, 1\)"),
+        (np.r_[np.zeros(5), np.nan], "start must be finite"),
+        (np.r_[np.inf, np.zeros(5)], "start must be finite"),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             solve(spec, cfg, wrong)
 
 
@@ -421,12 +422,13 @@ def test_solve_keeps_a_copy_of_its_start():
 
 def test_solve_refuses_a_non_finite_theta(monkeypatch):
     # the Theta a stage records must be finite; in mode erm it is the one
-    # theta_star call per stage
+    # theta_star call per stage, and its error names the stage like the rest
     import esoclcp.solver as solver_mod
 
     monkeypatch.setattr(solver_mod, "theta_star", lambda *args: float("nan"))
     spec = random_spec(np.random.default_rng(61))
-    with pytest.raises(ValueError, match="Theta must be finite"):
+    message = r"stage 1 \(N = 5\): theta_star overflows at the step of iteration 3, where the largest loss is \S+"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         solve(spec, SolverConfig(mode="erm", schedule=(5,), k_max=3))
 
 
@@ -650,9 +652,9 @@ def test_trial_points_must_be_finite_and_of_the_right_length(bad):
     for i in (0, 3, 5):  # x_m, u and t
         z = z0.copy()
         z[i] = bad
-        with pytest.raises(ValueError, match="mix point must be finite"):
+        with pytest.raises(ValueError, match="^z must be finite$"):
             stage.eval_point(z)
-    with pytest.raises(ValueError, match="length 6"):
+    with pytest.raises(ValueError, match="^z has length 5, expected 6$"):
         stage.eval_point(z0[:-1])
 
 

@@ -42,6 +42,15 @@ tools/report_diff.py.  The reports:
                                      r_base1e+100 and so on) or T_base
                                      scaled by 3e152 (T_base3e+152); each
                                      ends on one error line
+  final-theta/<mode>-<kind>          `solve --schedule 10 --tol 1e300
+                                     --mode <mode> --smoothing <kind>` on
+                                     the r_base1e+100 data above, in modes
+                                     cvar, erm and ev, kind chks or nn: the
+                                     stage ends at its start point, where
+                                     the Theta it reports overflows (chks
+                                     in erm and ev) or its tail weights
+                                     miss alpha N (nn in cvar); each error
+                                     names the stage
 
 Every solve runs with --no-timing.  Run the script once per tree with the
 same seeds and diff the two outputs, or compare two dumps field by field
@@ -78,6 +87,8 @@ CHECK_POINTS = ("1.5,0.3,1.1,0.1,-0.25", "1,2,3,0,0", "4,4,4,0.001,0", "0.8,0,-2
 # the bundled example's data field and the value that overflows a solve on
 # it: r_base[0] is set to the value, T_base is scaled by it
 OVERFLOWS = (("r_base", 1e100), ("r_base", 1e150), ("r_base", 1e200), ("T_base", 3e152))
+# the smoothing kinds of the final-theta reports, which stop at the start point
+FINAL_THETA_KINDS = ("chks", "nn")
 
 
 def reports(cli, workloads, seeds, workdir: str):
@@ -120,6 +131,11 @@ def reports(cli, workloads, seeds, workdir: str):
         for mode in ("cvar", "erm", "ev"):
             argv = ["solve", "--problem", path, "--schedule", "10,100", "--kmax", "5", "--mode", mode, "--no-timing"]
             yield f"overflow/{case}/{mode}", argv
+    path = os.path.join(workdir, "r_base1e+100.json")
+    for mode in ("cvar", "erm", "ev"):
+        for kind in FINAL_THETA_KINDS:
+            argv = ["solve", "--problem", path, "--schedule", "10", "--tol", "1e300", "--mode", mode]
+            yield f"final-theta/{mode}-{kind}", [*argv, "--smoothing", kind, "--no-timing"]
 
 
 def run(cli, argv) -> tuple[int, str]:
