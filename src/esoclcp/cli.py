@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .cone import classify_complementarity, in_L, in_M
+from .cone import _check_vector, classify_complementarity, in_L, in_M
 from .merit import merit_theta
 from .problem import ProblemParseError, ProblemSpec, builtin_example, load_problem, serialize_problem
 from .reformulate import init_from_lcp
@@ -202,17 +202,13 @@ def _cmd_example(args) -> int:
 
 def _cmd_check(args) -> int:
     spec = _load_spec(args)
-    k, l = spec.dims.k, spec.dims.l
+    k = spec.dims.k
     try:
         values = [float(v) for v in args.point.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad --point {args.point!r}: {exc}") from exc
-    if not np.isfinite(values).all():
-        raise ValueError(f"--point must be finite, got {args.point!r}")
-    if len(values) != k + l:
-        raise ValueError(f"--point needs {k + l} numbers for k={k}, l={l}, got {len(values)}")
-    x = np.array(values[:k])
-    u = np.array(values[k:])
+    point = _check_vector(values, "--point", spec.dims.m)
+    x, u = point[:k], point[k:]
     mean_omega = spec.mean_omega()
     ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, args.samples, args.seed))
 

@@ -25,6 +25,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(value, name: str) -> int:
+    # value as a Python int, where it is an integer >= 1: every size, count and cap
+    if not (_is_int(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ConeDims:
     """Dimensions (k, l) of the cone: k ordered components, l free components."""
@@ -33,10 +40,8 @@ class ConeDims:
     l: int
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.k) and self.k >= 1):
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (_is_int(self.l) and self.l >= 1):
-            raise ValueError(f"l must be an integer >= 1, got {self.l!r}")
+        _check_count(self.k, "k")
+        _check_count(self.l, "l")
 
     @property
     def m(self) -> int:

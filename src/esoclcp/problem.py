@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeDims, _is_int
+from .cone import ConeDims, _check_count, _is_int
 
 DISTRIBUTION_KINDS = ("iid_normal",)
 
@@ -79,9 +79,7 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         m = self.dims.m
-        if not (_is_int(self.omega_dim) and self.omega_dim >= 1):
-            raise ProblemValidationError(f"omega_dim must be an integer >= 1, got {self.omega_dim!r}")
-        self.omega_dim = int(self.omega_dim)
+        self.omega_dim = _check_count(self.omega_dim, "omega_dim")
         self.T_base = np.asarray(self.T_base, dtype=float)
         self.r_base = np.asarray(self.r_base, dtype=float)
         if self.T_base.shape != (m, m):
@@ -163,12 +161,6 @@ def load_problem(text) -> ProblemSpec:
         raise ProblemParseError("problem document must be a JSON object")
     _require_keys(doc, _TOP_KEYS, "problem")
 
-    k, l = doc["k"], doc["l"]
-    if not (_is_int(k) and _is_int(l)):
-        raise ProblemParseError("k and l must be integers")
-    omega_dim = doc["omega_dim"]
-    if not _is_int(omega_dim):
-        raise ProblemParseError("omega_dim must be an integer")
     t_entries = _entries(doc, "T_perturb", _T_ENTRY_KEYS)
     r_entries = _entries(doc, "r_perturb", _R_ENTRY_KEYS)
 
@@ -177,10 +169,6 @@ def load_problem(text) -> ProblemSpec:
         raise ProblemParseError("distribution must be an object")
     _require_keys(dist_doc, _DIST_KEYS, "distribution")
 
-    try:
-        dims = ConeDims(k, l)
-    except ValueError as exc:
-        raise ProblemValidationError(str(exc)) from exc
     dist = DistributionSpec(
         dist_doc["kind"],
         _as_number(dist_doc["mean"], "distribution.mean"),
@@ -193,15 +181,18 @@ def load_problem(text) -> ProblemSpec:
             base[name] = np.asarray(cells, dtype=float)
         except ValueError as exc:  # rows of different lengths
             raise ProblemParseError(f"{name} must be an array of numbers: {exc}") from exc
-    return ProblemSpec(
-        dims=dims,
-        omega_dim=omega_dim,
-        T_base=base["T_base"],
-        r_base=base["r_base"],
-        T_perturb=t_entries,
-        r_perturb=r_entries,
-        distribution=dist,
-    )
+    try:  # the dimensions' own checks raise plain ValueErrors
+        return ProblemSpec(
+            dims=ConeDims(doc["k"], doc["l"]),
+            omega_dim=doc["omega_dim"],
+            T_base=base["T_base"],
+            r_base=base["r_base"],
+            T_perturb=t_entries,
+            r_perturb=r_entries,
+            distribution=dist,
+        )
+    except ValueError as exc:
+        raise ProblemValidationError(str(exc)) from exc
 
 
 def _entries(doc: dict, name: str, keys: set[str]) -> tuple[PerturbEntry, ...]:

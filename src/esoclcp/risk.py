@@ -44,9 +44,11 @@ MU_MAX = 1e100
 # the smallest: theta_star's h' sums 2 mu^2 / r^3, r >= 2 mu, which overflows
 # where a loss sits at Theta from mu ~ 1e-103 on, and 4 mu^2 underflows to 0
 # from mu ~ 1e-162 on, where p'(0) becomes 0 / 0.  Well above that, a mu
-# below theta_star's tolerance on Theta still leaves the tail weights a step
-# whose sum misses alpha N; the solver's gradient refuses those
+# below theta_star's resolution of Theta, _THETA_RTOL (1 + |Theta|), still
+# leaves the tail weights a step whose sum misses alpha N; the solver's
+# gradient refuses those
 MU_MIN = 1e-100
+_THETA_RTOL = 1e-10  # theta_star stops within _THETA_RTOL (1 + |Theta|) of the root
 
 
 class SmoothingKind(Enum):
@@ -72,14 +74,17 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, e, out=e)
 
 
-def _check_mu(mu: float, positive: bool) -> float:
+def _check_mu(mu: float, zero: bool = False) -> float:
+    # mu as a float in [MU_MIN, MU_MAX], or 0 where zero allows smooth_plus's limit [t]_+
     mu = float(mu)
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
-    if positive and mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    if not positive and mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    if zero and mu == 0.0:
+        return mu
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+    if mu > MU_MAX:
+        raise ValueError(f"mu must be at most {MU_MAX:g}, got {mu:g}")
+    if mu < MU_MIN:
+        raise ValueError(f"mu must be at least {MU_MIN:g}, got {mu:g}")
     return mu
 
 
@@ -92,7 +97,7 @@ def _width(mu: float, kind: SmoothingKind) -> float | None:
 
 
 def smooth_plus(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
-    """Smoothed plus function at parameter mu >= 0.
+    """Smoothed plus function at parameter mu, 0 or in [MU_MIN, MU_MAX].
 
     kind selects among
 
@@ -103,7 +108,7 @@ def smooth_plus(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
 
     At mu = 0 every kind returns [t]_+ (nn by its limit).
     """
-    mu = _check_mu(mu, positive=False)
+    mu = _check_mu(mu, zero=True)
     kind = SmoothingKind(kind)
     t = np.asarray(t, dtype=float)
     c = _width(mu, kind)
@@ -119,12 +124,12 @@ def smooth_plus(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
 
 
 def smooth_plus_deriv(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
-    """Exact derivative of smooth_plus in t; requires mu > 0.
+    """Exact derivative of smooth_plus in t; requires mu in [MU_MIN, MU_MAX].
 
     Values lie strictly inside (0, 1) for every kind; for chks the derivative
     is (1 + t / sqrt(t^2 + 4 mu^2)) / 2.
     """
-    mu = _check_mu(mu, positive=True)
+    mu = _check_mu(mu)
     kind = SmoothingKind(kind)
     t = np.asarray(t, dtype=float)
     c = _width(mu, kind)
@@ -206,13 +211,13 @@ def theta_star(
     The root lies near the ceil((1 - alpha) N)-th order statistic (the
     empirical VaR), so the search starts there and brackets the root between
     it and its neighbour on the side h's sign points to, padded by the
-    smoothing width (2 mu; 2 sqrt(mu) for ip); an end of the wrong
-    sign is pushed out geometrically, so the result never depends on that
-    guess.  Newton's method then runs inside the bracket, bisecting whenever
-    a step would leave it or shrink it too slowly (the safeguard of
+    smoothing width (sqrt(c) in r = sqrt(t^2 + c), 2 mu for nn); an end of
+    the wrong sign is pushed out geometrically, so the result never depends
+    on that guess.  Newton's method then runs inside the bracket, bisecting
+    whenever a step would leave it or shrink it too slowly (the safeguard of
     Numerical Recipes' rtsafe), until h is exactly 0 or changes sign within
-    a tolerance 1e-10 (1 + |Theta|) of the returned point.  A Newton step
-    below the tolerance is confirmed by one more evaluation just past it.
+    a tolerance 1e-10 (1 + |Theta|) of the returned point; a Newton step
+    below it is confirmed by one more evaluation just past it.
 
     tail, _tail_quantile(losses, alpha) when the caller has already
     selected it, spares the selection: the start reads only the order
@@ -223,7 +228,7 @@ def theta_star(
     """
     losses = _check_vector(losses, "losses") if tail is None else losses
     alpha = _check_alpha(alpha)
-    mu = _check_mu(mu, positive=True)
+    mu = _check_mu(mu)
     kind = SmoothingKind(kind)
     n = losses.size
     scale = 1.0 / (alpha * n)
@@ -267,7 +272,7 @@ def theta_star(
     # the next order statistic; a one-rank partition and a min beat a
     # two-rank partition several times over
     q_next = float(upper.min()) if upper.size else q
-    pad = 2.0 * (math.sqrt(mu) if kind is SmoothingKind.INTERIOR_POINT else mu)
+    pad = 2.0 * mu if c is None else math.sqrt(c)
     # between q and q_next, h is about rank - (1 - alpha) N over alpha N; where
     # that is 0 the root sits where the two neighbours' tails balance, near
     # the middle of the gap, and otherwise within a few widths of q
@@ -297,7 +302,7 @@ def theta_star(
         else:
             dx_old, dx = dx, 0.5 * (hi - lo)
             x = lo + dx
-        tol = 1e-10 * (1.0 + abs(x))
+        tol = _THETA_RTOL * (1.0 + abs(x))
         if abs(dx) > tol:
             f = h(x)
             df = dh()

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .cone import _check_point, _check_vector, _is_int
+from .cone import _check_count, _check_point, _check_vector, _is_int
 from .problem import DistributionSpec, ProblemSpec, _check_omegas, realize_batch
 from .risk import smooth_plus, smooth_plus_deriv  # unused here; perfbench/spans.py traces both names in this module
 
@@ -127,16 +127,18 @@ def ndtri(y) -> np.ndarray:
     return out.reshape(y.shape)
 
 
-def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> np.ndarray:
-    """Draw an (N, omega_dim) array of iid normals; deterministic in the seed."""
-    if not (_is_int(N) and N >= 1):
-        raise ValueError(f"N must be an integer >= 1, got {N!r}")
-    if not (_is_int(omega_dim) and omega_dim >= 1):
-        raise ValueError(f"omega_dim must be an integer >= 1, got {omega_dim!r}")
+def _check_seed(seed) -> int:
+    # seed as a Python int, where it is one Philox takes as its key
     if not (_is_int(seed) and 0 <= int(seed) <= _MAX_SEED):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    h = gen.integers(0, 2**53, size=(int(N), int(omega_dim)), dtype=np.uint64)
+    return int(seed)
+
+
+def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> np.ndarray:
+    """Draw an (N, omega_dim) array of iid normals; deterministic in the seed."""
+    N, omega_dim = _check_count(N, "N"), _check_count(omega_dim, "omega_dim")
+    gen = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
+    h = gen.integers(0, 2**53, size=(N, omega_dim), dtype=np.uint64)
     uniforms = h.astype(float)
     uniforms += 0.5
     uniforms /= 2**53

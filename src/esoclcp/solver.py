@@ -29,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _check_vector, _is_int
+from .cone import _check_count, _check_vector
 from .problem import ProblemSpec, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
 from .reformulate import recover_lcp_point
-from .risk import MU_MAX, MU_MIN, SmoothingKind, _check_alpha, _tail_cvar, _tail_quantile, _tail_rank
+from .risk import _THETA_RTOL, SmoothingKind, _check_alpha, _check_mu, _tail_cvar, _tail_quantile, _tail_rank
 from .risk import smooth_plus, smooth_plus_deriv
 from .risk import theta_star  # by name: perfbench/spans.py wraps esoclcp.solver.theta_star
-from .saa import RayBound, SampleEvaluator, draw_samples
+from .saa import RayBound, SampleEvaluator, _check_seed, draw_samples
 
 MODES = ("cvar", "ev", "erm")
 
@@ -82,31 +82,19 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        object.__setattr__(self, "mu", _check_mu(self.mu))
         # math.inf > 0, so each bound is checked for finiteness too
-        for name in ("mu", "lm_nu", "tol_r", "eps"):
+        for name in ("lm_nu", "tol_r", "eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.mu > MU_MAX:
-            raise ValueError(f"mu must be at most {MU_MAX:g}, got {self.mu:g}")
-        if self.mu < MU_MIN:
-            raise ValueError(f"mu must be at least {MU_MIN:g}, got {self.mu:g}")
-        if not all(_is_int(n) for n in self.schedule):
-            raise ValueError(f"schedule entries must be integers, got {self.schedule!r}")
-        schedule = tuple(int(n) for n in self.schedule)
-        if len(schedule) < 1 or schedule[0] < 1 or any(
-            b <= a for a, b in zip(schedule, schedule[1:])
-        ):
+        schedule = tuple(_check_count(n, f"schedule[{i}]") for i, n in enumerate(self.schedule))
+        if len(schedule) < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise ValueError(f"schedule must be strictly increasing positive ints, got {self.schedule}")
         object.__setattr__(self, "schedule", schedule)
-        if not (_is_int(self.seed) and 0 <= int(self.seed) < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-        if not (_is_int(self.k_max) and self.k_max >= 1):
-            raise ValueError(f"k_max must be an integer >= 1, got {self.k_max!r}")
-        object.__setattr__(self, "k_max", int(self.k_max))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+        _check_wolfe(self.c1, self.c2)
+        object.__setattr__(self, "k_max", _check_count(self.k_max, "k_max"))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         object.__setattr__(self, "smoothing", SmoothingKind(self.smoothing))
@@ -160,6 +148,12 @@ def _lm_from_means(a_bar: np.ndarray, f_bar: np.ndarray, damping: np.ndarray) ->
     return d
 
 
+def _check_wolfe(c1: float, c2: float) -> None:
+    # the Wolfe constants' one rule, for SolverConfig and wolfe_search
+    if not 0.0 < c1 < c2 < 1.0:
+        raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
+
+
 def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9, s_init: float = 1.0, max_evals: int = 60) -> float:
     """Weak Wolfe line search by bracketing bisection.
 
@@ -171,12 +165,10 @@ def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9, s_init: float = 1.0, m
     last, tiny bisected step is returned.  s_init must be finite and
     positive, max_evals an integer of at least 1.
     """
-    if not 0.0 < c1 < c2 < 1.0:
-        raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
+    _check_wolfe(c1, c2)
     if not (math.isfinite(s_init) and s_init > 0):
         raise ValueError(f"s_init must be finite and > 0, got {s_init}")
-    if not (_is_int(max_evals) and max_evals >= 1):
-        raise ValueError(f"max_evals must be an integer >= 1, got {max_evals!r}")
+    max_evals = _check_count(max_evals, "max_evals")
     g0 = float(g(0.0))
     if not g0 < 0.0:
         raise ValueError(f"slope at zero must be negative, got {g0}")
@@ -437,7 +429,8 @@ class _StageProblem:
                 if not 0.5 * target <= total <= 2.0 * target:
                     raise ValueError(
                         f"{self.where}: tail weights at Theta = {e.theta:g} sum to {total:g}, not alpha N = "
-                        f"{target:g}: mu = {cfg.mu:g} is too small for theta_star to resolve Theta"
+                        f"{target:g}: mu = {cfg.mu:g} is below theta_star's resolution of Theta, "
+                        f"{_THETA_RTOL * (1.0 + abs(e.theta)):.3g}"
                     )
                 e._gvec = self.ev.weighted_merit_grad(e.z, w, self._res, self._f, fb, self._work) / cfg.alpha
             else:

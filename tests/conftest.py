@@ -1,6 +1,7 @@
 """Shared builders for randomized and crafted problem instances."""
 
 import numpy as np
+import pytest
 
 from esoclcp.cone import ConeDims
 from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec
@@ -91,3 +92,10 @@ def case_iv_instance(rng=None):
         distribution=DistributionSpec("iid_normal", 0.0, 1.0),
     )
     return spec, x, u, y, v
+
+
+def assert_refuses(make, cls, message):
+    """make() raises exactly cls (not a subclass) with exactly message."""
+    with pytest.raises(cls) as info:
+        make()
+    assert (type(info.value), str(info.value)) == (cls, message)

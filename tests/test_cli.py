@@ -307,8 +307,8 @@ def test_solve_rejects_a_mu_beyond_the_limit_before_solving(capsys, smoothing):
     [
         (
             "1e-18",
-            r"error: stage 1 \(N = 5\): tail weights at Theta = \S+ sum to \S+, not alpha N = 0\.25: "
-            r"mu = 1e-18 is too small .*",
+            r"error: stage 1 \(N = 5\): tail weights at Theta = 1056\.87 sum to 1\.93427e-11, not alpha N = 0\.25: "
+            r"mu = 1e-18 is below theta_star's resolution of Theta, 1\.06e-07",
         ),
         ("1e-300", r"error: mu must be at least 1e-100, got 1e-300"),
     ],
@@ -340,7 +340,8 @@ def test_solve_names_the_stage_whose_start_point_overflows(tmp_path, capsys, mod
     # error names it and the largest loss.  A tolerance of 1e300 ends the
     # stage at its start point, where modes erm and ev's reported Theta
     # overflows in theta_star (it used to read "Theta must be finite"), and
-    # where mode cvar's nn tail weights miss alpha N (with no stage named)
+    # where mode cvar's nn tail weights miss alpha N (with no stage named);
+    # there theta_star's resolution, 5e+187, is far above every mu accepted
     stage = f"error: stage 1 (N = {1 if mode == 'ev' else 10}): "
     start = stage + "the merit overflows at the start point, objective inf"
     step = stage + "the merit overflows at the step of iteration "
@@ -358,7 +359,7 @@ def test_solve_names_the_stage_whose_start_point_overflows(tmp_path, capsys, mod
                 1e100,
                 [*at_start, "--smoothing", "nn"],
                 stage + "tail weights at Theta = 5e+197 sum to 5, not alpha N = 0.5: "
-                "mu = 0.0001 is too small for theta_star to resolve Theta",
+                "mu = 0.0001 is below theta_star's resolution of Theta, 5e+187",
             ),
         ],
         "erm": [
@@ -463,7 +464,7 @@ def test_check_reports_classification(tmp_path, capsys):
 def test_check_point_length_error(capsys):
     rc, _, err = run(capsys, ["check", "--builtin", "--point", "1,2,3"])
     assert rc == 1
-    assert "error:" in err and "5 numbers" in err
+    assert err == "error: --point has length 3, expected 5\n"
 
 
 @pytest.mark.parametrize(
@@ -486,8 +487,42 @@ def test_check_refuses_a_non_finite_point(capsys, point):
     rc, out, err = run(capsys, ["check", "--builtin", "--point", point])
     assert rc == 1
     assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "--point" in err and "mix point" not in err
+    assert err == "error: --point must be finite\n"
+
+
+def _problem_with(edit):
+    # the bundled example's document, edited
+    doc = json.loads(serialize_problem(builtin_example()))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["check", "--builtin", "--point", "1,x,1,0,0"], None,
+         "bad --point '1,x,1,0,0': could not convert string to float: 'x'"),
+        (["solve", "--builtin", "--kmax", "0"], None, "k_max must be an integer >= 1, got 0"),
+        (["solve", "--builtin", "--schedule", "10,10"], None,
+         "schedule must be strictly increasing positive ints, got (10, 10)"),
+        (["solve", "--builtin", "--c1", "0.5", "--c2", "0.5"], None, "need 0 < c1 < c2 < 1, got c1=0.5, c2=0.5"),
+        (["solve", "--builtin", "--seed", "-1"], None, "seed must be an unsigned 64-bit integer, got -1"),
+        (["solve"], _problem_with(lambda d: d.update(k=True)), "k must be an integer >= 1, got True"),
+        (["solve"], _problem_with(lambda d: d.update(omega_dim=0)), "omega_dim must be an integer >= 1, got 0"),
+        (["solve"], _problem_with(lambda d: d["T_perturb"][0].update(coeff=float("nan"))),
+         "perturbation coefficient must be finite: PerturbEntry(row=0, col=0, coeff=nan, omega_index=0)"),
+    ],
+    ids=["point-unparsable", "kmax-zero", "schedule-flat", "c1-c2", "seed-negative", "file-k-bool",
+         "file-omega_dim-zero", "file-coeff-nan"],
+)
+def test_refusals_end_on_one_error_line(tmp_path, capsys, argv, doc, message):
+    # tools/report_bytes.py's refuse/ reports; the point's length and
+    # finiteness, and a mu below MU_MIN, are pinned by the tests above
+    if doc is not None:
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [*argv, "--problem", str(path)]
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
 
 
 def test_solve_imports_no_scipy():

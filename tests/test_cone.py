@@ -6,6 +6,8 @@ import pytest
 from esoclcp.cone import ConeDims, classify_complementarity, in_L, in_M
 from esoclcp.problem import DistributionSpec, ProblemSpec
 
+from conftest import assert_refuses
+
 D32 = ConeDims(3, 2)
 
 
@@ -35,6 +37,24 @@ def test_dimensions_refuse_bools_and_non_integers(make, name):
 def test_dimensions_accept_numpy_integers():
     assert ConeDims(np.int64(3), 2).m == 5
     assert type(_spec(np.int32(2)).omega_dim) is int
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ConeDims(True, 2), "k must be an integer >= 1, got True"),
+        (lambda: ConeDims(3, 2.0), "l must be an integer >= 1, got 2.0"),
+        (lambda: ConeDims(-3, 2), "k must be an integer >= 1, got -3"),
+        (lambda: in_L(D32, [1, 1], [0, 0]), "x has length 2, expected 3"),
+        (lambda: in_M(D32, [1, 1, 1], [np.nan, 0]), "u must be finite"),
+        (lambda: in_L(D32, np.ones((1, 3)), [0, 0]), "x must be a nonempty 1-d vector, got shape (1, 3)"),
+        (lambda: classify_complementarity(D32, [1, 1, 1], [0, 0], [0, 0, 0], [0, 0], tol=-1.0),
+         "tol must be nonnegative"),
+    ],
+    ids=["k-bool", "l-float", "k-negative", "x-length", "u-nan", "x-2d", "tol-negative"],
+)
+def test_cone_refusals(make, message):
+    assert_refuses(make, ValueError, message)
 
 
 def test_in_L_examples():

@@ -4,6 +4,7 @@ F is read through SampleEvaluator.f_values, at one draw or over a sample.
 """
 
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -23,6 +24,8 @@ from esoclcp.problem import (
     serialize_problem,
 )
 from esoclcp.saa import SampleEvaluator
+
+from conftest import assert_refuses
 
 T_ROWS = [
     (41, -3, -31, 18, 19),
@@ -265,6 +268,66 @@ def _edited(edit):
 def test_load_names_the_field_that_is_not_a_number(where, edit):
     with pytest.raises(ProblemParseError, match=re.escape(where)):
         load_problem(_edited(edit))
+
+
+@pytest.mark.parametrize(
+    "make, cls, message",
+    [
+        (lambda: DistributionSpec("uniform", 0.0, 1.0), ProblemValidationError,
+         "distribution kind must be one of ('iid_normal',), got 'uniform'"),
+        (lambda: DistributionSpec("iid_normal", math.nan, 1.0), ProblemValidationError,
+         "distribution mean must be finite"),
+        (lambda: DistributionSpec("iid_normal", 0.0, 0.0), ProblemValidationError,
+         "distribution std must be finite and > 0"),
+        (lambda: load_problem(_edited(lambda d: d.update(r_base=[1, 2, 3]))), ProblemValidationError,
+         "r_base must have length 5, got shape (3,)"),
+        # json reads NaN, so a non-finite number reaches ProblemSpec from a file
+        (lambda: load_problem(_edited(lambda d: d["T_base"][0].__setitem__(0, math.nan))), ProblemValidationError,
+         "T_base and r_base must be finite"),
+        (lambda: load_problem(_edited(lambda d: d["r_base"].__setitem__(4, math.nan))), ProblemValidationError,
+         "T_base and r_base must be finite"),
+        (lambda: replace(builtin_example(), T_perturb=(PerturbEntry(0, None, 1.0, 0),)), ProblemValidationError,
+         "T_perturb entries need a column index"),
+        (lambda: load_problem(_edited(lambda d: d["T_perturb"][0].update(row=5))), ProblemValidationError,
+         "T_perturb entry out of range: PerturbEntry(row=5, col=0, coeff=1.0, omega_index=0)"),
+        (lambda: replace(builtin_example(), r_perturb=(PerturbEntry(1, 0, -1.0, 2),)), ProblemValidationError,
+         "r_perturb entries must not carry a column index"),
+        (lambda: load_problem(_edited(lambda d: d["r_perturb"][0].update(row=-1))), ProblemValidationError,
+         "r_perturb entry out of range: PerturbEntry(row=-1, col=None, coeff=-1.0, omega_index=2)"),
+        (lambda: load_problem(_edited(lambda d: d["T_perturb"][0].update(coeff=math.nan))), ProblemValidationError,
+         "perturbation coefficient must be finite: PerturbEntry(row=0, col=0, coeff=nan, omega_index=0)"),
+        (lambda: load_problem("[]"), ProblemParseError, "problem document must be a JSON object"),
+        (lambda: load_problem(_edited(lambda d: d.update(distribution=[]))), ProblemParseError,
+         "distribution must be an object"),
+        (lambda: load_problem(_edited(lambda d: d.update(T_perturb=[1]))), ProblemParseError,
+         "T_perturb[0] must be an object"),
+        (lambda: load_problem(_edited(lambda d: d.update(T_perturb={}))), ProblemParseError,
+         "T_perturb must be an array"),
+        (lambda: load_problem(_edited(lambda d: d["T_perturb"][0].update(row=0.5))), ProblemParseError,
+         "T_perturb[0].row must be an integer, got 0.5"),
+        (lambda: load_problem(_edited(lambda d: d.pop("k"))), ProblemParseError, "problem: missing keys ['k']"),
+        # a dimension from a file is refused by ConeDims or ProblemSpec, with
+        # their messages, as a ProblemValidationError
+        (lambda: load_problem(_edited(lambda d: d.update(k=True))), ProblemValidationError,
+         "k must be an integer >= 1, got True"),
+        (lambda: load_problem(_edited(lambda d: d.update(l=0))), ProblemValidationError,
+         "l must be an integer >= 1, got 0"),
+        (lambda: load_problem(_edited(lambda d: d.update(omega_dim=0))), ProblemValidationError,
+         "omega_dim must be an integer >= 1, got 0"),
+        (lambda: load_problem(_edited(lambda d: d.update(omega_dim=2.5))), ProblemValidationError,
+         "omega_dim must be an integer >= 1, got 2.5"),
+        # built directly, a dimension's refusal is a plain ValueError, as ConeDims' is
+        (lambda: replace(builtin_example(), omega_dim=0), ValueError, "omega_dim must be an integer >= 1, got 0"),
+    ],
+    ids=[
+        "dist-kind", "dist-mean", "dist-std", "r_base-shape", "T_base-nan", "r_base-nan", "T_perturb-no-col",
+        "T_perturb-range", "r_perturb-col", "r_perturb-range", "coeff-nan", "doc-not-object", "dist-not-object",
+        "entry-not-object", "T_perturb-not-array", "index-not-integer", "missing-key", "k-bool", "l-zero",
+        "omega_dim-zero", "omega_dim-float", "spec-omega_dim-zero",
+    ],
+)
+def test_problem_refusals(make, cls, message):
+    assert_refuses(make, cls, message)
 
 
 def test_load_accepts_integer_numbers():

@@ -1,9 +1,13 @@
 """Empirical VaR/CVaR and the smoothed plus-parts."""
 
+import math
+
 import numpy as np
 import pytest
 
 from esoclcp.risk import (
+    MU_MAX,
+    MU_MIN,
     SmoothingKind,
     _logistic,
     _tail_quantile,
@@ -12,8 +16,11 @@ from esoclcp.risk import (
     plus_part,
     smooth_plus,
     smooth_plus_deriv,
+    theta_star,
     var_empirical,
 )
+
+from conftest import assert_refuses
 
 ALL_KINDS = list(SmoothingKind)
 
@@ -74,6 +81,42 @@ def test_logistic_matches_scipy_expit_without_warnings():
 def test_smooth_plus_deriv_rejects_nonpositive_mu():
     with pytest.raises(ValueError):
         smooth_plus_deriv(1.0, 0.0, SmoothingKind.CHKS)
+
+
+# each public function that takes mu, called at t = 0 or on a small sample
+MU_TAKERS = {
+    "smooth_plus": lambda mu, kind: smooth_plus(0.0, mu, kind),
+    "smooth_plus_deriv": lambda mu, kind: smooth_plus_deriv(0.0, mu, kind),
+    "theta_star": lambda mu, kind: theta_star([0.5, 1.0, 2.0, 3.0], 0.5, mu, kind),
+}
+
+
+@pytest.mark.parametrize("taker", MU_TAKERS)
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        (math.nan, "mu must be finite and > 0, got nan"),
+        (math.inf, "mu must be finite and > 0, got inf"),
+        (-1.0, "mu must be finite and > 0, got -1.0"),
+        (1e-170, "mu must be at least 1e-100, got 1e-170"),
+        (1e160, "mu must be at most 1e+100, got 1e+160"),
+    ],
+    ids=["nan", "inf", "negative", "below-MU_MIN", "above-MU_MAX"],
+)
+def test_smoothing_refuses_a_mu_outside_its_range(mu, message, taker):
+    # SolverConfig's range and messages: at 1e-170 smooth_plus used to return
+    # 0.0 and smooth_plus_deriv nan (4 mu^2 underflows), at 1e160 inf
+    assert_refuses(lambda: MU_TAKERS[taker](mu, SmoothingKind.CHKS), ValueError, message)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_smoothing_takes_mu_over_its_whole_range_and_zero_only_in_smooth_plus(kind):
+    for mu in (MU_MIN, MU_MAX):
+        assert all(math.isfinite(take(mu, kind)) for take in MU_TAKERS.values())
+    grid = np.linspace(-3.0, 3.0, 13)
+    assert np.array_equal(smooth_plus(grid, 0.0, kind), plus_part(grid))
+    for taker in ("smooth_plus_deriv", "theta_star"):
+        assert_refuses(lambda: MU_TAKERS[taker](0.0, kind), ValueError, "mu must be finite and > 0, got 0.0")
 
 
 def test_chks_envelope_bound():

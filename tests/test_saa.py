@@ -10,7 +10,7 @@ from esoclcp.risk import SmoothingKind, cvar_empirical, smooth_plus, smooth_plus
 from esoclcp.saa import SampleEvaluator, draw_samples, ndtri
 from esoclcp.solver import SolverConfig, _StageProblem
 
-from conftest import case_iv_instance, random_spec, tail_gradient, tail_objective
+from conftest import assert_refuses, case_iv_instance, random_spec, tail_gradient, tail_objective
 from dense_reference import f_eval, jacobians, mean_jacobian, merit_grad, merit_grads
 
 DIST = DistributionSpec(kind="iid_normal", mean=0.0, std=1.0)
@@ -55,6 +55,23 @@ def test_draw_samples_validation():
     for args, name in (((True, 5, 1), "omega_dim"), ((2, True, 1), "N"), ((2, 5, True), "seed")):
         with pytest.raises(ValueError, match=name):
             draw_samples(DIST, *args)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, 0, 1), "N must be an integer >= 1, got 0"),
+        ((2, 5.0, 1), "N must be an integer >= 1, got 5.0"),
+        ((0, 5, 1), "omega_dim must be an integer >= 1, got 0"),
+        ((2, 5, -1), "seed must be an unsigned 64-bit integer, got -1"),
+        ((2, 5, 2**64), f"seed must be an unsigned 64-bit integer, got {2**64}"),
+        ((2, 5, "7"), "seed must be an unsigned 64-bit integer, got '7'"),
+    ],
+    ids=["N-zero", "N-float", "omega_dim-zero", "seed-negative", "seed-2**64", "seed-str"],
+)
+def test_draw_samples_refusals(args, message):
+    # the rules and messages SolverConfig gives its schedule and seed
+    assert_refuses(lambda: draw_samples(DIST, *args), ValueError, message)
 
 
 def _philox_uniforms(seed, n):

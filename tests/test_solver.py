@@ -1,5 +1,6 @@
 """Tests for the staged solver: config, directions, line search, full solves."""
 
+import re
 import time
 import warnings
 from types import SimpleNamespace
@@ -11,11 +12,19 @@ from esoclcp.cone import ConeDims, classify_complementarity
 from esoclcp.merit import merit_theta
 from esoclcp.problem import builtin_example, realize_batch
 from esoclcp.reformulate import init_from_lcp, recover_lcp_point
-from esoclcp.risk import SmoothingKind, _tail_cvar, _tail_quantile, _tail_rank, cvar_empirical, smooth_plus, theta_star
-from esoclcp.saa import RayBound, SampleEvaluator, draw_samples
-from esoclcp.solver import (
+from esoclcp.risk import (
     MU_MAX,
     MU_MIN,
+    SmoothingKind,
+    _tail_cvar,
+    _tail_quantile,
+    _tail_rank,
+    cvar_empirical,
+    smooth_plus,
+    theta_star,
+)
+from esoclcp.saa import RayBound, SampleEvaluator, draw_samples
+from esoclcp.solver import (
     SolverConfig,
     _lm_from_means,
     _PointEval,
@@ -28,7 +37,7 @@ from esoclcp.solver import (
     wolfe_search,
 )
 
-from conftest import case_iv_instance, random_spec
+from conftest import assert_refuses, case_iv_instance, random_spec
 from dense_reference import aloc_dense, f_eval, jacobians, mean_jacobian
 
 
@@ -86,6 +95,33 @@ def test_config_validation_errors():
     assert type(cfg.k_max) is int and type(cfg.seed) is int
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SolverConfig(schedule=(0, 10)), "schedule[0] must be an integer >= 1, got 0"),
+        (lambda: SolverConfig(schedule=(10, 10.5)), "schedule[1] must be an integer >= 1, got 10.5"),
+        (lambda: SolverConfig(schedule=()), "schedule must be strictly increasing positive ints, got ()"),
+        (lambda: SolverConfig(schedule=(10, 10)), "schedule must be strictly increasing positive ints, got (10, 10)"),
+        (lambda: SolverConfig(k_max=True), "k_max must be an integer >= 1, got True"),
+        (lambda: SolverConfig(seed=2**64), f"seed must be an unsigned 64-bit integer, got {2**64}"),
+        (lambda: SolverConfig(mu=0.0), "mu must be finite and > 0, got 0.0"),
+        (lambda: SolverConfig(mu=1e160), "mu must be at most 1e+100, got 1e+160"),
+        (lambda: SolverConfig(c1=0.5, c2=0.5), "need 0 < c1 < c2 < 1, got c1=0.5, c2=0.5"),
+        (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, c1=0.5, c2=0.5), "need 0 < c1 < c2 < 1, got c1=0.5, c2=0.5"),
+        (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, c2=1.0), "need 0 < c1 < c2 < 1, got c1=0.0001, c2=1.0"),
+        (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, max_evals=2.0), "max_evals must be an integer >= 1, got 2.0"),
+    ],
+    ids=[
+        "schedule-zero", "schedule-float", "schedule-empty", "schedule-flat", "k_max-bool", "seed-2**64", "mu-zero",
+        "mu-above-MU_MAX", "config-c1-c2", "wolfe-c1-c2", "wolfe-c2-one", "wolfe-max_evals-float",
+    ],
+)
+def test_solver_refusals(make, message):
+    # SolverConfig and wolfe_search share the counts', the seed's and the
+    # Wolfe constants' checks with the rest of the library
+    assert_refuses(make, ValueError, message)
+
+
 def test_config_accepts_mu_up_to_its_limit():
     assert SolverConfig(mu=MU_MAX).mu == MU_MAX == 1e100
 
@@ -99,14 +135,18 @@ def test_config_accepts_mu_down_to_its_limit():
 
 @pytest.mark.parametrize("mu", [1e-18, 1e-16, 1e-100])
 def test_cvar_stage_refuses_tail_weights_that_miss_alpha_n(mu):
-    # far below theta_star's tolerance on Theta the smoothed tail weights are
-    # a step: here they sum to 1.9e-11, 1.9e-7 and 0 against alpha N = 0.25;
-    # at 1e-18 the stage used to end on grad_tol after 0 iterations
+    # far below theta_star's resolution of Theta, 1e-10 (1 + |Theta|), the
+    # smoothed tail weights are a step whose sum misses alpha N = 0.25; at
+    # 1e-18 the stage used to end on grad_tol after 0 iterations
+    total = {1e-18: "1.93427e-11", 1e-16: "1.93428e-07", 1e-100: "0"}[mu]
     cfg = SolverConfig(mu=mu, schedule=(5,), k_max=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        message = rf"^stage 1 \(N = 5\): tail weights at Theta = .* mu = {mu:g} is too small"
-        with pytest.raises(ValueError, match=message):
+        message = (
+            f"stage 1 (N = 5): tail weights at Theta = 1056.87 sum to {total}, not alpha N = 0.25: "
+            f"mu = {mu:g} is below theta_star's resolution of Theta, 1.06e-07"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solve(builtin_example(), cfg)
 
 

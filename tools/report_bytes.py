@@ -51,6 +51,19 @@ tools/report_diff.py.  The reports:
                                      in erm and ev) or its tail weights
                                      miss alpha N (nn in cvar); each error
                                      names the stage
+  refuse/<case>                      one refused input each, ending on one
+                                     error line: `check --builtin --point`
+                                     1,2,3 (point-length), 1,x,1,0,0
+                                     (point-unparsable) and nan,1,1,0,0
+                                     (point-nan); `solve --builtin` with
+                                     --mu 1e-300 (mu), --kmax 0 (kmax),
+                                     --schedule 10,10 (schedule), --c1 0.5
+                                     --c2 0.5 (wolfe) and --seed -1 (seed);
+                                     `solve --problem` on the bundled
+                                     example with "k": true (file-k),
+                                     "omega_dim": 0 (file-omega_dim) or a
+                                     NaN perturbation coefficient
+                                     (file-coeff)
 
 Every solve runs with --no-timing.  Run the script once per tree with the
 same seeds and diff the two outputs, or compare two dumps field by field
@@ -89,6 +102,23 @@ CHECK_POINTS = ("1.5,0.3,1.1,0.1,-0.25", "1,2,3,0,0", "4,4,4,0.001,0", "0.8,0,-2
 OVERFLOWS = (("r_base", 1e100), ("r_base", 1e150), ("r_base", 1e200), ("T_base", 3e152))
 # the smoothing kinds of the final-theta reports, which stop at the start point
 FINAL_THETA_KINDS = ("chks", "nn")
+# refuse/<case>: CLI calls that each end on one error line, the builtin
+# example's flags and then problem files, the bundled example with one edit
+REFUSED_FLAGS = (
+    ("point-length", ["check", "--builtin", "--point", "1,2,3"]),
+    ("point-unparsable", ["check", "--builtin", "--point", "1,x,1,0,0"]),
+    ("point-nan", ["check", "--builtin", "--point", "nan,1,1,0,0"]),
+    ("mu", ["solve", "--builtin", "--mu", "1e-300"]),
+    ("kmax", ["solve", "--builtin", "--kmax", "0"]),
+    ("schedule", ["solve", "--builtin", "--schedule", "10,10"]),
+    ("wolfe", ["solve", "--builtin", "--c1", "0.5", "--c2", "0.5"]),
+    ("seed", ["solve", "--builtin", "--seed", "-1"]),
+)
+REFUSED_FILES = (
+    ("file-k", lambda doc: doc.update(k=True)),
+    ("file-omega_dim", lambda doc: doc.update(omega_dim=0)),
+    ("file-coeff", lambda doc: doc["T_perturb"][0].update(coeff=float("nan"))),
+)
 
 
 def reports(cli, workloads, seeds, workdir: str):
@@ -136,6 +166,16 @@ def reports(cli, workloads, seeds, workdir: str):
         for kind in FINAL_THETA_KINDS:
             argv = ["solve", "--problem", path, "--schedule", "10", "--tol", "1e300", "--mode", mode]
             yield f"final-theta/{mode}-{kind}", [*argv, "--smoothing", kind, "--no-timing"]
+    for case, argv in REFUSED_FLAGS:
+        yield f"refuse/{case}", argv + (["--no-timing"] if argv[0] == "solve" else [])
+    for case, edit in REFUSED_FILES:
+        with open(example, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        path = os.path.join(workdir, f"{case}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        yield f"refuse/{case}", ["solve", "--problem", path, "--no-timing"]
 
 
 def run(cli, argv) -> tuple[int, str]:
