@@ -8,12 +8,12 @@ import sys
 
 import numpy as np
 
-from .cone import _check_vector, classify_complementarity, in_L, in_M
+from .cone import _check_count, _check_vector, classify_complementarity, in_L, in_M
 from .merit import merit_theta
 from .problem import ProblemParseError, ProblemSpec, builtin_example, load_problem, serialize_problem
 from .reformulate import init_from_lcp
 from .risk import SmoothingKind
-from .saa import SampleEvaluator, draw_samples
+from .saa import SampleEvaluator, _check_seed, draw_samples
 from .solver import MODES, SolverConfig, StageResult, aloc, solve
 
 FORMATS = ("table", "csv", "json")
@@ -210,7 +210,8 @@ def _cmd_check(args) -> int:
     point = _check_vector(values, "--point", spec.dims.m)
     x, u = point[:k], point[k:]
     mean_omega = spec.mean_omega()
-    ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, args.samples, args.seed))
+    n, seed = _check_count(args.samples, "--samples"), _check_seed(args.seed, "--seed")
+    ev = SampleEvaluator(spec, draw_samples(spec.distribution, spec.omega_dim, n, seed))
 
     # a point at which a figure overflows is refused before anything is printed
     with np.errstate(all="ignore"):

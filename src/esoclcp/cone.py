@@ -10,6 +10,7 @@ mutually exclusive cases depending on whether u and v vanish.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,21 @@ def _check_count(value, name: str) -> int:
     if not (_is_int(value) and value >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def _is_real(value) -> bool:
+    """A float, int or numpy real, and not a bool."""
+    return isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+
+
+def _check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf, ends: str = "()") -> float:
+    # value as a float, where it is a finite real in the interval from lo to
+    # hi, whose brackets ends gives ("[)" takes lo in): every float knob
+    if _is_real(value):
+        x = float(value)
+        if math.isfinite(x) and (lo < x or ends[0] == "[" and x == lo) and (x < hi or ends[1] == "]" and x == hi):
+            return x
+    raise ValueError(f"{name} must be a finite number in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +100,7 @@ def _check_point(dims: ConeDims, x, u, names: str = "xu") -> tuple[np.ndarray, n
 def in_L(dims: ConeDims, x, u, tol: float = DEFAULT_TOL) -> bool:
     """Whether (x, u) lies in L(k, l): min_i x_i >= ||u|| - tol."""
     x, u = _check_point(dims, x, u)
+    tol = _check_real(tol, "tol", 0.0, ends="[)")
     return bool(np.min(x) >= float(np.linalg.norm(u)) - tol)
 
 
@@ -93,6 +110,7 @@ def in_M(dims: ConeDims, x, u, tol: float = DEFAULT_TOL) -> bool:
     Requires e^T x >= ||u|| - tol and min_i x_i >= -tol.
     """
     x, u = _check_point(dims, x, u)
+    tol = _check_real(tol, "tol", 0.0, ends="[)")
     return bool(np.sum(x) >= float(np.linalg.norm(u)) - tol and np.min(x) >= -tol)
 
 
@@ -154,8 +172,7 @@ def classify_complementarity(
     """
     x, u = _check_point(dims, x, u)
     y, v = _check_point(dims, y, v, "yv")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    tol = _check_real(tol, "tol", 0.0, ends="[)")
 
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))

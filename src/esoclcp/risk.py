@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cone import _check_vector
+from .cone import _check_real, _check_vector, _is_real
 
 _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
 
@@ -76,16 +76,9 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 def _check_mu(mu: float, zero: bool = False) -> float:
     # mu as a float in [MU_MIN, MU_MAX], or 0 where zero allows smooth_plus's limit [t]_+
-    mu = float(mu)
-    if zero and mu == 0.0:
-        return mu
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be finite and > 0, got {mu}")
-    if mu > MU_MAX:
-        raise ValueError(f"mu must be at most {MU_MAX:g}, got {mu:g}")
-    if mu < MU_MIN:
-        raise ValueError(f"mu must be at least {MU_MIN:g}, got {mu:g}")
-    return mu
+    if zero and _is_real(mu) and mu == 0:
+        return 0.0
+    return _check_real(mu, "mu", MU_MIN, MU_MAX, "[]")
 
 
 def _width(mu: float, kind: SmoothingKind) -> float | None:
@@ -141,10 +134,7 @@ def smooth_plus_deriv(t, mu: float, kind: SmoothingKind = SmoothingKind.CHKS):
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
+    return _check_real(alpha, "alpha", 0.0, 1.0)
 
 
 def _rank_slack(n: int) -> float:

@@ -127,10 +127,10 @@ def ndtri(y) -> np.ndarray:
     return out.reshape(y.shape)
 
 
-def _check_seed(seed) -> int:
+def _check_seed(seed, name: str = "seed") -> int:
     # seed as a Python int, where it is one Philox takes as its key
     if not (_is_int(seed) and 0 <= int(seed) <= _MAX_SEED):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed!r}")
     return int(seed)
 
 
@@ -478,10 +478,6 @@ class RayBound:
         self._scale = tuple(map(math.sqrt, (z0, z1, a0, a1)))
         self._fb = tuple(zip(*zd[:k].T.tolist(), *g1_mean))
         self._clip = ev.N > 1
-
-    def value(self, s: float) -> float:
-        """The bound at step s."""
-        return self._quartic(s) + self._fb_terms(s)
 
     def _quartic(self, s: float) -> float:
         q0, q1, q2, q3, q4 = self._lead

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _check_count, _check_vector
+from .cone import _check_count, _check_real, _check_vector
 from .problem import ProblemSpec, realize_batch  # realize_batch: unused, perfbench/spans.py traces it
 from .reformulate import recover_lcp_point
 from .risk import _THETA_RTOL, SmoothingKind, _check_alpha, _check_mu, _tail_cvar, _tail_quantile, _tail_rank
@@ -58,6 +58,16 @@ _SCREEN_RTOL = 1e-9
 _TAIL_SHARE_MAX = 0.8
 _TAIL_MIN_N = 1000
 
+# the keys of StageResult.counts, the stage's work: line-search values asked
+# for, cache hits aside; the trials the ray bound, the FB rows, the tail
+# draws and the empirical CVaR answered; residual passes over the whole
+# sample or the tail draws, and passes forming the FB rows alone to screen a
+# trial; theta_star calls, the Theta reported in modes erm and ev included
+COUNTS = (
+    "trials", "ray_answers", "fb_answers", "tail_answers", "cvar_answers",
+    "full_passes", "tail_passes", "fb_passes", "theta_calls",
+)
+
 # the Gauss-Newton direction d is kept only when g^T d <= -_DESCENT_R ||d||;
 # otherwise the stage steps along -g
 _DESCENT_R = 1e-8
@@ -83,17 +93,16 @@ class SolverConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         object.__setattr__(self, "mu", _check_mu(self.mu))
-        # math.inf > 0, so each bound is checked for finiteness too
         for name in ("lm_nu", "tol_r", "eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, 0.0))
         schedule = tuple(_check_count(n, f"schedule[{i}]") for i, n in enumerate(self.schedule))
         if len(schedule) < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise ValueError(f"schedule must be strictly increasing positive ints, got {self.schedule}")
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        _check_wolfe(self.c1, self.c2)
+        c1, c2 = _check_wolfe(self.c1, self.c2)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "k_max", _check_count(self.k_max, "k_max"))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -116,8 +125,7 @@ class StageResult:
     inner_iters: int
     termination: str
     wall_time: float
-    trials: int = 0  # line-search values asked for, cache hits aside
-    screened: int = 0  # of those, the ones a lower bound answered
+    counts: dict[str, int]  # the stage's work, keyed by COUNTS
 
 
 def stage_seed(seed: int, j: int) -> int:
@@ -148,10 +156,12 @@ def _lm_from_means(a_bar: np.ndarray, f_bar: np.ndarray, damping: np.ndarray) ->
     return d
 
 
-def _check_wolfe(c1: float, c2: float) -> None:
+def _check_wolfe(c1: float, c2: float) -> tuple[float, float]:
     # the Wolfe constants' one rule, for SolverConfig and wolfe_search
-    if not 0.0 < c1 < c2 < 1.0:
+    c1, c2 = _check_real(c1, "c1", 0.0, 1.0), _check_real(c2, "c2", 0.0, 1.0)
+    if not c1 < c2:
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
+    return c1, c2
 
 
 def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9, s_init: float = 1.0, max_evals: int = 60) -> float:
@@ -165,16 +175,14 @@ def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9, s_init: float = 1.0, m
     last, tiny bisected step is returned.  s_init must be finite and
     positive, max_evals an integer of at least 1.
     """
-    _check_wolfe(c1, c2)
-    if not (math.isfinite(s_init) and s_init > 0):
-        raise ValueError(f"s_init must be finite and > 0, got {s_init}")
+    c1, c2 = _check_wolfe(c1, c2)
+    s = _check_real(s_init, "s_init", 0.0)
     max_evals = _check_count(max_evals, "max_evals")
     g0 = float(g(0.0))
     if not g0 < 0.0:
         raise ValueError(f"slope at zero must be negative, got {g0}")
     f0 = float(f(0.0))
     lo, hi = 0.0, float("inf")
-    s = float(s_init)
     best_s = None
     best_f = float("inf")
     for _ in range(max_evals):
@@ -224,7 +232,8 @@ class _StageProblem:
     search runs one line search, and rejects most of its trials on lower
     bounds of their value (its docstring gives the cascade); eval_point
     evaluates one point exactly, or, given a bar and a bound to try, returns
-    that bound as a float when it exceeds the bar.
+    that bound as a float when it exceeds the bar.  counts is the stage's
+    record of its work (COUNTS), added to where each event happens.
 
     The per-draw arrays of one point, G1 and v, the residuals, the losses
     and, once grad or direction asks, the FB coefficients, live in (rows, N)
@@ -262,10 +271,7 @@ class _StageProblem:
         tail = n - _tail_rank(n, cfg.alpha)
         self._tail_on = cfg.mode == "cvar" and n >= _TAIL_MIN_N and 1 <= tail <= _TAIL_SHARE_MAX * n
         self._fb_on = cfg.mode != "cvar" and n > 1
-        # line-search values asked for, cache hits aside, and how many of
-        # them a lower bound answered
-        self.trials = 0
-        self.screened = 0
+        self.counts = dict.fromkeys(COUNTS, 0)
 
     def _fill(
         self, z: np.ndarray, W: np.ndarray | None = None, bar: float | None = None, floor: float | None = None
@@ -283,12 +289,15 @@ class _StageProblem:
             thetas = thetas[:n]
         ev._g1_v(z, f, W)
         if floor is not None:
+            self.counts["fb_passes"] += 1
             fb = ev._fb_rows(z, f, res)
             # the terms are squares, so vdot's rounding is a tiny share of
             # the sum, far inside the margin floor already takes off
             bound = 0.5 * float(np.vdot(fb, fb)) / ev.N + floor
             if bound > bar and math.isfinite(bound):
+                self.counts["fb_answers"] += 1
                 return bound
+        self.counts["full_passes" if W is None else "tail_passes"] += 1
         return ev.thetas(z, ev.residuals(z, f, res, floor is not None), thetas)
 
     def _tail_draws(self, e: _PointEval) -> np.ndarray | None:
@@ -337,6 +346,7 @@ class _StageProblem:
         if tail_W is not None:
             bound = self._tail_screen(z, bar, tail_W)
             if bound is not None:
+                self.counts["tail_answers"] += 1
                 return bound
         thetas = self._fill(z, bar=bar, floor=floor)
         if isinstance(thetas, float):
@@ -347,8 +357,10 @@ class _StageProblem:
             if bar is not None:
                 bound = _tail_cvar(thetas, cfg.alpha, tail)
                 if self._rejects(bound, bar):
+                    self.counts["cvar_answers"] += 1
                     return bound
             if np.isfinite(thetas).all():
+                self.counts["theta_calls"] += 1
                 theta = theta_star(thetas, cfg.alpha, cfg.mu, cfg.smoothing, tail)
                 var = tail[0]
                 del tail  # the partitioned copy of the losses, before smooth_plus's temporaries
@@ -384,9 +396,9 @@ class _StageProblem:
              the VaR.
         Bounds answer only rejections, by a margin above their rounding,
         and only exact points are kept, so the steps are those of exact
-        evaluation.  trials counts the values asked for, screened those a bound answered.
+        evaluation.  counts tallies the values asked for and the bound that answered each.
         """
-        z, cfg = cur.z, self.cfg
+        z, cfg, counts = cur.z, self.cfg, self.counts
         tail_W = self._tail_draws(cur)
         ray = RayBound(self.ev, z, d)
         cache: dict[float, _PointEval] = {0.0: cur}
@@ -401,18 +413,18 @@ class _StageProblem:
             e = cache.get(s)
             if e is not None:
                 return e.value
-            self.trials += 1
+            counts["trials"] += 1
             bar = cur.value + cfg.c1 * s * slope
             low = ray.screen(s, bar)
-            if low is None:
-                floor = ray.floor(s, bar) if self._fb_on else None
-                e = self.eval_point(z + s * d, bar, floor, tail_W)
-                if not isinstance(e, float):
-                    cache[s] = e
-                    return e.value
-                low = e
-            self.screened += 1
-            return low
+            if low is not None:
+                counts["ray_answers"] += 1
+                return low
+            floor = ray.floor(s, bar) if self._fb_on else None
+            e = self.eval_point(z + s * d, bar, floor, tail_W)
+            if isinstance(e, float):
+                return e
+            cache[s] = e
+            return e.value
 
         return point(wolfe_search(value, lambda s: float(self.grad(point(s)) @ d), cfg.c1, cfg.c2))
 
@@ -514,16 +526,14 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]
             wall = time.perf_counter() - t0
             if cfg.mode != "cvar":
                 # modes erm and ev report theta_star's Theta at the solution
+                stage.counts["theta_calls"] += 1
                 cur.theta = theta_star(stage.losses(cur), cfg.alpha, cfg.mu, cfg.smoothing)
             if not math.isfinite(cur.theta):
                 raise _overflow(iters, stage, cur, theta=True)
 
         x, u = recover_lcp_point(spec.dims, z)
         f_mean, loss = ev.f_values(x, u, mean_omega), aloc(ev, x, u)
-        result = StageResult(
-            j, ev.N, z, cur.theta, x, u, f_mean, loss, gnorm, iters, termination, wall,
-            stage.trials, stage.screened
-        )
+        result = StageResult(j, ev.N, z, cur.theta, x, u, f_mean, loss, gnorm, iters, termination, wall, stage.counts)
         results.append(result)
 
         if prev_z is not None and float(np.linalg.norm(z - prev_z)) < cfg.eps:

@@ -299,7 +299,7 @@ def test_solve_rejects_a_mu_beyond_the_limit_before_solving(capsys, smoothing):
         rc, out, err = run(capsys, argv)
     assert rc == 1
     assert out == ""
-    assert err.splitlines() == ["error: mu must be at most 1e+100, got 3e+153"]
+    assert err.splitlines() == ["error: mu must be a finite number in [1e-100, 1e+100], got 3e+153"]
 
 
 @pytest.mark.parametrize(
@@ -310,7 +310,7 @@ def test_solve_rejects_a_mu_beyond_the_limit_before_solving(capsys, smoothing):
             r"error: stage 1 \(N = 5\): tail weights at Theta = 1056\.87 sum to 1\.93427e-11, not alpha N = 0\.25: "
             r"mu = 1e-18 is below theta_star's resolution of Theta, 1\.06e-07",
         ),
-        ("1e-300", r"error: mu must be at least 1e-100, got 1e-300"),
+        ("1e-300", r"error: mu must be a finite number in \[1e-100, 1e\+100\], got 1e-300"),
     ],
     ids=["tail_weights", "below_mu_min"],
 )
@@ -488,6 +488,21 @@ def test_check_refuses_a_non_finite_point(capsys, point):
     assert rc == 1
     assert out == ""
     assert err == "error: --point must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--samples", "0", "--samples must be an integer >= 1, got 0"),
+        ("--seed", "-1", "--seed must be an unsigned 64-bit integer, got -1"),
+        ("--seed", str(2**64), f"--seed must be an unsigned 64-bit integer, got {2**64}"),
+    ],
+    ids=["samples-zero", "seed-negative", "seed-2**64"],
+)
+def test_check_refuses_a_sample_flag_by_its_name(capsys, flag, value, message):
+    # the sample's size and seed go through the library's count and seed rules
+    argv = ["check", "--builtin", "--point", "1.5,0.3,1.1,0.1,-0.25", flag, value]
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
 
 
 def _problem_with(edit):

@@ -49,9 +49,16 @@ def test_dimensions_accept_numpy_integers():
         (lambda: in_M(D32, [1, 1, 1], [np.nan, 0]), "u must be finite"),
         (lambda: in_L(D32, np.ones((1, 3)), [0, 0]), "x must be a nonempty 1-d vector, got shape (1, 3)"),
         (lambda: classify_complementarity(D32, [1, 1, 1], [0, 0], [0, 0, 0], [0, 0], tol=-1.0),
-         "tol must be nonnegative"),
+         "tol must be a finite number in [0, inf), got -1.0"),
+        (lambda: in_L(D32, [1, 1, 1], [0, 0], tol=np.nan), "tol must be a finite number in [0, inf), got nan"),
+        (lambda: in_M(D32, [1, 1, 1], [0, 0], tol=True), "tol must be a finite number in [0, inf), got True"),
+        (lambda: classify_complementarity(D32, [1, 1, 1], [0, 0], [0, 0, 0], [0, 0], tol=np.inf),
+         "tol must be a finite number in [0, inf), got inf"),
     ],
-    ids=["k-bool", "l-float", "k-negative", "x-length", "u-nan", "x-2d", "tol-negative"],
+    ids=[
+        "k-bool", "l-float", "k-negative", "x-length", "u-nan", "x-2d", "tol-negative", "in_L-tol-nan", "in_M-tol-bool",
+        "tol-inf",
+    ],
 )
 def test_cone_refusals(make, message):
     assert_refuses(make, ValueError, message)

@@ -23,6 +23,7 @@ from esoclcp.risk import (
 from conftest import assert_refuses
 
 ALL_KINDS = list(SmoothingKind)
+MU_RANGE = "mu must be a finite number in [1e-100, 1e+100], got "
 
 
 def test_plus_part():
@@ -95,17 +96,21 @@ MU_TAKERS = {
 @pytest.mark.parametrize(
     "mu, message",
     [
-        (math.nan, "mu must be finite and > 0, got nan"),
-        (math.inf, "mu must be finite and > 0, got inf"),
-        (-1.0, "mu must be finite and > 0, got -1.0"),
-        (1e-170, "mu must be at least 1e-100, got 1e-170"),
-        (1e160, "mu must be at most 1e+100, got 1e+160"),
+        (math.nan, MU_RANGE + "nan"),
+        (math.inf, MU_RANGE + "inf"),
+        (-1.0, MU_RANGE + "-1.0"),
+        (1e-170, MU_RANGE + "1e-170"),
+        (1e160, MU_RANGE + "1e+160"),
+        (True, MU_RANGE + "True"),
+        (False, MU_RANGE + "False"),
+        ("0.5", MU_RANGE + "'0.5'"),
     ],
-    ids=["nan", "inf", "negative", "below-MU_MIN", "above-MU_MAX"],
+    ids=["nan", "inf", "negative", "below-MU_MIN", "above-MU_MAX", "true", "false", "str"],
 )
 def test_smoothing_refuses_a_mu_outside_its_range(mu, message, taker):
     # SolverConfig's range and messages: at 1e-170 smooth_plus used to return
-    # 0.0 and smooth_plus_deriv nan (4 mu^2 underflows), at 1e160 inf
+    # 0.0 and smooth_plus_deriv nan (4 mu^2 underflows), at 1e160 inf, and
+    # smooth_plus(1.0, True) 1.618; False is no 0 to smooth_plus either
     assert_refuses(lambda: MU_TAKERS[taker](mu, SmoothingKind.CHKS), ValueError, message)
 
 
@@ -116,7 +121,16 @@ def test_smoothing_takes_mu_over_its_whole_range_and_zero_only_in_smooth_plus(ki
     grid = np.linspace(-3.0, 3.0, 13)
     assert np.array_equal(smooth_plus(grid, 0.0, kind), plus_part(grid))
     for taker in ("smooth_plus_deriv", "theta_star"):
-        assert_refuses(lambda: MU_TAKERS[taker](0.0, kind), ValueError, "mu must be finite and > 0, got 0.0")
+        assert_refuses(lambda: MU_TAKERS[taker](0.0, kind), ValueError, MU_RANGE + "0.0")
+
+
+@pytest.mark.parametrize(
+    "alpha, shown", [(0.0, "0.0"), (1.0, "1.0"), (math.nan, "nan"), (True, "True"), ("0.5", "'0.5'")]
+)
+def test_tail_measures_refuse_an_alpha_outside_0_1(alpha, shown):
+    message = f"alpha must be a finite number in (0, 1), got {shown}"
+    for take in (var_empirical, cvar_empirical, lambda losses, alpha: theta_star(losses, alpha, 1e-3)):
+        assert_refuses(lambda: take([1.0, 2.0, 3.0], alpha), ValueError, message)
 
 
 def test_chks_envelope_bound():

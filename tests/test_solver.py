@@ -3,6 +3,7 @@
 import re
 import time
 import warnings
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from esoclcp.risk import (
 )
 from esoclcp.saa import RayBound, SampleEvaluator, draw_samples
 from esoclcp.solver import (
+    COUNTS,
     SolverConfig,
     _lm_from_means,
     _PointEval,
@@ -104,22 +106,41 @@ def test_config_validation_errors():
         (lambda: SolverConfig(schedule=(10, 10)), "schedule must be strictly increasing positive ints, got (10, 10)"),
         (lambda: SolverConfig(k_max=True), "k_max must be an integer >= 1, got True"),
         (lambda: SolverConfig(seed=2**64), f"seed must be an unsigned 64-bit integer, got {2**64}"),
-        (lambda: SolverConfig(mu=0.0), "mu must be finite and > 0, got 0.0"),
-        (lambda: SolverConfig(mu=1e160), "mu must be at most 1e+100, got 1e+160"),
+        (lambda: SolverConfig(mu=0.0), "mu must be a finite number in [1e-100, 1e+100], got 0.0"),
+        (lambda: SolverConfig(mu=1e160), "mu must be a finite number in [1e-100, 1e+100], got 1e+160"),
         (lambda: SolverConfig(c1=0.5, c2=0.5), "need 0 < c1 < c2 < 1, got c1=0.5, c2=0.5"),
         (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, c1=0.5, c2=0.5), "need 0 < c1 < c2 < 1, got c1=0.5, c2=0.5"),
-        (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, c2=1.0), "need 0 < c1 < c2 < 1, got c1=0.0001, c2=1.0"),
+        (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, c2=1.0), "c2 must be a finite number in (0, 1), got 1.0"),
         (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, max_evals=2.0), "max_evals must be an integer >= 1, got 2.0"),
+        (lambda: SolverConfig(mu=True), "mu must be a finite number in [1e-100, 1e+100], got True"),
+        (lambda: SolverConfig(lm_nu=True), "lm_nu must be a finite number in (0, inf), got True"),
+        (lambda: SolverConfig(tol_r=True), "tol_r must be a finite number in (0, inf), got True"),
+        (lambda: SolverConfig(eps=True), "eps must be a finite number in (0, inf), got True"),
+        (lambda: SolverConfig(eps=float("inf")), "eps must be a finite number in (0, inf), got inf"),
+        (lambda: SolverConfig(alpha="0.05"), "alpha must be a finite number in (0, 1), got '0.05'"),
+        (lambda: SolverConfig(c1=True), "c1 must be a finite number in (0, 1), got True"),
+        (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, s_init=True),
+         "s_init must be a finite number in (0, inf), got True"),
     ],
     ids=[
         "schedule-zero", "schedule-float", "schedule-empty", "schedule-flat", "k_max-bool", "seed-2**64", "mu-zero",
-        "mu-above-MU_MAX", "config-c1-c2", "wolfe-c1-c2", "wolfe-c2-one", "wolfe-max_evals-float",
+        "mu-above-MU_MAX", "config-c1-c2", "wolfe-c1-c2", "wolfe-c2-one", "wolfe-max_evals-float", "mu-bool",
+        "lm_nu-bool", "tol_r-bool", "eps-bool", "eps-inf", "alpha-str", "c1-bool", "wolfe-s_init-bool",
     ],
 )
 def test_solver_refusals(make, message):
     # SolverConfig and wolfe_search share the counts', the seed's and the
     # Wolfe constants' checks with the rest of the library
     assert_refuses(make, ValueError, message)
+
+
+def test_config_stores_its_float_knobs_as_floats():
+    cfg = SolverConfig(
+        alpha=np.float32(0.25), mu=1, lm_nu=np.int64(2), tol_r=1, eps=np.float16(0.5), c1=np.float32(0.25), c2=0.5
+    )
+    for name in ("alpha", "mu", "lm_nu", "tol_r", "eps", "c1", "c2"):
+        assert type(getattr(cfg, name)) is float, name
+    assert (cfg.alpha, cfg.mu, cfg.lm_nu, cfg.tol_r, cfg.eps, cfg.c1, cfg.c2) == (0.25, 1.0, 2.0, 1.0, 0.5, 0.25, 0.5)
 
 
 def test_config_accepts_mu_up_to_its_limit():
@@ -129,8 +150,8 @@ def test_config_accepts_mu_up_to_its_limit():
 def test_config_accepts_mu_down_to_its_limit():
     assert SolverConfig(mu=MU_MIN).mu == MU_MIN == 1e-100
     for mu in (9.999999999999999e-101, 1e-300, 5e-324):
-        with pytest.raises(ValueError, match="mu must be at least 1e-100"):
-            SolverConfig(mu=mu)
+        message = f"mu must be a finite number in [1e-100, 1e+100], got {mu!r}"
+        assert_refuses(lambda: SolverConfig(mu=mu), ValueError, message)
 
 
 @pytest.mark.parametrize("mu", [1e-18, 1e-16, 1e-100])
@@ -836,35 +857,18 @@ def test_tail_screen_cuts_full_passes_at_n_10000(monkeypatch):
     # at N = 10000 in mode cvar the tail bound rejects trials before a pass
     # over the whole sample, so fewer such passes run, and the report and
     # the line-search values asked for are those of a solve without it
-    passes = []
-    rejected = []
-    residuals = SampleEvaluator.residuals
-    tail_screen = _StageProblem._tail_screen
-
-    def counted(self, z, f=None, *args, **kwargs):
-        passes.append(f is None or f.shape[1] == self.N)
-        return residuals(self, z, f, *args, **kwargs)
-
-    def screen_spy(self, z, bar, W):
-        low = tail_screen(self, z, bar, W)
-        rejected.append(low is not None)
-        return low
-
     spec = builtin_example()
     cfg = SolverConfig(schedule=(10000,), k_max=10, seed=7)
-    runs = []
-    for screen in (True, False):
-        passes.clear()
-        rejected.clear()
-        with monkeypatch.context() as m:
-            m.setattr(SampleEvaluator, "residuals", counted)
-            m.setattr(_StageProblem, "_tail_screen", screen_spy if screen else (lambda self, z, bar, W: None))
-            runs.append((solve(spec, cfg), sum(passes), len(passes) - sum(passes), sum(rejected)))
-    (screened, full, tail, rejects), (exact, full_exact, tail_exact, _) = runs
-    assert rejects > 0 and tail > 0 and tail_exact == 0
-    assert full_exact - full == rejects
+    screened = solve(spec, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(_StageProblem, "_tail_screen", lambda self, z, bar, W: None)
+        exact = solve(spec, cfg)
+    (on,), (off,) = (r.counts for r in screened), (r.counts for r in exact)
+    assert on["tail_answers"] > 0 and on["tail_passes"] > 0
+    assert off["tail_answers"] == off["tail_passes"] == 0
+    assert off["full_passes"] - on["full_passes"] == on["tail_answers"]
     _assert_reports_equal(screened, exact)
-    assert [r.trials for r in screened] == [r.trials for r in exact]
+    assert on["trials"] == off["trials"]
 
 
 @pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
@@ -953,6 +957,11 @@ def _screens_off(monkeypatch):
     monkeypatch.setattr(_StageProblem, "_tail_screen", lambda self, z, bar, W: None)
 
 
+def _screened(result):
+    # the trials of a stage that a lower bound answered
+    return sum(result.counts[key] for key in ("ray_answers", "fb_answers", "tail_answers", "cvar_answers"))
+
+
 def _assert_reports_equal(a, b):
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
@@ -1000,9 +1009,9 @@ def test_screen_leaves_the_report_unchanged(monkeypatch, mode, kind):
         assert all(_exact(e) for _, _, _, e in evals) and not rays
         _assert_reports_equal(screened, exact)
         # the same line-search values were asked for, in the same searches
-        assert [r.trials for r in screened] == [r.trials for r in exact]
-        assert all(r.screened > 0 for r in screened)
-        assert all(r.screened == 0 for r in exact)
+        assert [r.counts["trials"] for r in screened] == [r.counts["trials"] for r in exact]
+        assert all(_screened(r) > 0 for r in screened)
+        assert all(_screened(r) == 0 for r in exact)
 
 
 def _one_trial(orig, f, g, c1, c2):
@@ -1048,31 +1057,90 @@ def test_fallback_step_is_evaluated_exactly(monkeypatch, search):
 
 @pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
 def test_stage_counts_line_search_values_and_screened_ones(monkeypatch, capsys, mode):
+    # every entry of StageResult.counts is what spies on the evaluator's
+    # kernels, the ray bound, theta_star, the line search and eval_point see
+    # in that stage, which begins where solve builds its evaluator
     import esoclcp.cli as cli_mod
     import esoclcp.solver as solver_mod
 
-    orig = solver_mod.wolfe_search
-    asked = []
+    seen = []
+    inside = []
+    init, residuals, fb_rows = SampleEvaluator.__init__, SampleEvaluator.residuals, SampleEvaluator._fb_rows
+    screen, search = RayBound.screen, solver_mod.wolfe_search
 
-    def spy(f, g, c1, c2):
-        def counted(s):
-            asked.append(s)
+    def new_stage(self, *args):
+        seen.append(Counter())
+        init(self, *args)
+
+    def counted_residuals(self, z, f=None, *args):
+        seen[-1]["full_passes" if f is None or f.shape[1] == self.N else "tail_passes"] += 1
+        inside.append(True)
+        try:
+            return residuals(self, z, f, *args)
+        finally:
+            inside.pop()
+
+    def counted_fb_rows(self, *args):
+        seen[-1]["fb_passes"] += not inside
+        return fb_rows(self, *args)
+
+    def counted_screen(self, s, bar):
+        low = screen(self, s, bar)
+        seen[-1]["ray_answers"] += low is not None
+        return low
+
+    def counted_search(f, g, c1, c2):
+        # each search asks for f(0), the point it starts from, and then
+        # distinct steps, none of them cached yet
+        def value(s):
+            seen[-1]["trials"] += s != 0.0
             return f(s)
 
-        return orig(counted, g, c1, c2)
+        return search(value, g, c1, c2)
+
+    def counted(theta_star):
+        def spy(*args, **kwargs):
+            seen[-1]["theta_calls"] += 1
+            return theta_star(*args, **kwargs)
+
+        return spy
+
+    def answered(eval_point):
+        # a bound eval_point returns is the CVaR's after a whole pass, else
+        # the tail draws' after a pass over them, else the FB rows'
+        def spy(self, *args):
+            before = seen[-1].copy()
+            e = eval_point(self, *args)
+            if not _exact(e):
+                passes = seen[-1] - before
+                by = "cvar" if passes["full_passes"] else "tail" if passes["tail_passes"] else "fb"
+                seen[-1][f"{by}_answers"] += 1
+            return e
+
+        return spy
 
     spec = builtin_example()
     cfg = SolverConfig(schedule=(100, 1000), k_max=8, seed=42, mode=mode)
     with monkeypatch.context() as m:
-        m.setattr(solver_mod, "wolfe_search", spy)
-        evals, rays = _kept_points_checked(m)
+        _kept_points_checked(m)
+        m.setattr(SampleEvaluator, "__init__", new_stage)
+        m.setattr(SampleEvaluator, "residuals", counted_residuals)
+        m.setattr(SampleEvaluator, "_fb_rows", counted_fb_rows)
+        m.setattr(RayBound, "screen", counted_screen)
+        m.setattr(solver_mod, "wolfe_search", counted_search)
+        m.setattr(solver_mod, "theta_star", counted(solver_mod.theta_star))
+        m.setattr(_StageProblem, "eval_point", answered(_StageProblem.eval_point))
         stages = solve(spec, cfg)
-    # each search asks for f(0), the point it starts from, and then distinct
-    # steps, none of them cached yet
-    trials = sum(r.trials for r in stages)
-    assert trials == len([s for s in asked if s != 0.0]) > 0
-    assert sum(r.screened for r in stages) == len(rays) + len([e for *_, e in evals if not _exact(e)])
-    assert 0 < sum(r.screened for r in stages) < trials
+    assert len(seen) == len(stages)
+    for stage, spied in zip(stages, seen):
+        assert stage.counts == {key: spied[key] for key in COUNTS}
+    total = sum((Counter(r.counts) for r in stages), Counter())
+    assert 0 < sum(map(_screened, stages)) < total["trials"]
+    # the bounds each mode screens on, and theta_star at every exact cvar
+    # point or once per stage for the reported Theta
+    answers = {"cvar": ("ray", "tail", "cvar"), "erm": ("ray", "fb"), "ev": ("ray",)}[mode]
+    assert {key for key in total if key.endswith("_answers")} == {f"{by}_answers" for by in answers}
+    assert (total["theta_calls"] > len(stages)) == (mode == "cvar")
 
     # the counts appear in no report format
     argv = ["solve", "--builtin", "--mode", mode, "--schedule", "100,1000", "--kmax", "8", "--no-timing"]
@@ -1081,7 +1149,7 @@ def test_stage_counts_line_search_values_and_screened_ones(monkeypatch, capsys, 
     def relabelled(*args, **kwargs):
         stages = orig_solve(*args, **kwargs)
         for stage in stages:
-            stage.trials, stage.screened = 10**9, -1
+            stage.counts = dict.fromkeys(COUNTS, 10**9)
         return stages
 
     for fmt in ("table", "csv", "json"):
@@ -1124,7 +1192,7 @@ def test_ray_bound_is_below_the_exact_value(mode, n):
         ray = RayBound(stage.ev, z, d)
         for s in np.logspace(-12, 6, 10):
             exact = stage.eval_point(z + s * d).value
-            low = ray.value(s)
+            low = ray._quartic(s) + ray._fb_terms(s)
             margin = ray.margin(s, exact)
             assert low - exact <= 1e-3 * margin, (s, low, exact, margin)
             if n == 1 and mode != "cvar":
@@ -1185,35 +1253,16 @@ def test_fb_row_screen_cuts_full_passes_in_an_erm_stage(monkeypatch):
     # at N = 5000 in mode erm the FB rows reject trials before the rest of
     # a pass over the sample, so fewer whole passes run, and the report and
     # the line-search values asked for are those of a solve without the screen
-    passes = []
-    rejected = []
-    residuals = SampleEvaluator.residuals
-    orig_eval = _StageProblem.eval_point
-
-    def counted(self, z, f=None, *args, **kwargs):
-        passes.append(1)
-        return residuals(self, z, f, *args, **kwargs)
-
-    def eval_spy(self, z, *args):
-        e = orig_eval(self, z, *args)
-        rejected.append(not _exact(e))
-        return e
-
     spec = builtin_example()
     cfg = SolverConfig(schedule=(5000,), k_max=10, seed=7, mode="erm")
-    runs = []
-    for screen in (True, False):
-        passes.clear()
-        rejected.clear()
-        with monkeypatch.context() as m:
-            m.setattr(SampleEvaluator, "residuals", counted)
-            m.setattr(_StageProblem, "eval_point", eval_spy)
-            if not screen:
-                m.setattr(RayBound, "floor", lambda self, s, bar: None)
-            runs.append((solve(spec, cfg), len(passes), sum(rejected)))
-    (screened, full, rejects), (exact, full_exact, none) = runs
-    assert rejects > 0 and none == 0
-    assert full_exact - full == rejects
+    screened = solve(spec, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(RayBound, "floor", lambda self, s, bar: None)
+        exact = solve(spec, cfg)
+    (on,), (off,) = (r.counts for r in screened), (r.counts for r in exact)
+    assert on["fb_answers"] > 0 and on["fb_passes"] > 0
+    assert off["fb_answers"] == off["fb_passes"] == 0
+    assert off["full_passes"] - on["full_passes"] == on["fb_answers"]
     _assert_reports_equal(screened, exact)
-    assert [r.trials for r in screened] == [r.trials for r in exact]
-    assert screened[0].screened - exact[0].screened == rejects
+    assert on["trials"] == off["trials"]
+    assert on["ray_answers"] == off["ray_answers"]

@@ -17,27 +17,17 @@ resource.getrusage RUSAGE_SELF in the child: RUSAGE_CHILDREN here would
 report the largest child so far), the child's minor page faults (from
 RUSAGE_CHILDREN, so every allocation the allocator had to map counts), one
 list per stage, the total passes of each of three kinds, the solve time per
-whole-sample pass, and src_lines, the line count of DIR/esoclcp/*.py.  A
-whole-sample or subset pass is one SampleEvaluator.residuals call: over the
-whole sample when it is given no G1 array or one with a column per draw,
-over a subset (the draws of the mode-cvar tail bound) when given fewer
-columns.  An FB-row pass is one SampleEvaluator._fb_rows call that is not
-part of a residuals call: the FB rows of a mode erm or ev trial, formed
-over the whole sample to screen it; a trial they do not reject goes on to a
-whole-sample pass that forms the other rows.  A stage's list holds, in this
+whole-sample pass, and src_lines, the line count of DIR/esoclcp/*.py.  The
+counts are those solve returns, StageResult.counts (esoclcp.solver.COUNTS
+says what each counts): the child replaces cli.solve by a wrapper that keeps
+its StageResults, and changes nothing else.  A stage's list holds, in this
 order: its sample size, termination, inner iterations, whole-sample passes,
-subset passes, FB-row passes, line-search values asked for
-(StageResult.trials), how many of those a lower bound answered
-(StageResult.screened), its wall time in seconds (StageResult.wall_time),
-that time per inner iteration in microseconds (null for 0 iterations), its
-theta_star calls (those through esoclcp.solver.theta_star, in the stage's
-search and in its reported Theta), and then the screened trials by the
+tail-draw passes, FB-row passes, line-search values asked for, how many of
+those a lower bound answered, its wall time in seconds
+(StageResult.wall_time), that time per inner iteration in microseconds (null
+for 0 iterations), its Theta solves, and then the screened trials by the
 bound that answered them, in the order the line search tries them: the ray
-bound (saa.RayBound.screen), the FB rows (a float from
-_StageProblem._fill), the tail draws (_StageProblem._tail_screen) and the
-empirical CVaR (any other float from _StageProblem.eval_point).  The four
-sum to screened, which the tool checks.  The stages are read off the list
-of StageResults `solve` returns.
+bound, the FB rows, the tail draws and the empirical CVaR.
 
 With --repeat R, each seed runs R times, each run in its own new
 interpreter and printing its own line, and then one summary line per seed
@@ -69,92 +59,28 @@ import json, resource, sys, time
 t_import = time.perf_counter()
 import esoclcp.cli as cli
 import_s = time.perf_counter() - t_import
-from esoclcp.saa import RayBound, SampleEvaluator
 
-# per evaluator, and so per stage: [whole-sample, subset] residuals calls,
-# _fb_rows calls outside them, theta_star calls, and the trials the ray
-# bound, the FB rows, the tail draws and the empirical CVaR answered; the
-# stages' line-search counts from the StageResults solve returns
-import esoclcp.solver as solver
-calls = []
-residuals = SampleEvaluator.residuals
-theta_star = solver.theta_star
-fb_rows = SampleEvaluator._fb_rows
-init = SampleEvaluator.__init__
-screen = RayBound.screen
-stage_cls = solver._StageProblem
-fill, tail_screen, eval_point = stage_cls._fill, stage_cls._tail_screen, stage_cls.eval_point
+# each stage's counts and wall time, from the StageResults solve returns
 solve = cli.solve
 stages = []
-inside = []
-
-def counted(ev, z, f=None, *args, **kwargs):
-    calls[-1][f is not None and f.shape[1] < ev.N] += 1
-    inside.append(True)
-    try:
-        return residuals(ev, z, f, *args, **kwargs)
-    finally:
-        inside.pop()
-
-def counted_fb(*args, **kwargs):
-    if not inside:
-        calls[-1][2] += 1
-    return fb_rows(*args, **kwargs)
-
-def counted_theta_star(*args, **kwargs):
-    calls[-1][3] += 1
-    return theta_star(*args, **kwargs)
-
-def counted_screen(*args, **kwargs):
-    low = screen(*args, **kwargs)
-    calls[-1][4] += low is not None
-    return low
-
-def counted_fill(*args, **kwargs):
-    out = fill(*args, **kwargs)
-    calls[-1][5] += isinstance(out, float)
-    return out
-
-def counted_tail_screen(*args, **kwargs):
-    bound = tail_screen(*args, **kwargs)
-    calls[-1][6] += bound is not None
-    return bound
-
-def counted_eval_point(*args, **kwargs):
-    # a float that neither the FB rows nor the tail draws returned is the CVaR's
-    before = calls[-1][5] + calls[-1][6]
-    out = eval_point(*args, **kwargs)
-    calls[-1][7] += isinstance(out, float) and calls[-1][5] + calls[-1][6] == before
-    return out
-
-def new_stage(*args, **kwargs):
-    calls.append([0] * 8)
-    init(*args, **kwargs)
 
 def kept(*args, **kwargs):
     result = solve(*args, **kwargs)
-    stages.extend({k: getattr(r, k) for k in ("trials", "screened", "wall_time")} for r in result)
+    stages.extend({"counts": r.counts, "wall_time": r.wall_time} for r in result)
     return result
 
-SampleEvaluator.residuals = counted
-SampleEvaluator._fb_rows = counted_fb
-SampleEvaluator.__init__ = new_stage
-RayBound.screen = counted_screen
-stage_cls._fill, stage_cls._tail_screen, stage_cls.eval_point = counted_fill, counted_tail_screen, counted_eval_point
-solver.theta_star = counted_theta_star
 cli.solve = kept
 t0 = time.perf_counter()
 rc = cli.main(sys.argv[1:])
 solve_s = time.perf_counter() - t0
-# solve builds one evaluator per stage
-for stage, n in zip(stages, calls):
-    stage["full_passes"], stage["tail_passes"], stage["fb_passes"], stage["theta_star_calls"] = n[:4]
-    stage["answered"] = n[4:]
 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": solve_s, "peak_rss_mb": peak_rss_mb,
-                  "full_passes": sum(n[0] for n in calls), "tail_passes": sum(n[1] for n in calls),
-                  "fb_passes": sum(n[2] for n in calls), "stages": stages}))
+print(json.dumps({"rc": rc, "import_s": import_s, "solve_s": solve_s, "peak_rss_mb": peak_rss_mb, "stages": stages}))
 """
+
+# the passes of each kind, summed over the stages into the line's totals
+PASSES = ("full_passes", "tail_passes", "fb_passes")
+# the bounds that answer trials, in the order the line search tries them
+ANSWERS = ("ray_answers", "fb_answers", "tail_answers", "cvar_answers")
 
 
 def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None = None,
@@ -175,6 +101,7 @@ def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None
         with open(report_path, encoding="utf-8") as fh:
             report = json.load(fh)
     child = json.loads(done.stdout.strip().splitlines()[-1])
+    totals = {name: sum(stage["counts"][name] for stage in child["stages"]) for name in PASSES}
     return {
         "seed": seed,
         "rc": child["rc"],
@@ -183,36 +110,22 @@ def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None
         "solve_s": child["solve_s"],
         "peak_rss_mb": child["peak_rss_mb"],
         "minor_faults": after.ru_minflt - before.ru_minflt,
-        "stages": [
-            [
-                s["N"],
-                s["termination"],
-                s["inner_iters"],
-                c["full_passes"],
-                c["tail_passes"],
-                c["fb_passes"],
-                c["trials"],
-                c["screened"],
-                c["wall_time"],
-                1e6 * c["wall_time"] / s["inner_iters"] if s["inner_iters"] else None,
-                c["theta_star_calls"],
-                *_answered(c),
-            ]
-            for s, c in zip(report["stages"], child["stages"])
-        ],
-        "full_passes": child["full_passes"],
-        "tail_passes": child["tail_passes"],
-        "fb_passes": child["fb_passes"],
-        "solve_s_per_full_pass": child["solve_s"] / max(child["full_passes"], 1),
+        "stages": [_stage_row(s, c) for s, c in zip(report["stages"], child["stages"])],
+        **totals,
+        "solve_s_per_full_pass": child["solve_s"] / max(totals["full_passes"], 1),
         "src_lines": src_lines(src),
     }
 
 
-def _answered(stage: dict) -> list[int]:
-    """The trials the ray bound, the FB rows, the tail draws and the CVaR answered; they sum to screened."""
-    if sum(stage["answered"]) != stage["screened"]:
-        raise RuntimeError(f"screens answered {stage['answered']}, which do not sum to screened = {stage['screened']}")
-    return stage["answered"]
+def _stage_row(row: dict, stage: dict) -> list:
+    """One stage's list, from its row of the JSON report and its counts and wall time."""
+    n, wall = stage["counts"], stage["wall_time"]
+    iters = row["inner_iters"]
+    return [
+        row["N"], row["termination"], iters, *(n[name] for name in PASSES), n["trials"],
+        sum(n[name] for name in ANSWERS), wall, 1e6 * wall / iters if iters else None, n["theta_calls"],
+        *(n[name] for name in ANSWERS),
+    ]
 
 
 def src_lines(src: str) -> int:

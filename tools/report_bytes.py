@@ -54,9 +54,11 @@ tools/report_diff.py.  The reports:
   refuse/<case>                      one refused input each, ending on one
                                      error line: `check --builtin --point`
                                      1,2,3 (point-length), 1,x,1,0,0
-                                     (point-unparsable) and nan,1,1,0,0
-                                     (point-nan); `solve --builtin` with
-                                     --mu 1e-300 (mu), --kmax 0 (kmax),
+                                     (point-unparsable), nan,1,1,0,0
+                                     (point-nan), and the README's point
+                                     with --samples 0 (check-samples);
+                                     `solve --builtin` with --mu 1e-300
+                                     (mu), --kmax 0 (kmax),
                                      --schedule 10,10 (schedule), --c1 0.5
                                      --c2 0.5 (wolfe) and --seed -1 (seed);
                                      `solve --problem` on the bundled
@@ -108,6 +110,7 @@ REFUSED_FLAGS = (
     ("point-length", ["check", "--builtin", "--point", "1,2,3"]),
     ("point-unparsable", ["check", "--builtin", "--point", "1,x,1,0,0"]),
     ("point-nan", ["check", "--builtin", "--point", "nan,1,1,0,0"]),
+    ("check-samples", ["check", "--builtin", "--point", CHECK_POINTS[0], "--samples", "0"]),
     ("mu", ["solve", "--builtin", "--mu", "1e-300"]),
     ("kmax", ["solve", "--builtin", "--kmax", "0"]),
     ("schedule", ["solve", "--builtin", "--schedule", "10,10"]),
