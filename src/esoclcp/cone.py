@@ -42,7 +42,10 @@ def _check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf, e
     # value as a float, where it is a finite real in the interval from lo to
     # hi, whose brackets ends gives ("[)" takes lo in): every float knob
     if _is_real(value):
-        x = float(value)
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the floats
+            x = math.inf
         if math.isfinite(x) and (lo < x or ends[0] == "[" and x == lo) and (x < hi or ends[1] == "]" and x == hi):
             return x
     raise ValueError(f"{name} must be a finite number in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}")

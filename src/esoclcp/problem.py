@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeDims, _check_count, _is_int
+from .cone import ConeDims, _check_count, _check_real, _is_int
 
 DISTRIBUTION_KINDS = ("iid_normal",)
 
@@ -59,10 +59,8 @@ class DistributionSpec:
             raise ProblemValidationError(
                 f"distribution kind must be one of {DISTRIBUTION_KINDS}, got {self.kind!r}"
             )
-        if not np.isfinite(self.mean):
-            raise ProblemValidationError("distribution mean must be finite")
-        if not (np.isfinite(self.std) and self.std > 0):
-            raise ProblemValidationError("distribution std must be finite and > 0")
+        object.__setattr__(self, "mean", _check_real(self.mean, "distribution mean"))
+        object.__setattr__(self, "std", _check_real(self.std, "distribution std", 0.0))
 
 
 @dataclass(eq=False)
@@ -113,8 +111,7 @@ class ProblemSpec:
 def _check_entry_common(entry: PerturbEntry, omega_dim: int) -> None:
     if not all(_is_int(i) for i in (entry.row, entry.omega_index, 0 if entry.col is None else entry.col)):
         raise ProblemValidationError(f"perturbation indices must be integers: {entry}")
-    if not np.isfinite(entry.coeff):
-        raise ProblemValidationError(f"perturbation coefficient must be finite: {entry}")
+    _check_real(entry.coeff, f"perturbation coefficient of {entry}")
     if not 0 <= entry.omega_index < omega_dim:
         raise ProblemValidationError(
             f"omega index {entry.omega_index} out of range for omega_dim={omega_dim}"
@@ -169,11 +166,7 @@ def load_problem(text) -> ProblemSpec:
         raise ProblemParseError("distribution must be an object")
     _require_keys(dist_doc, _DIST_KEYS, "distribution")
 
-    dist = DistributionSpec(
-        dist_doc["kind"],
-        _as_number(dist_doc["mean"], "distribution.mean"),
-        _as_number(dist_doc["std"], "distribution.std"),
-    )
+    moments = _as_number(dist_doc["mean"], "distribution.mean"), _as_number(dist_doc["std"], "distribution.std")
     base = {}
     for name in ("T_base", "r_base"):
         cells = _as_numbers(doc[name], name)
@@ -181,7 +174,7 @@ def load_problem(text) -> ProblemSpec:
             base[name] = np.asarray(cells, dtype=float)
         except ValueError as exc:  # rows of different lengths
             raise ProblemParseError(f"{name} must be an array of numbers: {exc}") from exc
-    try:  # the dimensions' own checks raise plain ValueErrors
+    try:  # the dimensions' and the distribution's own checks raise plain ValueErrors
         return ProblemSpec(
             dims=ConeDims(doc["k"], doc["l"]),
             omega_dim=doc["omega_dim"],
@@ -189,7 +182,7 @@ def load_problem(text) -> ProblemSpec:
             r_base=base["r_base"],
             T_perturb=t_entries,
             r_perturb=r_entries,
-            distribution=dist,
+            distribution=DistributionSpec(dist_doc["kind"], *moments),
         )
     except ValueError as exc:
         raise ProblemValidationError(str(exc)) from exc

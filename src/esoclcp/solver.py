@@ -68,6 +68,10 @@ COUNTS = (
     "full_passes", "tail_passes", "fb_passes", "theta_calls",
 )
 
+# wolfe_search's first trial step, and the most steps it tries
+_FIRST_STEP = 1.0
+_MAX_TRIALS = 60
+
 # the Gauss-Newton direction d is kept only when g^T d <= -_DESCENT_R ||d||;
 # otherwise the stage steps along -g
 _DESCENT_R = 1e-8
@@ -164,40 +168,36 @@ def _check_wolfe(c1: float, c2: float) -> tuple[float, float]:
     return c1, c2
 
 
-def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9, s_init: float = 1.0, max_evals: int = 60) -> float:
+def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9) -> float:
     """Weak Wolfe line search by bracketing bisection.
 
     f maps a step length to the objective value along the ray, g to its
-    directional derivative.  Accepts the first step with
-    f(s) <= f(0) + c1 s g(0) and g(s) >= c2 g(0).  The slope at zero must be
-    negative.  After max_evals trial steps the best sufficient-decrease step
-    seen is returned (pure backtracking fallback); if none was seen, the
-    last, tiny bisected step is returned.  s_init must be finite and
-    positive, max_evals an integer of at least 1.
+    directional derivative; the slope at zero must be negative.  The search
+    tries steps from _FIRST_STEP, doubling or bisecting, _MAX_TRIALS of
+    them at most, and returns the first with f(s) <= f(0) + c1 s g(0) and
+    g(s) >= c2 g(0); else the sufficient-decrease step of least value it
+    tried; else 0.0, no step.  So a step returned was tried, and its value
+    is finite and no more than f(0).
     """
     c1, c2 = _check_wolfe(c1, c2)
-    s = _check_real(s_init, "s_init", 0.0)
-    max_evals = _check_count(max_evals, "max_evals")
     g0 = float(g(0.0))
     if not g0 < 0.0:
         raise ValueError(f"slope at zero must be negative, got {g0}")
     f0 = float(f(0.0))
-    lo, hi = 0.0, float("inf")
-    best_s = None
-    best_f = float("inf")
-    for _ in range(max_evals):
+    s, lo, hi = _FIRST_STEP, 0.0, float("inf")
+    best_s, best_f = 0.0, float("inf")
+    for _ in range(_MAX_TRIALS):
         fs = float(f(s))
         if math.isfinite(fs) and fs <= f0 + c1 * s * g0:
             if fs < best_f:
                 best_s, best_f = s, fs
-            gs = float(g(s))
-            if gs >= c2 * g0:
+            if float(g(s)) >= c2 * g0:
                 return s
             lo = s
         else:
             hi = s
         s = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * s
-    return best_s if best_s is not None else s
+    return best_s
 
 
 def default_start(spec: ProblemSpec) -> np.ndarray:
@@ -376,7 +376,7 @@ class _StageProblem:
         return self._held
 
     def search(self, cur: _PointEval, d: np.ndarray, slope: float) -> _PointEval:
-        """The point wolfe_search accepts along d from cur; slope is grad(cur) @ d.
+        """The point of the step wolfe_search returns along d from cur, cur for no step; slope is grad(cur) @ d.
 
         Most trials exist only to be rejected.  Each value asked for has the
         bar f(0) + c1 s g(0), from the floats wolfe_search forms, and the
@@ -403,12 +403,6 @@ class _StageProblem:
         ray = RayBound(self.ev, z, d)
         cache: dict[float, _PointEval] = {0.0: cur}
 
-        def point(s: float) -> _PointEval:
-            e = cache.get(s)
-            if e is None:
-                e = cache[s] = self.eval_point(z + s * d)
-            return e
-
         def value(s: float) -> float:
             e = cache.get(s)
             if e is not None:
@@ -426,7 +420,10 @@ class _StageProblem:
             cache[s] = e
             return e.value
 
-        return point(wolfe_search(value, lambda s: float(self.grad(point(s)) @ d), cfg.c1, cfg.c2))
+        # wolfe_search asks for the slope, and returns a step, only where the
+        # value met the sufficient-decrease test, which no bound does: at
+        # cur or at a point evaluated exactly, which the cache holds
+        return cache[wolfe_search(value, lambda s: float(self.grad(cache[s]) @ d), cfg.c1, cfg.c2)]
 
     def grad(self, e: _PointEval) -> np.ndarray:
         if e._gvec is None:
@@ -462,11 +459,12 @@ class _StageProblem:
         return d
 
 
-def _overflow(iters: int, stage: _StageProblem, cur: _PointEval, theta: bool = False) -> ValueError:
-    # the error that ends a stage at the point it accepted at iteration iters:
-    # theta_star overflows on its finite losses (theta: the Theta reported for
-    # it), or else its value is not finite or, if it is, its gradient
-    at = f"the step of iteration {iters}" if iters else "the start point"
+def _overflow(moved: int, stage: _StageProblem, cur: _PointEval, theta: bool = False) -> ValueError:
+    # the error that ends a stage at cur, the point the step of iteration
+    # moved took it to (0: its start point): theta_star overflows on its
+    # finite losses (theta: the Theta reported for it), or else its value is
+    # not finite, which only a start point's can be, or else its gradient
+    at = f"the step of iteration {moved}" if moved else "the start point"
     if theta or (cur.var is not None and not math.isfinite(cur.theta)):
         top = float(np.maximum.reduce(stage.losses(cur)))
         return ValueError(f"{stage.where}: theta_star overflows at {at}, where the largest loss is {top:g}")
@@ -482,7 +480,7 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]
     ev) from start, a vector z = (x_m, u, t), or default_start, each
     warm-starting at the previous stage's solution.  The solve ends early
     when consecutive stage solutions are closer than eps, which is recorded
-    as that stage's termination.
+    as that stage's termination unless the stage stalled.
     """
     z = default_start(spec) if start is None else _check_vector(start, "start", spec.dims.m + 1).copy()
 
@@ -495,19 +493,20 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]
         ev = SampleEvaluator(spec, stage_samples(spec, cfg, j))
         stage = _StageProblem(ev, cfg, j)
         t0 = time.perf_counter()
-        iters = 0
+        iters = moved = 0
         # a merit or gradient that overflows makes every later step nan, and
         # the trials that overflow are only rejected: the loop runs without
-        # warnings and each point it accepts is checked once, at the top
+        # warnings.  Every step search returns has a finite value, so the
+        # value is checked at the start point and the gradient at each point
         with np.errstate(over="ignore", invalid="ignore"):
             cur = stage.eval_point(z)
+            if not math.isfinite(cur.value):
+                raise _overflow(moved, stage, cur)
             while True:
-                if not math.isfinite(cur.value):
-                    raise _overflow(iters, stage, cur)
                 grad = stage.grad(cur)
                 gnorm = float(np.maximum.reduce(np.abs(grad)))  # nan or inf where grad is
                 if not math.isfinite(gnorm):
-                    raise _overflow(iters, stage, cur)
+                    raise _overflow(moved, stage, cur)
                 if gnorm <= cfg.tol_r:
                     termination = "grad_tol"
                     break
@@ -518,18 +517,19 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]
                 cur = stage.search(cur, d, float(grad @ d))
                 iters += 1
                 if (cur.z == z).all():
-                    # the accepted step moved z by less than one ulp, so every
-                    # remaining iteration would replay this one exactly
+                    # the search returned no step, or one that moved z by less
+                    # than one ulp, so every remaining iteration would replay
+                    # this one exactly
                     termination = "stalled"
                     break
-                z = cur.z
+                z, moved = cur.z, iters
             wall = time.perf_counter() - t0
             if cfg.mode != "cvar":
                 # modes erm and ev report theta_star's Theta at the solution
                 stage.counts["theta_calls"] += 1
                 cur.theta = theta_star(stage.losses(cur), cfg.alpha, cfg.mu, cfg.smoothing)
             if not math.isfinite(cur.theta):
-                raise _overflow(iters, stage, cur, theta=True)
+                raise _overflow(moved, stage, cur, theta=True)
 
         x, u = recover_lcp_point(spec.dims, z)
         f_mean, loss = ev.f_values(x, u, mean_omega), aloc(ev, x, u)
@@ -537,7 +537,8 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]
         results.append(result)
 
         if prev_z is not None and float(np.linalg.norm(z - prev_z)) < cfg.eps:
-            result.termination = "outer_eps"
+            if termination != "stalled":
+                result.termination = "outer_eps"
             break
         prev_z = z
 

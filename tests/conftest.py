@@ -1,10 +1,12 @@
 """Shared builders for randomized and crafted problem instances."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from esoclcp.cone import ConeDims
-from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec
+from esoclcp.problem import DistributionSpec, PerturbEntry, ProblemSpec, builtin_example
 from esoclcp.risk import smooth_plus, smooth_plus_deriv
 from esoclcp.saa import SampleEvaluator
 
@@ -44,6 +46,18 @@ def random_spec(rng, k=3, l=2, omega_dim=2, scale=1.0, perturbed=True):
         T_perturb=tuple(T_perturb),
         r_perturb=tuple(r_perturb),
         distribution=DistributionSpec("iid_normal", 0.0, 1.0),
+    )
+
+
+def scaled_example(c=1e8):
+    """The bundled example with T_base, r_base and every perturbation coefficient times c: the same solutions."""
+    spec = builtin_example()
+    return replace(
+        spec,
+        T_base=c * spec.T_base,
+        r_base=c * spec.r_base,
+        T_perturb=tuple(replace(e, coeff=c * e.coeff) for e in spec.T_perturb),
+        r_perturb=tuple(replace(e, coeff=c * e.coeff) for e in spec.r_perturb),
     )
 
 

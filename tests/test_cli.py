@@ -12,7 +12,7 @@ from esoclcp.problem import builtin_example, load_problem, serialize_problem
 from esoclcp.risk import SmoothingKind
 from esoclcp.solver import MODES, SolverConfig, solve
 
-from conftest import case_iv_instance
+from conftest import case_iv_instance, scaled_example
 
 CSV_HEADER = "j,N,x1,x2,x3,u1,u2,F1,F2,F3,F4,F5,time_s,aloc,theta"
 
@@ -258,7 +258,7 @@ def test_solve_refuses_a_problem_field_that_is_not_a_number(tmp_path, capsys, fi
     assert field in err
 
 
-def test_solve_exit_codes_by_termination(capsys):
+def test_solve_exit_codes_by_termination(tmp_path, capsys):
     # a huge tolerance stops on the gradient test immediately: success
     rc, _, _ = run(capsys, ["solve", "--builtin", "--schedule", "2,3", "--tol", "1e6"])
     assert rc == 0
@@ -274,6 +274,15 @@ def test_solve_exit_codes_by_termination(capsys):
     # and so is a final stage whose step stopped moving the point
     rc, out, _ = run(capsys, ["solve", "--builtin", "--schedule", "100", "--seed", "5", "--kmax", "100"])
     assert rc == 2 and "stalled" in out
+    # even where it agrees with the stage before: on the bundled example
+    # scaled by 1e8 both stages stall at the same point, and the second is
+    # not reported as outer_eps
+    path = tmp_path / "scaled.json"
+    path.write_text(serialize_problem(scaled_example()), encoding="utf-8")
+    argv = ["solve", "--problem", str(path), "--schedule", "10,100,1000", "--kmax", "50", "--format", "json"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 2
+    assert [(s["N"], s["termination"]) for s in json.loads(out)["stages"]] == [(10, "stalled"), (100, "stalled")]
 
 
 def test_solve_bad_config_value(capsys):
@@ -329,22 +338,22 @@ def test_solve_refuses_a_mu_too_small_for_theta_star(capsys, mu, message):
 def test_solve_names_the_stage_whose_start_point_overflows(tmp_path, capsys, mode):
     # each input ends on one error line, with no warning, naming the stage
     # and the first point that overflows.  r_base[0] = 1e200 squares to inf
-    # in the merit at the start.  At 1e150 the merit is finite in modes erm
-    # and ev but no step from the start is, and at 1e100 the second step is
-    # not; the line-search trials that overflow on the way used to print
-    # RuntimeWarnings.  T_base scaled by 3e152 overflows the gradient at the
-    # start in mode erm and the first step in mode ev (at 5e152, ev's
-    # gradient at the start).  In mode cvar the losses of the 1e150, 1e100
-    # and T_base inputs are finite and theta_star overflows on them (it
-    # used to read as "the merit overflows ..., objective nan"), so the
-    # error names it and the largest loss.  A tolerance of 1e300 ends the
+    # in the merit at the start.  At 1e150 and 1e100 the merit is finite in
+    # modes erm and ev, and so is T_base scaled by 3e152 in mode ev, but no
+    # step from the start lowers it: the stage stalls there, where the Theta
+    # reported overflows in theta_star; the line-search trials that
+    # overflow on the way used to print RuntimeWarnings.  T_base scaled by
+    # 3e152 overflows the gradient at the start in mode erm (at 5e152,
+    # ev's).  In mode cvar the losses of the 1e150, 1e100 and T_base inputs
+    # are finite and theta_star overflows on them (it used to read as "the
+    # merit overflows ..., objective nan"), so the error names it and the
+    # largest loss.  A tolerance of 1e300 ends the
     # stage at its start point, where modes erm and ev's reported Theta
     # overflows in theta_star (it used to read "Theta must be finite"), and
     # where mode cvar's nn tail weights miss alpha N (with no stage named);
     # there theta_star's resolution, 5e+187, is far above every mu accepted
     stage = f"error: stage 1 (N = {1 if mode == 'ev' else 10}): "
     start = stage + "the merit overflows at the start point, objective inf"
-    step = stage + "the merit overflows at the step of iteration "
     gradient = stage + "the merit's gradient overflows at the start point"
     top = stage + "theta_star overflows at the start point, where the largest loss is "
     steps = ["--schedule", "10,100", "--kmax", "5"]
@@ -363,15 +372,15 @@ def test_solve_names_the_stage_whose_start_point_overflows(tmp_path, capsys, mod
             ),
         ],
         "erm": [
-            ("r_base", 1e150, steps, step + "1, objective inf"),
-            ("r_base", 1e100, steps, step + "2, objective nan"),
+            ("r_base", 1e150, steps, top + "5e+297"),
+            ("r_base", 1e100, steps, top + "5e+197"),
             ("T_base", 3e152, steps, gradient),
             ("r_base", 1e100, at_start, top + "5e+197"),
         ],
         "ev": [
-            ("r_base", 1e150, steps, step + "1, objective inf"),
-            ("r_base", 1e100, steps, step + "2, objective nan"),
-            ("T_base", 3e152, steps, step + "1, objective nan"),
+            ("r_base", 1e150, steps, top + "5e+297"),
+            ("r_base", 1e100, steps, top + "5e+197"),
+            ("T_base", 3e152, steps, top + "1.34256e+307"),
             ("T_base", 5e152, steps, gradient),
             ("r_base", 1e100, at_start, top + "5e+197"),
         ],
@@ -525,7 +534,8 @@ def _problem_with(edit):
         (["solve"], _problem_with(lambda d: d.update(k=True)), "k must be an integer >= 1, got True"),
         (["solve"], _problem_with(lambda d: d.update(omega_dim=0)), "omega_dim must be an integer >= 1, got 0"),
         (["solve"], _problem_with(lambda d: d["T_perturb"][0].update(coeff=float("nan"))),
-         "perturbation coefficient must be finite: PerturbEntry(row=0, col=0, coeff=nan, omega_index=0)"),
+         "perturbation coefficient of PerturbEntry(row=0, col=0, coeff=nan, omega_index=0) must be a finite number "
+         "in (-inf, inf), got nan"),
     ],
     ids=["point-unparsable", "kmax-zero", "schedule-flat", "c1-c2", "seed-negative", "file-k-bool",
          "file-omega_dim-zero", "file-coeff-nan"],

@@ -275,10 +275,29 @@ def test_load_names_the_field_that_is_not_a_number(where, edit):
     [
         (lambda: DistributionSpec("uniform", 0.0, 1.0), ProblemValidationError,
          "distribution kind must be one of ('iid_normal',), got 'uniform'"),
-        (lambda: DistributionSpec("iid_normal", math.nan, 1.0), ProblemValidationError,
-         "distribution mean must be finite"),
-        (lambda: DistributionSpec("iid_normal", 0.0, 0.0), ProblemValidationError,
-         "distribution std must be finite and > 0"),
+        # the moments and the coefficients follow the one float rule, and
+        # built directly their refusals are plain ValueErrors, as its are
+        (lambda: DistributionSpec("iid_normal", math.nan, 1.0), ValueError,
+         "distribution mean must be a finite number in (-inf, inf), got nan"),
+        (lambda: DistributionSpec("iid_normal", 0.0, 0.0), ValueError,
+         "distribution std must be a finite number in (0, inf), got 0.0"),
+        (lambda: DistributionSpec("iid_normal", True, 1.0), ValueError,
+         "distribution mean must be a finite number in (-inf, inf), got True"),
+        (lambda: DistributionSpec("iid_normal", 0.0, True), ValueError,
+         "distribution std must be a finite number in (0, inf), got True"),
+        (lambda: DistributionSpec("iid_normal", "0", 1.0), ValueError,
+         "distribution mean must be a finite number in (-inf, inf), got '0'"),
+        (lambda: DistributionSpec("iid_normal", 0.0, math.inf), ValueError,
+         "distribution std must be a finite number in (0, inf), got inf"),
+        (lambda: replace(builtin_example(), T_perturb=(PerturbEntry(0, 0, True, 0),)), ValueError,
+         "perturbation coefficient of PerturbEntry(row=0, col=0, coeff=True, omega_index=0) must be a finite number "
+         "in (-inf, inf), got True"),
+        (lambda: replace(builtin_example(), r_perturb=(PerturbEntry(1, None, "1", 0),)), ValueError,
+         "perturbation coefficient of PerturbEntry(row=1, col=None, coeff='1', omega_index=0) must be a finite number "
+         "in (-inf, inf), got '1'"),
+        # from a file, as a ProblemValidationError; json reads NaN
+        (lambda: load_problem(_edited(lambda d: d["distribution"].update(std=-1.0))), ProblemValidationError,
+         "distribution std must be a finite number in (0, inf), got -1.0"),
         (lambda: load_problem(_edited(lambda d: d.update(r_base=[1, 2, 3]))), ProblemValidationError,
          "r_base must have length 5, got shape (3,)"),
         # json reads NaN, so a non-finite number reaches ProblemSpec from a file
@@ -295,7 +314,8 @@ def test_load_names_the_field_that_is_not_a_number(where, edit):
         (lambda: load_problem(_edited(lambda d: d["r_perturb"][0].update(row=-1))), ProblemValidationError,
          "r_perturb entry out of range: PerturbEntry(row=-1, col=None, coeff=-1.0, omega_index=2)"),
         (lambda: load_problem(_edited(lambda d: d["T_perturb"][0].update(coeff=math.nan))), ProblemValidationError,
-         "perturbation coefficient must be finite: PerturbEntry(row=0, col=0, coeff=nan, omega_index=0)"),
+         "perturbation coefficient of PerturbEntry(row=0, col=0, coeff=nan, omega_index=0) must be a finite number "
+         "in (-inf, inf), got nan"),
         (lambda: load_problem("[]"), ProblemParseError, "problem document must be a JSON object"),
         (lambda: load_problem(_edited(lambda d: d.update(distribution=[]))), ProblemParseError,
          "distribution must be an object"),
@@ -320,7 +340,8 @@ def test_load_names_the_field_that_is_not_a_number(where, edit):
         (lambda: replace(builtin_example(), omega_dim=0), ValueError, "omega_dim must be an integer >= 1, got 0"),
     ],
     ids=[
-        "dist-kind", "dist-mean", "dist-std", "r_base-shape", "T_base-nan", "r_base-nan", "T_perturb-no-col",
+        "dist-kind", "dist-mean", "dist-std", "dist-mean-bool", "dist-std-bool", "dist-mean-str", "dist-std-inf",
+        "coeff-bool", "coeff-str", "file-dist-std-negative", "r_base-shape", "T_base-nan", "r_base-nan", "T_perturb-no-col",
         "T_perturb-range", "r_perturb-col", "r_perturb-range", "coeff-nan", "doc-not-object", "dist-not-object",
         "entry-not-object", "T_perturb-not-array", "index-not-integer", "missing-key", "k-bool", "l-zero",
         "omega_dim-zero", "omega_dim-float", "spec-omega_dim-zero",

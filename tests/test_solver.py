@@ -39,7 +39,7 @@ from esoclcp.solver import (
     wolfe_search,
 )
 
-from conftest import assert_refuses, case_iv_instance, random_spec
+from conftest import assert_refuses, case_iv_instance, random_spec, scaled_example
 from dense_reference import aloc_dense, f_eval, jacobians, mean_jacobian
 
 
@@ -111,26 +111,24 @@ def test_config_validation_errors():
         (lambda: SolverConfig(c1=0.5, c2=0.5), "need 0 < c1 < c2 < 1, got c1=0.5, c2=0.5"),
         (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, c1=0.5, c2=0.5), "need 0 < c1 < c2 < 1, got c1=0.5, c2=0.5"),
         (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, c2=1.0), "c2 must be a finite number in (0, 1), got 1.0"),
-        (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, max_evals=2.0), "max_evals must be an integer >= 1, got 2.0"),
         (lambda: SolverConfig(mu=True), "mu must be a finite number in [1e-100, 1e+100], got True"),
         (lambda: SolverConfig(lm_nu=True), "lm_nu must be a finite number in (0, inf), got True"),
         (lambda: SolverConfig(tol_r=True), "tol_r must be a finite number in (0, inf), got True"),
         (lambda: SolverConfig(eps=True), "eps must be a finite number in (0, inf), got True"),
         (lambda: SolverConfig(eps=float("inf")), "eps must be a finite number in (0, inf), got inf"),
+        (lambda: SolverConfig(eps=10**400), f"eps must be a finite number in (0, inf), got {10**400}"),
         (lambda: SolverConfig(alpha="0.05"), "alpha must be a finite number in (0, 1), got '0.05'"),
         (lambda: SolverConfig(c1=True), "c1 must be a finite number in (0, 1), got True"),
-        (lambda: wolfe_search(lambda s: -s, lambda s: -1.0, s_init=True),
-         "s_init must be a finite number in (0, inf), got True"),
     ],
     ids=[
         "schedule-zero", "schedule-float", "schedule-empty", "schedule-flat", "k_max-bool", "seed-2**64", "mu-zero",
-        "mu-above-MU_MAX", "config-c1-c2", "wolfe-c1-c2", "wolfe-c2-one", "wolfe-max_evals-float", "mu-bool",
-        "lm_nu-bool", "tol_r-bool", "eps-bool", "eps-inf", "alpha-str", "c1-bool", "wolfe-s_init-bool",
+        "mu-above-MU_MAX", "config-c1-c2", "wolfe-c1-c2", "wolfe-c2-one", "mu-bool", "lm_nu-bool", "tol_r-bool",
+        "eps-bool", "eps-inf", "eps-int-beyond-floats", "alpha-str", "c1-bool",
     ],
 )
 def test_solver_refusals(make, message):
-    # SolverConfig and wolfe_search share the counts', the seed's and the
-    # Wolfe constants' checks with the rest of the library
+    # SolverConfig and wolfe_search share the counts', the seed's, the
+    # floats' and the Wolfe constants' checks with the rest of the library
     assert_refuses(make, ValueError, message)
 
 
@@ -283,8 +281,19 @@ def test_wolfe_quadratic_accepts_unit_step():
     g = lambda s: 2.0 * s - 2.0
     assert wolfe_search(f, g, 1e-4, 0.9) == 1.0
     assert wolfe_search(f, g, 1e-4, 0.1) == 1.0
-    # doubling has to walk up from a too-small initial step
-    assert wolfe_search(f, g, 1e-4, 0.1, s_init=0.25) == 1.0
+
+
+def test_wolfe_doubles_to_a_step_beyond_one():
+    # f(s) = s^2 - 8s has its minimum at s = 4; at c2 = 0.1 the slopes at
+    # 1 and 2 are too steep, so the search doubles twice and stops there
+    tried = []
+
+    def f(s):
+        tried.append(s)
+        return s * s - 8.0 * s
+
+    assert wolfe_search(f, lambda s: 2.0 * s - 8.0, 1e-4, 0.1) == 4.0
+    assert tried == [0.0, 1.0, 2.0, 4.0]
 
 
 def test_wolfe_rejects_uphill_start():
@@ -292,33 +301,29 @@ def test_wolfe_rejects_uphill_start():
         wolfe_search(lambda s: s, lambda s: 1.0)
     with pytest.raises(ValueError):
         wolfe_search(lambda s: 0.0, lambda s: 0.0)
-    with pytest.raises(ValueError):
-        wolfe_search(lambda s: -s, lambda s: -1.0, s_init=0.0)
-    # an infinite first step would be returned as the step
-    with pytest.raises(ValueError, match="s_init"):
-        wolfe_search(lambda s: -s, lambda s: -1.0, s_init=float("inf"))
 
 
-@pytest.mark.parametrize("max_evals", [0, -1, 2.5, True])
-def test_wolfe_refuses_a_search_that_may_evaluate_no_step(max_evals):
-    # with no trial allowed the search would return s_init unevaluated; a
-    # count that is not an integer is refused before any trial too
-    calls = []
+def test_wolfe_returns_no_step_where_no_step_decreases():
+    # every step raises the value: the search bisects towards 0, tries 60
+    # steps and returns none of them, and the slope is asked for only at 0
+    tried, slopes = [], []
 
     def f(s):
-        calls.append(s)
-        return -s
+        tried.append(s)
+        return 1.0 if s else 0.0
 
-    with pytest.raises(ValueError, match="max_evals"):
-        wolfe_search(f, lambda s: -1.0, max_evals=max_evals)
-    assert calls == []
-    assert wolfe_search(f, lambda s: -1.0, max_evals=1) == 1.0
-    assert calls == [0.0, 1.0]
+    def g(s):
+        slopes.append(s)
+        return -1.0
+
+    assert wolfe_search(f, g) == 0.0
+    assert tried == [0.0] + [0.5**i for i in range(60)]
+    assert slopes == [0.0]
 
 
 def test_wolfe_linear_decay_returns_armijo_step():
-    # curvature condition never holds on a line, so the fallback must still
-    # return a positive sufficient-decrease step
+    # the curvature condition never holds on a line, so the search returns
+    # its best sufficient-decrease step
     s = wolfe_search(lambda t: -t, lambda t: -1.0, 1e-4, 0.9)
     assert np.isfinite(s) and s > 0
     assert -s <= 1e-4 * s * -1.0
@@ -341,7 +346,7 @@ def test_wolfe_satisfies_both_conditions_on_random_quadratics():
 def test_wolfe_backs_off_where_the_value_is_not_finite():
     # f is inf beyond s = 0.3 and nan beyond 0.6; the unit step and the first
     # bisection land there, and the step returned must be a finite one with
-    # sufficient decrease, on a quadratic (Wolfe step) and on a line (fallback)
+    # sufficient decrease, on a quadratic (Wolfe step) and on a line (best step)
     for f0, g0 in ((lambda s: s * s - 2.0 * s, lambda s: 2.0 * s - 2.0), (lambda s: -s, lambda s: -1.0)):
         f = lambda s, f0=f0: f0(s) if s <= 0.3 else (np.inf if s <= 0.6 else np.nan)
         s = wolfe_search(f, g0, 1e-4, 0.9)
@@ -494,23 +499,29 @@ def test_solve_refuses_a_non_finite_theta(monkeypatch):
 
 
 def test_accepted_steps_never_increase_objective(monkeypatch):
+    # on a case-IV instance in mode ev, and in every mode on the bundled
+    # example scaled by 1e8, whose stages end where no step lowers the value
     import esoclcp.solver as solver_mod
 
     orig = solver_mod.wolfe_search
     seen = []
 
-    def spy(f, g, c1, c2, s_init=1.0, max_evals=60):
-        s = orig(f, g, c1, c2, s_init=s_init, max_evals=max_evals)
+    def spy(f, g, c1, c2):
+        s = orig(f, g, c1, c2)
         seen.append((f(0.0), f(s)))
         return s
 
     monkeypatch.setattr(solver_mod, "wolfe_search", spy)
-    spec, _, _, _, _ = case_iv_instance()
-    stages = solve(spec, SolverConfig(mode="ev", k_max=60))
-    assert seen
-    for f0, fs in seen:
-        assert fs <= f0 + 1e-9 * (1.0 + abs(f0))
-    assert stages[0].inner_iters == len(seen) or stages[0].termination != "grad_tol"
+    cases = [(case_iv_instance()[0], SolverConfig(mode="ev", k_max=60))] + [
+        (scaled_example(), SolverConfig(mode=mode, schedule=(10, 100), k_max=50)) for mode in ("cvar", "erm", "ev")
+    ]
+    for spec, cfg in cases:
+        seen.clear()
+        stages = solve(spec, cfg)
+        assert seen, cfg.mode
+        for f0, fs in seen:
+            assert fs <= f0 + 1e-9 * (1.0 + abs(f0)), cfg.mode
+        assert sum(r.inner_iters for r in stages) == len(seen), cfg.mode
 
 
 def test_stage_aloc_is_over_the_stage_sample():
@@ -1014,45 +1025,41 @@ def test_screen_leaves_the_report_unchanged(monkeypatch, mode, kind):
         assert all(_screened(r) == 0 for r in exact)
 
 
-def _one_trial(orig, f, g, c1, c2):
-    # with one trial per search, a screened unit step leaves wolfe_search
-    # with its untried bisected step
-    return orig(f, g, c1, c2, max_evals=1)
-
-
-def _unit_step(orig, f, g, c1, c2):
-    # a search that returns the unit step even though it was rejected
-    f(0.0)
-    f(1.0)
-    return 1.0
-
-
-@pytest.mark.parametrize("search", [_one_trial, _unit_step])
-def test_fallback_step_is_evaluated_exactly(monkeypatch, search):
-    # the step the line search returns is kept, so it is evaluated exactly
-    # even where the search tried it and a screen rejected it
+@pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])
+def test_search_without_decrease_returns_no_step_and_the_stage_stalls(monkeypatch, mode):
+    # on the bundled example scaled by 1e8 each mode's first stage reaches a
+    # point from which no step the search tries decreases the value: the
+    # search returns 0.0, search returns the point it started from, and the
+    # stage ends there, stalled, on the value and Theta it had
     import esoclcp.solver as solver_mod
 
-    orig = solver_mod.wolfe_search
-    steps = []
+    orig_wolfe, orig_search = solver_mod.wolfe_search, _StageProblem.search
+    steps, starts = [], []
 
-    def spy(f, g, c1, c2):
-        steps.append(search(orig, f, g, c1, c2))
+    def wolfe_spy(*args):
+        steps.append(orig_wolfe(*args))
         return steps[-1]
 
-    monkeypatch.setattr(solver_mod, "wolfe_search", spy)
-    evals, rays = _kept_points_checked(monkeypatch)
-    spec = builtin_example()
-    cfg = SolverConfig(schedule=(1000,), k_max=4, seed=7)
-    stages = solve(spec, cfg)
-    # some search's unit step was screened, by the ray bound or the CVaR
-    assert any(s == 1.0 for _, s, _, _ in rays) or any(not _exact(e) for _, _, _, e in evals)
-    # the stage's start, and at least one returned step evaluated again
-    # without a bar; the spies saw every gradient and direction at exact points
-    assert len([e for _, _, bar, e in evals if bar is None]) >= 2
-    stage = stages[0]
-    ev = SampleEvaluator(spec, stage_samples(spec, cfg, 1))
-    assert stage.theta == theta_star(ev.thetas(stage.point), cfg.alpha, cfg.mu, cfg.smoothing)
+    def search_spy(self, cur, d, slope):
+        starts.append(cur)
+        return orig_search(self, cur, d, slope)
+
+    monkeypatch.setattr(solver_mod, "wolfe_search", wolfe_spy)
+    monkeypatch.setattr(_StageProblem, "search", search_spy)
+    evals, _ = _kept_points_checked(monkeypatch)
+    cfg = SolverConfig(schedule=(10,), k_max=50, mode=mode)
+    (stage,) = solve(scaled_example(), cfg)
+    assert stage.termination == "stalled"
+    assert stage.inner_iters == len(steps) < cfg.k_max
+    assert steps[-1] == 0.0 and all(s > 0.0 for s in steps[:-1])
+    last = starts[-1]
+    assert stage.point is last.z
+    # every point the stage kept was evaluated exactly once, without a bar:
+    # the start and each step's point, none of them again after its search
+    kept = [e for _, _, bar, e in evals if bar is None]
+    assert kept == [evals[0][3]]
+    if mode == "cvar":
+        assert stage.theta == last.theta
 
 
 @pytest.mark.parametrize("mode", ["cvar", "erm", "ev"])

@@ -42,6 +42,14 @@ tools/report_diff.py.  The reports:
                                      r_base1e+100 and so on) or T_base
                                      scaled by 3e152 (T_base3e+152); each
                                      ends on one error line
+  scaled/<mode>                      `solve --schedule 10,100 --kmax 50
+                                     --mode <mode>` in modes cvar, erm and
+                                     ev, on the bundled example with
+                                     T_base, r_base and every perturbation
+                                     coefficient times 1e8 (the same
+                                     solutions): each stage stops where no
+                                     step the line search tries lowers the
+                                     value (stalled), which exits 2
   final-theta/<mode>-<kind>          `solve --schedule 10 --tol 1e300
                                      --mode <mode> --smoothing <kind>` on
                                      the r_base1e+100 data above, in modes
@@ -102,6 +110,8 @@ CHECK_POINTS = ("1.5,0.3,1.1,0.1,-0.25", "1,2,3,0,0", "4,4,4,0.001,0", "0.8,0,-2
 # the bundled example's data field and the value that overflows a solve on
 # it: r_base[0] is set to the value, T_base is scaled by it
 OVERFLOWS = (("r_base", 1e100), ("r_base", 1e150), ("r_base", 1e200), ("T_base", 3e152))
+# the factor the scaled reports multiply the bundled example's data by
+SCALE = 1e8
 # the smoothing kinds of the final-theta reports, which stop at the start point
 FINAL_THETA_KINDS = ("chks", "nn")
 # refuse/<case>: CLI calls that each end on one error line, the builtin
@@ -164,6 +174,18 @@ def reports(cli, workloads, seeds, workdir: str):
         for mode in ("cvar", "erm", "ev"):
             argv = ["solve", "--problem", path, "--schedule", "10,100", "--kmax", "5", "--mode", mode, "--no-timing"]
             yield f"overflow/{case}/{mode}", argv
+    with open(example, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["T_base"] = [[SCALE * v for v in row] for row in doc["T_base"]]
+    doc["r_base"] = [SCALE * v for v in doc["r_base"]]
+    for entry in doc["T_perturb"] + doc["r_perturb"]:
+        entry["coeff"] *= SCALE
+    path = os.path.join(workdir, "scaled.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    for mode in ("cvar", "erm", "ev"):
+        argv = ["solve", "--problem", path, "--schedule", "10,100", "--kmax", "50", "--mode", mode, "--no-timing"]
+        yield f"scaled/{mode}", argv
     path = os.path.join(workdir, "r_base1e+100.json")
     for mode in ("cvar", "erm", "ev"):
         for kind in FINAL_THETA_KINDS:
