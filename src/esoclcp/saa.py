@@ -135,14 +135,22 @@ def _check_seed(seed, name: str = "seed") -> int:
 
 
 def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> np.ndarray:
-    """Draw an (N, omega_dim) array of iid normals; deterministic in the seed."""
+    """Draw an (N, omega_dim) array of iid normals; deterministic in the seed.
+
+    It allocates the array it returns, the uniforms (N omega_dim floats)
+    and ndtri's temporaries.  The generator's integers are freed as they
+    are converted to floats, and the mean and standard deviation are
+    applied in place: x *= std; x += mean rounds as mean + std x does.
+    """
     N, omega_dim = _check_count(N, "N"), _check_count(omega_dim, "omega_dim")
     gen = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
-    h = gen.integers(0, 2**53, size=(N, omega_dim), dtype=np.uint64)
-    uniforms = h.astype(float)
+    uniforms = gen.integers(0, 2**53, size=(N, omega_dim), dtype=np.uint64).astype(float)
     uniforms += 0.5
     uniforms /= 2**53
-    return dist.mean + dist.std * ndtri(uniforms)
+    x = ndtri(uniforms)
+    x *= dist.std
+    x += dist.mean
+    return x
 
 
 # the dense blocks SampleEvaluator realizes on first access
@@ -272,15 +280,16 @@ class SampleEvaluator:
         coeffs = np.dot(self.K, z1, self._coeffs).reshape(self.dim, -1)
         return np.dot(coeffs, self.W if W is None else W, out)
 
-    def f_values(self, x, u, omega=None) -> np.ndarray:
+    def f_values(self, x, u, omega=None, out: np.ndarray | None = None) -> np.ndarray:
         """F(x, u, w) = T(w) (x; u) + r(w) over the sample, shape (k + l, N), or at the one draw omega, (k + l,).
 
-        The rows of _g1_v at z = (x, u, 0), a view of a fresh array; omega
-        is evaluated through the column (1, omega).
+        The rows of _g1_v at z = (x, u, 0): over the sample, a view of out,
+        a (k + l + 1, N) array it overwrites, or else of a fresh one; at
+        omega, of the one column (1, omega).
         """
         z = np.concatenate([*_check_point(self.spec.dims, x, u), [0.0]])
         if omega is None:
-            return self._g1_v(z)[:-1]
+            return self._g1_v(z, out)[:-1]
         w1 = np.concatenate(([1.0], _check_vector(omega, "omega", self.spec.omega_dim)))[:, None]
         return self._g1_v(z, W=w1)[:-1, 0]
 

@@ -483,75 +483,77 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]
     as that stage's termination unless the stage stalled.
     """
     z = default_start(spec) if start is None else _check_vector(start, "start", spec.dims.m + 1).copy()
-
     results: list[StageResult] = []
     stage_count = 1 if cfg.mode == "ev" else len(cfg.schedule)
-    mean_omega = spec.mean_omega()
-    prev_z: np.ndarray | None = None
-
     for j in range(1, stage_count + 1):
-        ev = SampleEvaluator(spec, stage_samples(spec, cfg, j))
-        stage = _StageProblem(ev, cfg, j)
-        t0 = time.perf_counter()
-        iters = moved = 0
-        # a merit or gradient that overflows makes every later step nan, and
-        # the trials that overflow are only rejected: the loop runs without
-        # warnings.  Every step search returns has a finite value, so the
-        # value is checked at the start point and the gradient at each point
-        with np.errstate(over="ignore", invalid="ignore"):
-            cur = stage.eval_point(z)
-            if not math.isfinite(cur.value):
-                raise _overflow(moved, stage, cur)
-            while True:
-                grad = stage.grad(cur)
-                gnorm = float(np.maximum.reduce(np.abs(grad)))  # nan or inf where grad is
-                if not math.isfinite(gnorm):
-                    raise _overflow(moved, stage, cur)
-                if gnorm <= cfg.tol_r:
-                    termination = "grad_tol"
-                    break
-                if iters >= cfg.k_max:
-                    termination = "k_max"
-                    break
-                d = stage.direction(cur, grad)
-                cur = stage.search(cur, d, float(grad @ d))
-                iters += 1
-                if (cur.z == z).all():
-                    # the search returned no step, or one that moved z by less
-                    # than one ulp, so every remaining iteration would replay
-                    # this one exactly
-                    termination = "stalled"
-                    break
-                z, moved = cur.z, iters
-            wall = time.perf_counter() - t0
-            if cfg.mode != "cvar":
-                # modes erm and ev report theta_star's Theta at the solution
-                stage.counts["theta_calls"] += 1
-                cur.theta = theta_star(stage.losses(cur), cfg.alpha, cfg.mu, cfg.smoothing)
-            if not math.isfinite(cur.theta):
-                raise _overflow(moved, stage, cur, theta=True)
-
-        x, u = recover_lcp_point(spec.dims, z)
-        f_mean, loss = ev.f_values(x, u, mean_omega), aloc(ev, x, u)
-        result = StageResult(j, ev.N, z, cur.theta, x, u, f_mean, loss, gnorm, iters, termination, wall, stage.counts)
+        result = _run_stage(spec, cfg, j, z)
         results.append(result)
-
-        if prev_z is not None and float(np.linalg.norm(z - prev_z)) < cfg.eps:
-            if termination != "stalled":
+        if j > 1 and float(np.linalg.norm(result.point - z)) < cfg.eps:
+            if result.termination != "stalled":
                 result.termination = "outer_eps"
             break
-        prev_z = z
-
+        z = result.point
     return results
 
 
-def aloc(ev: SampleEvaluator, x, u) -> float:
+def _run_stage(spec: ProblemSpec, cfg: SolverConfig, j: int, z: np.ndarray) -> StageResult:
+    # stage j from z.  Its evaluator, buffers and points are this frame's
+    # alone, so they are freed when it returns, before the next stage draws
+    ev = SampleEvaluator(spec, stage_samples(spec, cfg, j))
+    stage = _StageProblem(ev, cfg, j)
+    t0 = time.perf_counter()
+    iters = moved = 0
+    # a merit or gradient that overflows makes every later step nan, and
+    # the trials that overflow are only rejected: the loop runs without
+    # warnings.  Every step search returns has a finite value, so the
+    # value is checked at the start point and the gradient at each point
+    with np.errstate(over="ignore", invalid="ignore"):
+        cur = stage.eval_point(z)
+        if not math.isfinite(cur.value):
+            raise _overflow(moved, stage, cur)
+        while True:
+            grad = stage.grad(cur)
+            gnorm = float(np.maximum.reduce(np.abs(grad)))  # nan or inf where grad is
+            if not math.isfinite(gnorm):
+                raise _overflow(moved, stage, cur)
+            if gnorm <= cfg.tol_r:
+                termination = "grad_tol"
+                break
+            if iters >= cfg.k_max:
+                termination = "k_max"
+                break
+            d = stage.direction(cur, grad)
+            cur = stage.search(cur, d, float(grad @ d))
+            iters += 1
+            if (cur.z == z).all():
+                # the search returned no step, or one that moved z by less
+                # than one ulp, so every remaining iteration would replay
+                # this one exactly
+                termination = "stalled"
+                break
+            z, moved = cur.z, iters
+        wall = time.perf_counter() - t0
+        if cfg.mode != "cvar":
+            # modes erm and ev report theta_star's Theta at the solution
+            stage.counts["theta_calls"] += 1
+            cur.theta = theta_star(stage.losses(cur), cfg.alpha, cfg.mu, cfg.smoothing)
+        if not math.isfinite(cur.theta):
+            raise _overflow(moved, stage, cur, theta=True)
+
+    x, u = recover_lcp_point(spec.dims, z)
+    # the last use of the stage's buffers: aloc forms F over the draws in _f
+    f_mean, loss = ev.f_values(x, u, spec.mean_omega()), aloc(ev, x, u, stage._f)
+    return StageResult(j, ev.N, z, cur.theta, x, u, f_mean, loss, gnorm, iters, termination, wall, stage.counts)
+
+
+def aloc(ev: SampleEvaluator, x, u, out: np.ndarray | None = None) -> float:
     """Average absolute loss of complementarity over ev's sample: mean_j |<(x, u), F(x, u, w_j)>|.
 
     F is ev.f_values: one product over the draws the evaluator already
-    holds, in O(N (m + omega_dim)) memory.  solve passes each stage's own
-    evaluator.
+    holds, formed in out, a (k + l + 1, N) array it overwrites, or else in
+    a fresh one; besides, aloc allocates the N inner products.  solve
+    passes each stage's own evaluator and its finished _f buffer.
     """
-    f = ev.f_values(x, u)
+    f = ev.f_values(x, u, out=out)
     vals = np.concatenate([x, u], dtype=float) @ f
     return float(np.mean(np.abs(vals, out=vals)))

@@ -80,6 +80,15 @@ def _philox_uniforms(seed, n):
     return (h.astype(float) + 0.5) / 2**53
 
 
+def test_draw_samples_scale_in_place_as_the_old_expression_rounds():
+    # draw_samples applies std and mean in place; the bits are those of
+    # mean + std * ndtri(uniforms), the expression it used to return
+    for mean, std in ((0.0, 1.0), (0.3, 1.7), (-2.5, 1e-3)):
+        dist = DistributionSpec(kind="iid_normal", mean=mean, std=std)
+        want = dist.mean + dist.std * ndtri(_philox_uniforms(19, 4001 * 3).reshape(4001, 3))
+        assert np.array_equal(draw_samples(dist, 3, 4001, 19), want)
+
+
 def test_ndtri_central_branch_is_bit_identical_to_scipy():
     special = pytest.importorskip("scipy.special")
     u = _philox_uniforms(11, 200_000)

@@ -554,6 +554,44 @@ def test_solve_builds_one_evaluator_per_stage(monkeypatch, mode):
         assert stage.aloc == aloc(ev, x, u)
 
 
+@pytest.mark.parametrize("mode", ["cvar", "erm"])
+def test_each_stage_is_freed_before_the_next_draws(monkeypatch, mode):
+    # a stage's evaluator and its buffers die when the stage returns, by
+    # reference count alone (no gc.collect), so a cycle that held them
+    # until the collector ran would fail here too
+    import weakref
+
+    import esoclcp.solver as solver_mod
+
+    held = []  # weak references to each stage's evaluator and _StageProblem
+
+    def freed():
+        assert all(ref() is None for ref in held), mode
+
+    def kept(make, check):
+        def spy(*args):
+            if check:
+                freed()
+            obj = make(*args)
+            held.append(weakref.ref(obj))
+            return obj
+
+        return spy
+
+    draw = solver_mod.draw_samples
+
+    def draw_spy(*args):
+        freed()
+        return draw(*args)
+
+    monkeypatch.setattr(solver_mod, "draw_samples", draw_spy)
+    monkeypatch.setattr(solver_mod, "SampleEvaluator", kept(SampleEvaluator, True))
+    monkeypatch.setattr(solver_mod, "_StageProblem", kept(_StageProblem, False))
+    stages = solve(builtin_example(), SolverConfig(mode=mode, schedule=(100, 1000), k_max=5))
+    assert [stage.N for stage in stages] == [100, 1000] and len(held) == 4
+    freed()
+
+
 def test_aloc_zero_at_exact_complementarity():
     spec, x, u, _, _ = case_iv_instance()
     s = stage_samples(spec, SolverConfig(schedule=(3,)), 1)
@@ -605,8 +643,11 @@ def test_aloc_matches_the_dense_reference():
     s = draw_samples(spec.distribution, spec.omega_dim, 1000, 7)
     cases.append((spec, s, np.array([0.5, 0.28, 1.04]), np.array([0.12, -0.25])))
     for spec, s, x, u in cases:
-        got = aloc(SampleEvaluator(spec, s), x, u)
+        ev = SampleEvaluator(spec, s)
+        got = aloc(ev, x, u)
         assert abs(got - aloc_dense(spec, s, x, u)) <= 1e-12 * _aloc_scale(spec, s, x, u)
+        # formed in a stage's buffer (solve passes its _f), to the bit
+        assert aloc(ev, x, u, np.full((ev.dim, ev.N), np.nan)) == got
     # at an exact solution every w . F vanishes, up to rounding, on either path
     spec, x, u, _, _ = case_iv_instance()
     s = draw_samples(spec.distribution, spec.omega_dim, 257, 9)

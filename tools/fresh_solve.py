@@ -1,15 +1,18 @@
-"""Fresh-process figures for a default `esoclcp solve --builtin`.
+"""Fresh-process figures for a default `esoclcp solve --builtin`, or over a problem file.
 
 Run from the root of a checkout:
 
-    python3 tools/fresh_solve.py --seed 7 --seed 42 --seed 1234 [--src DIR] [--schedule LIST]
-        [--alpha A] [--kmax K] [--mode MODE] [--smoothing KIND] [--repeat R]
+    python3 tools/fresh_solve.py --seed 7 --seed 42 --seed 1234 [--src DIR] [--problem FILE]
+        [--schedule LIST] [--alpha A] [--kmax K] [--mode MODE] [--smoothing KIND] [--repeat R]
 
 Each seed runs in a new interpreter that imports esoclcp from DIR (default
 ./src), pinned to one BLAS thread, and calls `esoclcp.cli.main(["solve",
 "--builtin", "--seed", S, ...])` once with the default schedule, tail
 level, iteration cap, mode and smoothing, or with LIST (say
-10,100,1000,10000,100000, the acceptance schedule), A, K, MODE and KIND.  Per seed, one JSON line reports
+10,100,1000,10000,100000, the acceptance schedule), A, K, MODE and KIND;
+with FILE, `--problem FILE` takes the place of `--builtin` (say the
+instance of perfbench's wide-erm workload, which is wider than the bundled
+example).  Per seed, one JSON line reports
 the child's wall time (interpreter start-up and import included), the
 child's `import esoclcp.cli` time (import_s) and the solve's own time
 (solve_s) separately, the child's own peak RSS (peak_rss_mb, from
@@ -31,9 +34,10 @@ bound, the FB rows, the tail draws and the empirical CVaR.
 
 With --repeat R, each seed runs R times, each run in its own new
 interpreter and printing its own line, and then one summary line per seed
-gives, per stage, the median and the quartile distance (Q3 - Q1) over the R
-runs of its wall time in seconds and of its microseconds per inner
-iteration, so that a stage's spread between fresh runs can be read off.
+gives the median and the quartile distance (Q3 - Q1) over the R runs of
+the child's peak RSS and of its minor page faults, and, per stage, of its
+wall time in seconds and of its microseconds per inner iteration, so that
+the spread between fresh runs can be read off.
 
 The benchmark in perfbench/ cannot see the allocator's share of this time:
 its reference kernel allocates multi-megabyte temporaries between solves,
@@ -84,11 +88,13 @@ ANSWERS = ("ray_answers", "fb_answers", "tail_answers", "cvar_answers")
 
 
 def run_seed(src: str, seed: int, schedule: str | None = None, alpha: str | None = None,
-             kmax: int | None = None, mode: str | None = None, smoothing: str | None = None) -> dict:
+             kmax: int | None = None, mode: str | None = None, smoothing: str | None = None,
+             problem: str | None = None) -> dict:
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         report_path = os.path.join(tmp, "report.json")
-        argv = ["solve", "--builtin", "--seed", str(seed), "--format", "json", "--no-timing", "--out", report_path]
+        source = ["--problem", problem] if problem else ["--builtin"]
+        argv = ["solve", *source, "--seed", str(seed), "--format", "json", "--no-timing", "--out", report_path]
         flags = (("--schedule", schedule), ("--alpha", alpha), ("--kmax", kmax), ("--mode", mode), ("--smoothing", smoothing))
         for flag, value in flags:
             if value is not None:
@@ -144,7 +150,7 @@ def spread(values: list[float]) -> tuple[float, float]:
 
 
 def summary(seed: int, runs: list[dict]) -> dict:
-    """Per stage, the median and quartile distance over runs of its wall time and time per iteration."""
+    """Medians and quartile distances over runs: peak RSS, minor faults and, per stage, wall time and time per iteration."""
     stages = []
     for i, first in enumerate(runs[0]["stages"]):
         # every fresh run of one seed takes the same steps, only its times differ
@@ -157,13 +163,19 @@ def summary(seed: int, runs: list[dict]) -> dict:
             {"N": first[0], "inner_iters": first[2], "wall_time_median": wall, "wall_time_iqr": wall_iqr,
              "us_per_iter_median": us, "us_per_iter_iqr": us_iqr}
         )
-    return {"seed": seed, "repeat": len(runs), "stages": stages}
+    rss, rss_iqr = spread([run["peak_rss_mb"] for run in runs])
+    faults, faults_iqr = spread([run["minor_faults"] for run in runs])
+    return {
+        "seed": seed, "repeat": len(runs), "peak_rss_mb_median": rss, "peak_rss_mb_iqr": rss_iqr,
+        "minor_faults_median": faults, "minor_faults_iqr": faults_iqr, "stages": stages,
+    }
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description="fresh-process figures for esoclcp solve --builtin")
+    p = argparse.ArgumentParser(description="fresh-process figures for esoclcp solve")
     p.add_argument("--seed", type=int, action="append", required=True, help="solver seed; repeat for more")
     p.add_argument("--src", default=os.path.join(os.getcwd(), "src"), help="directory esoclcp is imported from")
+    p.add_argument("--problem", help="problem JSON file solved in place of the bundled example")
     p.add_argument("--schedule", help="comma-separated sample sizes passed to solve (default: solve's own)")
     p.add_argument("--alpha", help="tail level passed to solve (default: solve's own)")
     p.add_argument("--kmax", type=int, help="inner iteration cap passed to solve (default: solve's own)")
@@ -177,7 +189,8 @@ def main(argv=None) -> int:
         runs = []
         for _ in range(args.repeat):
             runs.append(
-                run_seed(os.path.abspath(args.src), seed, args.schedule, args.alpha, args.kmax, args.mode, args.smoothing)
+                run_seed(os.path.abspath(args.src), seed, args.schedule, args.alpha, args.kmax, args.mode, args.smoothing,
+                         args.problem and os.path.abspath(args.problem))
             )
             print(json.dumps(runs[-1]), flush=True)
         if args.repeat > 1:
