@@ -38,13 +38,10 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
 CONFIG_FLAGS = (
     ("--alpha", "alpha", float, "tail level"),
     ("--mu", "mu", float, "smoothing parameter"),
-    ("--lm-nu", "lm_nu", float, "damping of the normal equations"),
     ("--schedule", "schedule", _parse_schedule, "comma-separated increasing sample sizes"),
     ("--seed", "seed", int, "base seed"),
     ("--tol", "tol_r", float, "gradient stopping tolerance"),
     ("--eps", "eps", float, "between-stage displacement stop"),
-    ("--c1", "c1", float, "sufficient decrease constant"),
-    ("--c2", "c2", float, "curvature constant"),
     ("--kmax", "k_max", int, "inner iteration cap"),
 )
 

@@ -148,10 +148,10 @@ def load_problem(text) -> ProblemSpec:
     T_perturb, r_perturb and distribution; unknown or missing keys are
     rejected, as are entries whose indices fall outside the declared shapes.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise ProblemParseError(f"problem text is not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

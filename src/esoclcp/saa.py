@@ -148,8 +148,9 @@ def draw_samples(dist: DistributionSpec, omega_dim: int, N: int, seed: int) -> n
     uniforms += 0.5
     uniforms /= 2**53
     x = ndtri(uniforms)
-    x *= dist.std
-    x += dist.mean
+    with np.errstate(over="ignore"):  # a draw beyond the floats is inf, which SampleEvaluator refuses
+        x *= dist.std
+        x += dist.mean
     return x
 
 

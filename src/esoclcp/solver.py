@@ -68,13 +68,17 @@ COUNTS = (
     "full_passes", "tail_passes", "fb_passes", "theta_calls",
 )
 
-# wolfe_search's first trial step, and the most steps it tries
+# wolfe_search's first trial step, the most steps it tries, and its
+# sufficient-decrease and curvature constants, 0 < _C1 < _C2 < 1
 _FIRST_STEP = 1.0
 _MAX_TRIALS = 60
+_C1 = 1e-4
+_C2 = 0.9
 
 # the Gauss-Newton direction d is kept only when g^T d <= -_DESCENT_R ||d||;
-# otherwise the stage steps along -g
+# otherwise the stage steps along -g.  _LM_NU > 0 damps its normal equations
 _DESCENT_R = 1e-8
+_LM_NU = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,13 +87,10 @@ class SolverConfig:
 
     alpha: float = 0.05
     mu: float = 1e-4
-    lm_nu: float = 1e-6
     schedule: tuple[int, ...] = DEFAULT_SCHEDULE
     seed: int = 42
     tol_r: float = 1e-6
     eps: float = 1e-6
-    c1: float = 1e-4
-    c2: float = 0.9
     k_max: int = 500
     mode: str = "cvar"
     smoothing: SmoothingKind = SmoothingKind.CHKS
@@ -97,16 +98,13 @@ class SolverConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         object.__setattr__(self, "mu", _check_mu(self.mu))
-        for name in ("lm_nu", "tol_r", "eps"):
+        for name in ("tol_r", "eps"):
             object.__setattr__(self, name, _check_real(getattr(self, name), name, 0.0))
         schedule = tuple(_check_count(n, f"schedule[{i}]") for i, n in enumerate(self.schedule))
         if len(schedule) < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise ValueError(f"schedule must be strictly increasing positive ints, got {self.schedule}")
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        c1, c2 = _check_wolfe(self.c1, self.c2)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "k_max", _check_count(self.k_max, "k_max"))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -149,8 +147,8 @@ def stage_samples(spec: ProblemSpec, cfg: SolverConfig, j: int) -> np.ndarray:
 
 def _lm_from_means(a_bar: np.ndarray, f_bar: np.ndarray, damping: np.ndarray) -> np.ndarray:
     # damped Gauss-Newton direction from the sample-mean Jacobian and residual,
-    # with damping = lm_nu I (a stage builds it once).  lm_nu > 0 makes the
-    # gram SPD wherever it is finite, so one LU solve needs no SPD test; a
+    # with damping = nu I (a stage builds it once, nu = _LM_NU).  nu > 0 makes
+    # the gram SPD wherever it is finite, so one LU solve needs no SPD test; a
     # non-finite mean, or overflow in the products, ends silently in the
     # step check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -160,26 +158,17 @@ def _lm_from_means(a_bar: np.ndarray, f_bar: np.ndarray, damping: np.ndarray) ->
     return d
 
 
-def _check_wolfe(c1: float, c2: float) -> tuple[float, float]:
-    # the Wolfe constants' one rule, for SolverConfig and wolfe_search
-    c1, c2 = _check_real(c1, "c1", 0.0, 1.0), _check_real(c2, "c2", 0.0, 1.0)
-    if not c1 < c2:
-        raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
-    return c1, c2
-
-
-def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9) -> float:
+def wolfe_search(f, g) -> float:
     """Weak Wolfe line search by bracketing bisection.
 
     f maps a step length to the objective value along the ray, g to its
     directional derivative; the slope at zero must be negative.  The search
     tries steps from _FIRST_STEP, doubling or bisecting, _MAX_TRIALS of
-    them at most, and returns the first with f(s) <= f(0) + c1 s g(0) and
-    g(s) >= c2 g(0); else the sufficient-decrease step of least value it
+    them at most, and returns the first with f(s) <= f(0) + _C1 s g(0) and
+    g(s) >= _C2 g(0); else the sufficient-decrease step of least value it
     tried; else 0.0, no step.  So a step returned was tried, and its value
     is finite and no more than f(0).
     """
-    c1, c2 = _check_wolfe(c1, c2)
     g0 = float(g(0.0))
     if not g0 < 0.0:
         raise ValueError(f"slope at zero must be negative, got {g0}")
@@ -188,10 +177,10 @@ def wolfe_search(f, g, c1: float = 1e-4, c2: float = 0.9) -> float:
     best_s, best_f = 0.0, float("inf")
     for _ in range(_MAX_TRIALS):
         fs = float(f(s))
-        if math.isfinite(fs) and fs <= f0 + c1 * s * g0:
+        if math.isfinite(fs) and fs <= f0 + _C1 * s * g0:
             if fs < best_f:
                 best_s, best_f = s, fs
-            if float(g(s)) >= c2 * g0:
+            if float(g(s)) >= _C2 * g0:
                 return s
             lo = s
         else:
@@ -246,10 +235,10 @@ class _StageProblem:
     evaluate it again.
     """
 
-    def __init__(self, ev: SampleEvaluator, cfg: SolverConfig, j: int = 1):
+    def __init__(self, ev: SampleEvaluator, cfg: SolverConfig, where: str = "the stage"):
         self.ev = ev
         self.cfg = cfg
-        self.where = f"stage {j} (N = {ev.N})"  # what every error the stage raises begins with
+        self.where = where  # what every error the stage raises begins with
         n = ev.N
         self._f = np.empty((ev.dim, n))
         self._res = np.empty((ev.dim, n))
@@ -257,12 +246,12 @@ class _StageProblem:
         self._fb = np.empty((2, ev.k, n))
         self._work = np.empty((ev.dim - 1, n))
         # what grad and direction pass the kernels at every point besides
-        # the buffers: lm_nu I, and the unit weights of modes ev and erm as a
+        # the buffers: _LM_NU I, and the unit weights of modes ev and erm as a
         # stride-0 view of 1.0 (weighted_merit_grad's w @ res[m] then runs
         # numpy's own dot loop; contiguous ones would go to BLAS and round
         # differently)
         self._unit = np.broadcast_to(1.0, (n,))
-        self._damping = cfg.lm_nu * np.eye(ev.dim)
+        self._damping = _LM_NU * np.eye(ev.dim)
         self._held: _PointEval | None = None  # whose data _f, _res and _thetas hold
         self._fb_of: _PointEval | None = None  # whose FB coefficients _fb holds
         # which screens search tries: the tail draws' in mode cvar, the FB
@@ -379,7 +368,7 @@ class _StageProblem:
         """The point of the step wolfe_search returns along d from cur, cur for no step; slope is grad(cur) @ d.
 
         Most trials exist only to be rejected.  Each value asked for has the
-        bar f(0) + c1 s g(0), from the floats wolfe_search forms, and the
+        bar f(0) + _C1 s g(0), from the floats wolfe_search forms, and the
         first of these lower bounds that exceeds it answers in its place:
           1. saa.RayBound's closed form for the mean merit, which every
              mode's value is at least, before any pass over the draws;
@@ -398,7 +387,7 @@ class _StageProblem:
         and only exact points are kept, so the steps are those of exact
         evaluation.  counts tallies the values asked for and the bound that answered each.
         """
-        z, cfg, counts = cur.z, self.cfg, self.counts
+        z, counts = cur.z, self.counts
         tail_W = self._tail_draws(cur)
         ray = RayBound(self.ev, z, d)
         cache: dict[float, _PointEval] = {0.0: cur}
@@ -408,7 +397,7 @@ class _StageProblem:
             if e is not None:
                 return e.value
             counts["trials"] += 1
-            bar = cur.value + cfg.c1 * s * slope
+            bar = cur.value + _C1 * s * slope
             low = ray.screen(s, bar)
             if low is not None:
                 counts["ray_answers"] += 1
@@ -423,7 +412,7 @@ class _StageProblem:
         # wolfe_search asks for the slope, and returns a step, only where the
         # value met the sufficient-decrease test, which no bound does: at
         # cur or at a point evaluated exactly, which the cache holds
-        return cache[wolfe_search(value, lambda s: float(self.grad(cache[s]) @ d), cfg.c1, cfg.c2)]
+        return cache[wolfe_search(value, lambda s: float(self.grad(cache[s]) @ d))]
 
     def grad(self, e: _PointEval) -> np.ndarray:
         if e._gvec is None:
@@ -498,9 +487,14 @@ def solve(spec: ProblemSpec, cfg: SolverConfig, start=None) -> list[StageResult]
 
 def _run_stage(spec: ProblemSpec, cfg: SolverConfig, j: int, z: np.ndarray) -> StageResult:
     # stage j from z.  Its evaluator, buffers and points are this frame's
-    # alone, so they are freed when it returns, before the next stage draws
-    ev = SampleEvaluator(spec, stage_samples(spec, cfg, j))
-    stage = _StageProblem(ev, cfg, j)
+    # alone, so they are freed when it returns, before the next stage draws.
+    # Every error it raises begins with where, those of its draws included
+    where = f"stage {j} (N = {1 if cfg.mode == 'ev' else cfg.schedule[j - 1]})"
+    try:
+        ev = SampleEvaluator(spec, stage_samples(spec, cfg, j))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    stage = _StageProblem(ev, cfg, where)
     t0 = time.perf_counter()
     iters = moved = 0
     # a merit or gradient that overflows makes every later step nan, and

@@ -173,13 +173,10 @@ def test_each_solve_flag_sets_its_solver_config_field(monkeypatch, capsys):
     flags = {
         "--alpha": ("alpha", "0.1", 0.1),
         "--mu": ("mu", "0.002", 0.002),
-        "--lm-nu": ("lm_nu", "3e-5", 3e-5),
         "--schedule": ("schedule", "3,40", (3, 40)),
         "--seed": ("seed", "9", 9),
         "--tol": ("tol_r", "1e-3", 1e-3),
         "--eps": ("eps", "0.25", 0.25),
-        "--c1": ("c1", "0.01", 0.01),
-        "--c2": ("c2", "0.5", 0.5),
         "--kmax": ("k_max", "7", 7),
         "--mode": ("mode", "erm", "erm"),
         "--smoothing": ("smoothing", "nn", SmoothingKind("nn")),
@@ -291,7 +288,7 @@ def test_solve_bad_config_value(capsys):
     assert "error:" in err and "alpha" in err
 
 
-@pytest.mark.parametrize("flag, name", [("--tol", "tol_r"), ("--lm-nu", "lm_nu"), ("--eps", "eps")])
+@pytest.mark.parametrize("flag, name", [("--tol", "tol_r"), ("--eps", "eps")])
 def test_solve_rejects_an_infinite_bound_before_solving(capsys, flag, name):
     rc, out, err = run(capsys, ["solve", "--builtin", flag, "inf", *FAST])
     assert rc == 1
@@ -529,25 +526,48 @@ def _problem_with(edit):
         (["solve", "--builtin", "--kmax", "0"], None, "k_max must be an integer >= 1, got 0"),
         (["solve", "--builtin", "--schedule", "10,10"], None,
          "schedule must be strictly increasing positive ints, got (10, 10)"),
-        (["solve", "--builtin", "--c1", "0.5", "--c2", "0.5"], None, "need 0 < c1 < c2 < 1, got c1=0.5, c2=0.5"),
         (["solve", "--builtin", "--seed", "-1"], None, "seed must be an unsigned 64-bit integer, got -1"),
         (["solve"], _problem_with(lambda d: d.update(k=True)), "k must be an integer >= 1, got True"),
         (["solve"], _problem_with(lambda d: d.update(omega_dim=0)), "omega_dim must be an integer >= 1, got 0"),
         (["solve"], _problem_with(lambda d: d["T_perturb"][0].update(coeff=float("nan"))),
          "perturbation coefficient of PerturbEntry(row=0, col=0, coeff=nan, omega_index=0) must be a finite number "
          "in (-inf, inf), got nan"),
+        (["solve"], b"\xff\xfe", "problem text is not UTF-8 at byte 0: invalid start byte"),
+        (["solve", "--schedule", "10,100", "--kmax", "3"], _problem_with(lambda d: d["distribution"].update(std=1e308)),
+         "stage 1 (N = 10): draws must be finite"),
+        (["check", "--point", "1.5,0.3,1.1,0.1,-0.25"], _problem_with(lambda d: d["distribution"].update(std=1e308)),
+         "draws must be finite"),
     ],
-    ids=["point-unparsable", "kmax-zero", "schedule-flat", "c1-c2", "seed-negative", "file-k-bool",
-         "file-omega_dim-zero", "file-coeff-nan"],
+    ids=["point-unparsable", "kmax-zero", "schedule-flat", "seed-negative", "file-k-bool", "file-omega_dim-zero",
+         "file-coeff-nan", "file-not-utf8", "solve-draws-overflow", "check-draws-overflow"],
 )
 def test_refusals_end_on_one_error_line(tmp_path, capsys, argv, doc, message):
-    # tools/report_bytes.py's refuse/ reports; the point's length and
+    # tools/report_bytes.py's refuse/ reports, and its overflow/std1e+308
+    # ones, whose draws overflow without a warning; the point's length and
     # finiteness, and a mu below MU_MIN, are pinned by the tests above
     if doc is not None:
         path = tmp_path / "prob.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
         argv = [*argv, "--problem", str(path)]
-    assert run(capsys, argv) == (1, "", f"error: {message}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--lm-nu", "1e-6"], ["--c1", "0.5"], ["--c2", "0.5"], ["--c1", "0.5", "--c2", "0.5"], ["--lm-nu", "inf"]],
+    ids=["lm-nu", "c1", "c2", "c1-c2", "lm-nu-inf"],
+)
+def test_solve_refuses_the_flags_of_retired_step_rules(capsys, flags):
+    # the damping and the Wolfe constants are the solver's own, not options;
+    # c1-c2 and lm-nu-inf are the calls the checks of their values refused
+    # before the flags went
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--builtin", *flags])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
 
 
 def test_solve_imports_no_scipy():

@@ -317,6 +317,7 @@ def test_load_names_the_field_that_is_not_a_number(where, edit):
          "perturbation coefficient of PerturbEntry(row=0, col=0, coeff=nan, omega_index=0) must be a finite number "
          "in (-inf, inf), got nan"),
         (lambda: load_problem("[]"), ProblemParseError, "problem document must be a JSON object"),
+        (lambda: load_problem(b"\xff\xfe"), ProblemParseError, "problem text is not UTF-8 at byte 0: invalid start byte"),
         (lambda: load_problem(_edited(lambda d: d.update(distribution=[]))), ProblemParseError,
          "distribution must be an object"),
         (lambda: load_problem(_edited(lambda d: d.update(T_perturb=[1]))), ProblemParseError,
@@ -342,7 +343,7 @@ def test_load_names_the_field_that_is_not_a_number(where, edit):
     ids=[
         "dist-kind", "dist-mean", "dist-std", "dist-mean-bool", "dist-std-bool", "dist-mean-str", "dist-std-inf",
         "coeff-bool", "coeff-str", "file-dist-std-negative", "r_base-shape", "T_base-nan", "r_base-nan", "T_perturb-no-col",
-        "T_perturb-range", "r_perturb-col", "r_perturb-range", "coeff-nan", "doc-not-object", "dist-not-object",
+        "T_perturb-range", "r_perturb-col", "r_perturb-range", "coeff-nan", "doc-not-object", "not-utf8", "dist-not-object",
         "entry-not-object", "T_perturb-not-array", "index-not-integer", "missing-key", "k-bool", "l-zero",
         "omega_dim-zero", "omega_dim-float", "spec-omega_dim-zero",
     ],

@@ -42,6 +42,17 @@ def test_draw_samples_single():
     assert np.all(np.isfinite(s))
 
 
+def test_draw_samples_beyond_the_floats_are_inf_without_a_warning():
+    # a standard draw beyond |x| ~ 1.8 times std 1e308 overflows to inf;
+    # the rest are the standard draws times the std plus the mean
+    huge = draw_samples(DistributionSpec(kind="iid_normal", mean=1.0, std=1e308), 3, 10, 42)
+    unit = draw_samples(DIST, 3, 10, 42)
+    big = np.abs(unit) > 1.7976931348623157
+    assert big.any() and (~big).any()
+    assert np.array_equal(huge[big], np.copysign(np.inf, unit[big]))
+    assert np.array_equal(huge[~big], unit[~big] * 1e308 + 1.0)
+
+
 def test_draw_samples_validation():
     with pytest.raises(ValueError):
         draw_samples(DIST, 2, 0, 1)

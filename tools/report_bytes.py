@@ -42,6 +42,12 @@ tools/report_diff.py.  The reports:
                                      r_base1e+100 and so on) or T_base
                                      scaled by 3e152 (T_base3e+152); each
                                      ends on one error line
+  overflow/std1e+308/<command>       `solve --schedule 10,100 --kmax 3` and
+                                     `check --point` at the README's point,
+                                     on the bundled example with
+                                     distribution std 1e308, whose draws
+                                     overflow: one error line each, and no
+                                     warning
   scaled/<mode>                      `solve --schedule 10,100 --kmax 50
                                      --mode <mode>` in modes cvar, erm and
                                      ev, on the bundled example with
@@ -67,17 +73,22 @@ tools/report_diff.py.  The reports:
                                      with --samples 0 (check-samples);
                                      `solve --builtin` with --mu 1e-300
                                      (mu), --kmax 0 (kmax),
-                                     --schedule 10,10 (schedule), --c1 0.5
-                                     --c2 0.5 (wolfe) and --seed -1 (seed);
-                                     `solve --problem` on the bundled
-                                     example with "k": true (file-k),
-                                     "omega_dim": 0 (file-omega_dim) or a
-                                     NaN perturbation coefficient
-                                     (file-coeff)
+                                     --schedule 10,10 (schedule), --seed -1
+                                     (seed) and the flags of retired
+                                     options, --lm-nu 1e-6 --c1 0.5 --c2
+                                     0.5 (retired-flags), which argparse
+                                     refuses; `solve --problem` on the
+                                     bundled example with "k": true
+                                     (file-k), "omega_dim": 0
+                                     (file-omega_dim) or a NaN perturbation
+                                     coefficient (file-coeff), and on a
+                                     file holding the bytes ff fe, which
+                                     are not UTF-8 (file-not-utf8)
 
-Every solve runs with --no-timing.  Run the script once per tree with the
-same seeds and diff the two outputs, or compare two dumps field by field
-with tools/report_diff.py.  perfbench/ is imported, not changed.
+Every solve runs with --no-timing.  A flag argparse refuses exits through
+SystemExit, whose code is the report's rc.  Run the script once per tree
+with the same seeds and diff the two outputs, or compare two dumps field
+by field with tools/report_diff.py.  perfbench/ is imported, not changed.
 """
 
 from __future__ import annotations
@@ -112,6 +123,8 @@ CHECK_POINTS = ("1.5,0.3,1.1,0.1,-0.25", "1,2,3,0,0", "4,4,4,0.001,0", "0.8,0,-2
 OVERFLOWS = (("r_base", 1e100), ("r_base", 1e150), ("r_base", 1e200), ("T_base", 3e152))
 # the factor the scaled reports multiply the bundled example's data by
 SCALE = 1e8
+# the distribution std of the bundled example whose draws overflow
+DRAWS_STD = 1e308
 # the smoothing kinds of the final-theta reports, which stop at the start point
 FINAL_THETA_KINDS = ("chks", "nn")
 # refuse/<case>: CLI calls that each end on one error line, the builtin
@@ -124,8 +137,8 @@ REFUSED_FLAGS = (
     ("mu", ["solve", "--builtin", "--mu", "1e-300"]),
     ("kmax", ["solve", "--builtin", "--kmax", "0"]),
     ("schedule", ["solve", "--builtin", "--schedule", "10,10"]),
-    ("wolfe", ["solve", "--builtin", "--c1", "0.5", "--c2", "0.5"]),
     ("seed", ["solve", "--builtin", "--seed", "-1"]),
+    ("retired-flags", ["solve", "--builtin", "--lm-nu", "1e-6", "--c1", "0.5", "--c2", "0.5"]),
 )
 REFUSED_FILES = (
     ("file-k", lambda doc: doc.update(k=True)),
@@ -160,29 +173,42 @@ def reports(cli, workloads, seeds, workdir: str):
         yield f"check/{point}", ["check", "--builtin", "--point", point]
     example = os.path.join(workdir, "example.json")
     cli.main(["example", "--out", example])
-    for field, value in OVERFLOWS:
+
+    def edited(name: str, edit) -> str:
+        # the path of a copy of the bundled example, edited in place by edit
         with open(example, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if field == "r_base":
-            doc["r_base"][0] = value
-        else:
-            doc["T_base"] = [[value * v for v in row] for row in doc["T_base"]]
-        case = f"{field}{value:g}"
-        path = os.path.join(workdir, f"{case}.json")
+        edit(doc)
+        path = os.path.join(workdir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+        return path
+
+    for field, value in OVERFLOWS:
+
+        def overflow(doc, field=field, value=value):
+            if field == "r_base":
+                doc["r_base"][0] = value
+            else:
+                doc["T_base"] = [[value * v for v in row] for row in doc["T_base"]]
+
+        case = f"{field}{value:g}"
+        path = edited(case, overflow)
         for mode in ("cvar", "erm", "ev"):
             argv = ["solve", "--problem", path, "--schedule", "10,100", "--kmax", "5", "--mode", mode, "--no-timing"]
             yield f"overflow/{case}/{mode}", argv
-    with open(example, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["T_base"] = [[SCALE * v for v in row] for row in doc["T_base"]]
-    doc["r_base"] = [SCALE * v for v in doc["r_base"]]
-    for entry in doc["T_perturb"] + doc["r_perturb"]:
-        entry["coeff"] *= SCALE
-    path = os.path.join(workdir, "scaled.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    case = f"std{DRAWS_STD:g}"
+    path = edited(case, lambda doc: doc["distribution"].update(std=DRAWS_STD))
+    yield f"overflow/{case}/solve", ["solve", "--problem", path, "--schedule", "10,100", "--kmax", "3", "--no-timing"]
+    yield f"overflow/{case}/check", ["check", "--problem", path, "--point", CHECK_POINTS[0]]
+
+    def scaled(doc):
+        doc["T_base"] = [[SCALE * v for v in row] for row in doc["T_base"]]
+        doc["r_base"] = [SCALE * v for v in doc["r_base"]]
+        for entry in doc["T_perturb"] + doc["r_perturb"]:
+            entry["coeff"] *= SCALE
+
+    path = edited("scaled", scaled)
     for mode in ("cvar", "erm", "ev"):
         argv = ["solve", "--problem", path, "--schedule", "10,100", "--kmax", "50", "--mode", mode, "--no-timing"]
         yield f"scaled/{mode}", argv
@@ -194,13 +220,11 @@ def reports(cli, workloads, seeds, workdir: str):
     for case, argv in REFUSED_FLAGS:
         yield f"refuse/{case}", argv + (["--no-timing"] if argv[0] == "solve" else [])
     for case, edit in REFUSED_FILES:
-        with open(example, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        edit(doc)
-        path = os.path.join(workdir, f"{case}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        yield f"refuse/{case}", ["solve", "--problem", path, "--no-timing"]
+        yield f"refuse/{case}", ["solve", "--problem", edited(case, edit), "--no-timing"]
+    path = os.path.join(workdir, "file-not-utf8.json")
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe")
+    yield "refuse/file-not-utf8", ["solve", "--problem", path, "--no-timing"]
 
 
 def run(cli, argv) -> tuple[int, str]:
@@ -208,7 +232,10 @@ def run(cli, argv) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        rc = cli.main(argv)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse refused a flag
+            rc = exc.code
     return rc, out.getvalue() + err.getvalue()
 
 
